@@ -201,6 +201,17 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # the wording argparse gives for type=int, which would otherwise name this function
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toric-origami",
@@ -227,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="print class space dimensions by degree")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("cut", help="cut a leaf; write c_plus, c_minus, and b")

@@ -8,8 +8,12 @@ function), derives even Betti numbers from them under the freeness
 recursion, decides membership of explicit tuples with exact division,
 and locates the degrees where new generators appear.
 
-All linear algebra is over `fractions.Fraction`; divisibility tests are
-exact polynomial division, never numerical.
+The constraint rows and class vectors are exact `fractions.Fraction`
+values.  Their ranks and kernels come from `lattice`, which eliminates
+modulo a large prime and certifies every answer by an exact check over
+the integers, falling back to `Fraction` elimination when a check fails;
+either way the results are exact.  Divisibility tests are exact
+polynomial division, never numerical.
 """
 
 from __future__ import annotations

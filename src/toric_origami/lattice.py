@@ -5,13 +5,25 @@ floating point is used anywhere in the package core.  Lattice vectors are
 tuples of ints, rational points are tuples of Fractions, and matrices are
 sequences of row tuples.  All functions are pure and their outputs are
 deterministic (pivots are always the first nonzero entry in column order).
+
+`rank`, `kernel_dimension` and `kernel_basis` share one certified modular
+kernel.  Each row is scaled to integers and the matrix is brought to
+reduced row echelon form modulo a large prime p; every kernel vector read
+off the free columns is lifted to the rationals by rational reconstruction
+and checked exactly against every row.  A passing check is a proof: the
+lifted vectors are independent (the identity sits on the free columns), so
+the rational nullity is at least the modular one, and rank mod p never
+exceeds the rational rank.  The lifted basis is then the rational reduced
+echelon basis itself.  When reconstruction or the check fails the next
+prime is tried, and past the last one the matrix is reduced over
+`Fraction` instead.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .exceptions import DegenerateInput, DimensionError
 
@@ -95,6 +107,130 @@ def _reduced_echelon(rows, ncols):
     return mat[:r], pivots
 
 
+# Fixed primes for the modular kernel, tried in order before the Fraction route.
+_PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
+
+
+def _integer_rows(rows, ncols):
+    """Each row scaled by the lcm of its denominators, as a sparse {column: int} dict."""
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionError(f"row of length {len(row)} in a {ncols}-column matrix")
+        entries = [(c, Fraction(row[c])) for c in compress(range(ncols), row)]
+        scale = math.lcm(*(x.denominator for _, x in entries))
+        out.append({c: x.numerator * (scale // x.denominator) for c, x in entries})
+    return out
+
+
+def _reconstruct(x, p, bound):
+    """(n, d) with n = d * x mod p, |n| <= bound and 0 < d <= bound, or None (Wang 1981)."""
+    r0, r1 = p, x
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return (r1, t1) if t1 <= bound else None
+
+
+def _modular_kernel(int_rows, ncols, p):
+    """Certified (pivot columns, kernel vectors) of an integer matrix, or None.
+
+    The matrix is reduced mod p to reduced row echelon form, pivoting on
+    each new row's leading column.  The kernel vector of each free column
+    is lifted to the rationals and must annihilate every row exactly; on
+    any failure the answer is None.  Kernel vectors are sparse
+    {column: (numerator, denominator)} dicts in free-column order.
+    """
+    pivots = {}  # pivot column -> its reduced row mod p, without the leading 1
+    for row in int_rows:
+        r = {}
+        for c, a in row.items():
+            a %= p
+            if a:
+                r[c] = a
+        # pivot rows vanish on each other's pivot columns: one pass clears them
+        for c in [c for c in r if c in pivots]:
+            f = r.pop(c)
+            for j, a in pivots[c].items():
+                v = (r.get(j, 0) - f * a) % p
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+        if not r:
+            continue
+        lead = min(r)
+        inv = pow(r.pop(lead), -1, p)
+        new = {j: a * inv % p for j, a in r.items()}
+        for prow in pivots.values():
+            g = prow.pop(lead, 0)
+            if g:
+                for j, a in new.items():
+                    v = (prow.get(j, 0) - g * a) % p
+                    if v:
+                        prow[j] = v
+                    else:
+                        del prow[j]
+        pivots[lead] = new
+
+    kernel = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, prow in pivots.items():
+        for j, a in prow.items():
+            kernel[j][c] = p - a
+    columns = [[] for _ in range(ncols)]  # the integer matrix by column
+    for i, row in enumerate(int_rows):
+        for c, a in row.items():
+            columns[c].append((i, a))
+    bound = math.isqrt(p // 2)
+    vectors = []
+    for vec in kernel.values():
+        lifted = {}
+        for c, x in vec.items():
+            q = _reconstruct(x, p, bound)
+            if q is None:
+                return None
+            lifted[c] = q
+        scale = math.lcm(*(d for _, d in lifted.values()))
+        residual = {}
+        for c, (n, d) in lifted.items():
+            w = n * (scale // d)
+            for i, a in columns[c]:
+                residual[i] = residual.get(i, 0) + a * w
+        if any(residual.values()):
+            return None
+        vectors.append(lifted)
+    return sorted(pivots), vectors
+
+
+def _solve(rows, ncols):
+    """Pivot columns and kernel vectors of a rational matrix, exactly.
+
+    Tries the modular kernel at each prime of `_PRIMES`, then falls back to
+    `_reduced_echelon`; both give the same answer.
+    """
+    int_rows = _integer_rows(rows, ncols)
+    for p in _PRIMES:
+        found = _modular_kernel(int_rows, ncols, p)
+        if found is not None:
+            return found
+    ech, pivots = _reduced_echelon(rows, ncols)
+    pivot_set = set(pivots)
+    vectors = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = {free: (1, 1)}
+        for row, pc in zip(ech, pivots):
+            if row[free]:
+                vec[pc] = (-row[free].numerator, row[free].denominator)
+        vectors.append(vec)
+    return pivots, vectors
+
+
 def _column_count(rows, ncols):
     if ncols is not None:
         return ncols
@@ -107,7 +243,7 @@ def rank(rows, ncols=None):
     """Rank of a rational matrix (exact)."""
     if not rows:
         return 0
-    return len(_reduced_echelon(rows, _column_count(rows, ncols))[1])
+    return len(_solve(rows, _column_count(rows, ncols))[0])
 
 
 def kernel_dimension(rows, ncols=None):
@@ -123,39 +259,26 @@ def kernel_basis(rows, ncols):
     pivot columns back-substituted; the empty matrix yields the standard
     basis.
     """
-    ech, pivots = _reduced_echelon(rows, ncols)
-    pivot_set = set(pivots)
+    zero = Fraction(0)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(ech, pivots):
-            vec[pc] = -row[free]
-        basis.append(tuple(vec))
+    for vec in _solve(rows, ncols)[1]:
+        dense = [zero] * ncols
+        for c, (n, d) in vec.items():
+            dense[c] = Fraction(n, d)
+        basis.append(tuple(dense))
     return basis
 
 
 def solve_square(rows, rhs):
     """Solve the square rational system rows * x = rhs; None if singular."""
     n = len(rows)
-    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    for r in aug:
-        if len(r) != n + 1:
-            raise DimensionError("solve_square needs an n x n matrix")
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
+    aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
+    if any(len(r) != n + 1 for r in aug):
+        raise DimensionError("solve_square needs an n x n matrix")
+    ech, pivots = _reduced_echelon(aug, n + 1)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(r[n] for r in ech)
 
 
 def rational_to_primitive(vec):
@@ -246,8 +369,9 @@ def recession_direction(normals, n):
     if n == 0:
         return None
     rows = [tuple(Fraction(c) for c in a) for a in normals]
-    if rank(rows, n) < n:
-        return rational_to_primitive(kernel_basis(rows, n)[0])
+    ker = kernel_basis(rows, n)
+    if ker:  # rank below n: the normals leave a line free
+        return rational_to_primitive(ker[0])
     for subset in combinations(range(len(rows)), n - 1):
         ker = kernel_basis([rows[i] for i in subset], n)
         if len(ker) != 1:

@@ -141,7 +141,9 @@ class DelzantPolytope:
         )
         self._check_irredundant()
         self._face_map = None
+        self._sorted_faces = None
         self._simple = None
+        self._smooth = None
 
     # -- construction checks ---------------------------------------------
 
@@ -261,10 +263,12 @@ class DelzantPolytope:
         """
         if not self.is_simple():
             raise NotSimple("smoothness is only defined for simple polytopes")
-        for v in self._vertices:
-            if abs(lattice_determinant(self.vertex_edge_directions(v))) != 1:
-                return False
-        return True
+        if self._smooth is None:
+            self._smooth = all(
+                abs(lattice_determinant(self.vertex_edge_directions(v))) == 1
+                for v in self._vertices
+            )
+        return self._smooth
 
     def is_delzant(self) -> bool:
         return self.is_simple() and self.is_smooth()
@@ -273,7 +277,11 @@ class DelzantPolytope:
 
     def faces(self) -> tuple:
         """All nonempty faces, the polytope itself included, sorted by (dim, vertices)."""
-        return tuple(sorted(self._faces().values(), key=lambda f: (f.dim, f.vertices)))
+        if self._sorted_faces is None:
+            self._sorted_faces = tuple(
+                sorted(self._faces().values(), key=lambda f: (f.dim, f.vertices))
+            )
+        return self._sorted_faces
 
     def _faces(self) -> dict:
         if self._face_map is not None:

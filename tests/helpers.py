@@ -1,10 +1,10 @@
 """Shared test utilities: independent oracles and seeded template generators.
 
 Oracle code here deliberately avoids the package's own linear algebra:
-rank/nullity use a local echelon reduction, determinants use permutation
-expansion, hulls use a monotone chain, and smoothness solves integer
-systems directly.  Agreement between these and the package is the point
-of the dual-route tests.
+rank, nullity and kernel bases use a local echelon reduction, determinants
+use permutation expansion, hulls use a monotone chain, and smoothness
+solves integer systems directly.  Agreement between these and the package
+is the point of the dual-route tests.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph
 # independent linear algebra
 
 
-def oracle_rank(rows, ncols):
-    """Row-reduce with plain Gaussian elimination; count nonzero rows."""
+def _oracle_rref(rows, ncols):
+    """Plain Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
     mat = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
+    pivots = []
     col = 0
-    while rank < len(mat) and col < ncols:
+    while len(pivots) < len(mat) and col < ncols:
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             col += 1
@@ -36,9 +37,30 @@ def oracle_rank(rows, ncols):
             if r != rank and mat[r][col]:
                 factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
+        pivots.append(col)
         col += 1
-    return rank
+    return mat[: len(pivots)], pivots
+
+
+def oracle_rank(rows, ncols):
+    """Row-reduce with plain Gaussian elimination; count nonzero rows."""
+    return len(_oracle_rref(rows, ncols)[1])
+
+
+def oracle_kernel_basis(rows, ncols):
+    """The reduced-echelon kernel basis: one vector per free column, with a 1
+    there, 0 on the other free columns and the pivot columns solved for."""
+    mat, pivots = _oracle_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -row[free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def oracle_nullity(rows, ncols):

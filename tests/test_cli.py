@@ -188,6 +188,7 @@ def test_usage_errors_exit_three(capsys):
     assert run(["no-such-command"]) == 3
     assert run([]) == 3
     assert run(["cut", corpus("chain3")]) == 3  # missing required options
+    assert run(["hilbert", corpus("cp2"), "--max-degree", "-1"]) == 3
     capsys.readouterr()
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_det, oracle_nullity, oracle_rank
+from helpers import oracle_det, oracle_kernel_basis, oracle_nullity, oracle_rank
+from toric_origami import lattice
 from toric_origami.exceptions import DegenerateInput
 from toric_origami.lattice import (
     dot,
@@ -69,6 +70,90 @@ def test_rank_and_kernel_match_plain_gauss():
         for vec in basis:
             for row in rows:
                 assert dot(row, vec) == 0
+
+
+P = lattice._PRIMES[0]
+
+
+def _random_entry(rng):
+    """Small integers and rationals, mixed with the modulus, its multiples
+    and fractions with the modulus in the denominator."""
+    roll = rng.random()
+    if roll < 0.35:
+        return 0
+    if roll < 0.6:
+        return rng.randint(-5, 5)
+    if roll < 0.8:
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+    if roll < 0.9:
+        return rng.choice((1, -1, 2, 3)) * rng.choice(lattice._PRIMES)
+    return Fraction(rng.choice((1, -1, 2)), rng.choice(lattice._PRIMES))
+
+
+def _record_routes(monkeypatch):
+    """Log the primes the modular kernel tries and each Fraction fallback."""
+    log = []
+    modular = lattice._modular_kernel
+    echelon = lattice._reduced_echelon
+
+    def spy_modular(int_rows, ncols, p):
+        found = modular(int_rows, ncols, p)
+        log.append((p, found is not None))
+        return found
+
+    def spy_echelon(rows, ncols):
+        log.append("fraction")
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(lattice, "_modular_kernel", spy_modular)
+    monkeypatch.setattr(lattice, "_reduced_echelon", spy_echelon)
+    return log
+
+
+def test_certified_kernel_matches_fraction_route():
+    rng = random.Random(61)
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        assert rank(rows, n) == oracle_rank(rows, n), rows
+        assert kernel_dimension(rows, n) == oracle_nullity(rows, n), rows
+        basis = kernel_basis(rows, n)
+        assert basis == oracle_kernel_basis(rows, n), rows
+        assert all(type(c) is Fraction for vec in basis for c in vec)
+
+
+def test_certified_kernel_on_wider_integer_matrices():
+    rng = random.Random(7)
+    for _ in range(40):
+        m = rng.randint(5, 14)
+        n = rng.randint(5, 14)
+        # low-rank products keep the kernel large and its entries rational
+        k = rng.randint(1, min(m, n))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)] for lr in left]
+        assert rank(rows, n) == oracle_rank(rows, n)
+        assert kernel_basis(rows, n) == oracle_kernel_basis(rows, n)
+
+
+def test_multiple_of_the_first_prime_retries_the_second(monkeypatch):
+    log = _record_routes(monkeypatch)
+    rows = [[P, 2 * P]]  # the zero row mod P, rank 1 over Q
+    assert rank(rows, 2) == 1
+    assert kernel_basis(rows, 2) == [(Fraction(-2), Fraction(1))]
+    assert log[:2] == [(lattice._PRIMES[0], False), (lattice._PRIMES[1], True)]
+    assert "fraction" not in log
+
+
+def test_unreconstructible_kernel_falls_back_to_fractions(monkeypatch):
+    log = _record_routes(monkeypatch)
+    # the kernel holds -P, beyond rational reconstruction at every prime
+    rows = [[Fraction(1, P), 1]]
+    assert rank(rows, 2) == 1
+    assert kernel_basis(rows, 2) == [(Fraction(-P), Fraction(1))]
+    assert log[: len(lattice._PRIMES)] == [(p, False) for p in lattice._PRIMES]
+    assert log[len(lattice._PRIMES)] == "fraction"
 
 
 def test_solve_square_unique_and_singular():
