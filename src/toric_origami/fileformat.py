@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 
 from .exceptions import ParseError
-from .orbit_space import FacePoset, face_poset
+from .orbit_space import face_poset
 from .polytope import DelzantPolytope, HalfSpace
 from .template import OrigamiTemplate, TemplateGraph
 
@@ -224,6 +224,14 @@ def serialize(t: OrigamiTemplate) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _corpus_entry(name: str):
+    """The bundled template resource `name`; FileNotFoundError if absent."""
+    candidate = resources.files(__package__) / "corpus" / f"{name}.json"
+    if not candidate.is_file():
+        raise FileNotFoundError(f"no bundled template named '{name}'")
+    return candidate
+
+
 def corpus_names() -> tuple:
     """Names of the templates bundled with the package."""
     root = resources.files(__package__) / "corpus"
@@ -238,41 +246,12 @@ def corpus_names() -> tuple:
 
 def corpus_path(name: str) -> Path:
     """Filesystem path of a bundled template (assumes a normal install)."""
-    root = resources.files(__package__) / "corpus"
-    candidate = root / f"{name}.json"
-    if not candidate.is_file():
-        raise FileNotFoundError(f"no bundled template named '{name}'")
-    return Path(str(candidate))
+    return Path(str(_corpus_entry(name)))
 
 
 def load_corpus(name: str) -> OrigamiTemplate:
     """Parse one of the bundled templates by name."""
-    root = resources.files(__package__) / "corpus"
-    candidate = root / f"{name}.json"
-    if not candidate.is_file():
-        raise FileNotFoundError(f"no bundled template named '{name}'")
-    return parse(candidate.read_text(encoding="utf-8"))
-
-
-def _covers(poset: FacePoset) -> list:
-    faces = list(poset)
-    leq = FacePoset.leq
-    pairs = []
-    for i, a in enumerate(faces):
-        for j, b in enumerate(faces):
-            if i == j or not leq(a, b) or leq(b, a):
-                continue
-            between = any(
-                k not in (i, j)
-                and leq(a, c)
-                and leq(c, b)
-                and not leq(c, a)
-                and not leq(b, c)
-                for k, c in enumerate(faces)
-            )
-            if not between:
-                pairs.append((i, j))
-    return pairs
+    return parse(_corpus_entry(name).read_text(encoding="utf-8"))
 
 
 def face_poset_dot(t: OrigamiTemplate) -> str:
@@ -284,7 +263,7 @@ def face_poset_dot(t: OrigamiTemplate) -> str:
         vids = sorted({vid for vid, _ in f.members})
         label = f"dim {f.dimension}: {','.join(vids)} ({len(f.members)} piece(s))"
         lines.append(f'  f{i} [label="{label}"];')
-    for i, j in _covers(poset):
+    for i, j in poset.covers():
         lines.append(f"  f{i} -> f{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -89,18 +89,16 @@ class Face:
 
     `active` is maximal (every facet index whose facet contains the face)
     and `vertices` is sorted, so within one polytope equal Face values
-    describe equal subsets of the ambient space.  `owner` is excluded from
-    comparison; see the module docstring.
+    describe equal subsets of the ambient space.  `vertex_set` holds the
+    same vertices as a frozenset.  `owner` and `vertex_set` are excluded
+    from comparison; see the module docstring.
     """
 
     active: frozenset
     vertices: tuple
     dim: int
     owner: "DelzantPolytope" = field(compare=False, repr=False)
-
-    @property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
+    vertex_set: frozenset = field(compare=False, repr=False)
 
     def __repr__(self):
         return f"Face(dim={self.dim}, active={sorted(self.active)}, vertices={list(self.vertices)})"
@@ -306,7 +304,9 @@ class DelzantPolytope:
                 if active
                 else self._dim
             )
-            faces[vset] = Face(active=active, vertices=tuple(sorted(vset)), dim=dim, owner=self)
+            faces[vset] = Face(
+                active=active, vertices=tuple(sorted(vset)), dim=dim, owner=self, vertex_set=vset
+            )
         self._face_map = faces
         return faces
 

@@ -19,6 +19,7 @@ to coincide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .exceptions import (
@@ -58,37 +59,36 @@ class TemplateGraph:
         if set(self.incidence) != set(eids):
             raise MalformedTemplate("incidence must give exactly one end pair per edge")
         inc = {}
-        vset = set(verts)
+        incident = {v: () for v in verts}  # incident edges in edge order, a loop once
         for e in eids:
             ends = tuple(self.incidence[e])
             if len(ends) != 2:
                 raise MalformedTemplate(f"edge {e}: incidence needs exactly two ends")
             for w in ends:
-                if w not in vset:
+                if w not in incident:
                     raise MalformedTemplate(f"edge {e}: unknown end vertex {w!r}")
             inc[e] = ends
+            for w in set(ends):
+                incident[w] += (e,)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", eids)
         object.__setattr__(self, "incidence", inc)
+        object.__setattr__(self, "_incident", incident)
 
     def ends(self, eid: str) -> tuple:
         return self.incidence[eid]
 
     def incident_edges(self, vid: str) -> tuple:
-        return tuple(e for e in self.edges if vid in self.incidence[e])
+        return self._incident.get(vid, ())
 
     def degree(self, vid: str) -> int:
         """Number of edge ends at the vertex; a loop counts twice."""
-        return sum(self.incidence[e].count(vid) for e in self.edges)
+        return sum(self.incidence[e].count(vid) for e in self.incident_edges(vid))
 
     def loops(self) -> tuple:
         return tuple(e for e, (u, v) in self.incidence.items() if u == v)
 
     def connected_components(self) -> tuple:
-        adjacency = {v: set() for v in self.vertices}
-        for u, v in self.incidence.values():
-            adjacency[u].add(v)
-            adjacency[v].add(u)
         remaining = set(self.vertices)
         components = []
         while remaining:
@@ -99,7 +99,9 @@ class TemplateGraph:
                 if w in comp:
                     continue
                 comp.add(w)
-                stack.extend(adjacency[w] - comp)
+                stack.extend(
+                    x for e in self._incident[w] for x in self.incidence[e] if x not in comp
+                )
             components.append(frozenset(comp))
             remaining -= comp
         return tuple(sorted(components, key=min))
@@ -120,14 +122,9 @@ class TemplateGraph:
             stack = [seed]
             while stack:
                 w = stack.pop()
-                for e in self.edges:
+                for e in self._incident[w]:
                     u, v = self.incidence[e]
-                    if w == u:
-                        other = v
-                    elif w == v:
-                        other = u
-                    else:
-                        continue
+                    other = v if w == u else u
                     if other == w:
                         return False  # loop
                     if other not in color:
@@ -455,17 +452,18 @@ class OrigamiTemplate:
             fold_basis=basis,
         )
 
-    def _fresh_id(self, prefix: str, taken) -> str:
-        k = 0
-        while f"{prefix}{k}" in taken:
-            k += 1
-        return f"{prefix}{k}"
-
     def __repr__(self):
         return (
             f"OrigamiTemplate(dim={self._dim}, vertices={len(self._graph.vertices)}, "
             f"edges={len(self._graph.edges)})"
         )
+
+
+def _fresh_id(prefix: str, taken) -> str:
+    k = 0
+    while f"{prefix}{k}" in taken:
+        k += 1
+    return f"{prefix}{k}"
 
 
 def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f_p: int) -> OrigamiTemplate:
@@ -501,8 +499,8 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
                 f"new fold facet at {vid} intersects the fold facet of edge {eid}"
             )
     graph = t.graph
-    new_vid = t._fresh_id("bu", set(graph.vertices))
-    new_eid = t._fresh_id("be", set(graph.edges))
+    new_vid = _fresh_id("bu", set(graph.vertices))
+    new_eid = _fresh_id("be", set(graph.edges))
     incidence = {e: graph.ends(e) for e in graph.edges}
     incidence[new_eid] = (vid, new_vid)
     psi_v = t.psi_v
@@ -524,7 +522,10 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
     """Are two templates the same up to renaming vertices and edges?
 
     A graph isomorphism must match polytopes exactly (equal halfspace
-    sets) and fold facet references end-by-end.
+    sets) and fold facet references end-by-end.  Vertices are placed
+    breadth-first from the one with the fewest candidates, each checked at
+    once against those already placed; in a valid template each fold facet
+    carries at most one edge, so every placement after the first is forced.
     """
     if t1.dimension != t2.dimension:
         return False
@@ -532,41 +533,49 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
 
-    def edge_keys(t, mapping):
-        # identify a fold facet by its halfspace, not its index, so that
-        # reordering a polytope's halfspace list does not break matching
-        keys = []
+    def fold_ends(t):
+        # (neighbour, own halfspace, other halfspace) per edge end; a fold is
+        # named by its halfspace, not its index, so that reordering a
+        # polytope's halfspace list does not break matching
+        ends = {w: [] for w in t.graph.vertices}
         for eid in t.graph.edges:
             u, v = t.graph.ends(eid)
             fu, fv = t.edge_facets(eid)
-            hu = t.polytope(u).halfspaces[fu]
-            hv = t.polytope(v).halfspaces[fv]
-            ends = sorted(
-                ((mapping[u], hu.normal, hu.offset), (mapping[v], hv.normal, hv.offset))
-            )
-            keys.append(tuple(ends))
-        return sorted(keys)
+            hu, hv = t.polytope(u).halfspaces[fu], t.polytope(v).halfspaces[fv]
+            ends[u].append((v, hu, hv))
+            ends[v].append((u, hv, hu))
+        return ends
 
-    target = edge_keys(t2, {w: w for w in g2.vertices})
-    candidates = {
-        v1: [v2 for v2 in g2.vertices if t1.polytope(v1) == t2.polytope(v2)]
-        for v1 in g1.vertices
-    }
-    order = sorted(g1.vertices, key=lambda v: len(candidates[v]))
+    ends1, ends2 = fold_ends(t1), fold_ends(t2)
+    kinds = {}
+    for v2 in g2.vertices:
+        kinds.setdefault((t2.polytope(v2), g2.degree(v2)), {})[v2] = None
+    candidates = {v1: kinds.get((t1.polytope(v1), g1.degree(v1)), {}) for v1 in g1.vertices}
+    root = min(g1.vertices, key=lambda v: len(candidates[v]))
+    order, parent = [root], {root: None}
+    for v1 in order:
+        for n, _, _ in ends1[v1]:
+            if n not in parent:
+                parent[n] = v1
+                order.append(n)
+    mapping, placed = {}, set()
 
-    def assign(i, mapping, used):
+    def place(i):
         if i == len(order):
-            return edge_keys(t1, mapping) == target
+            return True
         v1 = order[i]
-        for v2 in candidates[v1]:
-            if v2 in used:
-                continue
-            if g1.degree(v1) != g2.degree(v2):
+        # every image after the root's sits next to its parent's image
+        pool = dict.fromkeys(n for n, _, _ in ends2[mapping[parent[v1]]]) if i else candidates[v1]
+        for v2 in pool:
+            if v2 in placed or v2 not in candidates[v1]:
                 continue
             mapping[v1] = v2
-            if assign(i + 1, mapping, used | {v2}):
+            placed.add(v2)
+            mine = Counter((mapping[n], a, b) for n, a, b in ends1[v1] if n in mapping)
+            if mine == Counter(end for end in ends2[v2] if end[0] in placed) and place(i + 1):
                 return True
             del mapping[v1]
+            placed.discard(v2)
         return False
 
-    return assign(0, {}, set())
+    return place(0)

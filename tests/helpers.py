@@ -10,10 +10,31 @@ is the point of the dual-route tests.
 from __future__ import annotations
 
 import itertools
+import time
 from fractions import Fraction
 
 from toric_origami import DelzantPolytope, HalfSpace, OrigamiTemplate, TemplateGraph
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph
+
+# ---------------------------------------------------------------------------
+# runtime budgets
+
+
+class stopwatch:
+    def __init__(self, budget):
+        self.budget = budget
+
+    def __enter__(self):
+        self.start = time.monotonic()
+        return self
+
+    def __exit__(self, *exc):
+        self.elapsed = time.monotonic() - self.start
+        if exc == (None, None, None):
+            assert self.elapsed < self.budget, (
+                f"runtime {self.elapsed:.2f}s exceeds the {self.budget}s budget"
+            )
+
 
 # ---------------------------------------------------------------------------
 # independent linear algebra
@@ -83,6 +104,24 @@ def oracle_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# independent order theory
+
+
+def oracle_covers(faces, leq):
+    """Covering pairs (i, j) by definition: faces[i] < faces[j], nothing between."""
+
+    def less(a, b):
+        return leq(a, b) and not leq(b, a)
+
+    return [
+        (i, j)
+        for i, a in enumerate(faces)
+        for j, b in enumerate(faces)
+        if less(a, b) and not any(less(a, c) and less(c, b) for c in faces)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ in captured output.
 """
 
 import random
-import time
 
 import pytest
 
@@ -24,6 +23,7 @@ from helpers import (
     random_lattice_polygon,
     random_moment_graph,
     random_unimodular,
+    stopwatch,
 )
 from toric_origami import load_corpus
 from toric_origami.cli import run
@@ -38,22 +38,6 @@ from toric_origami.gkm import fixed_points, moment_graph
 from toric_origami.orbit_space import is_face_acyclic
 from toric_origami.polytope import DelzantPolytope, HalfSpace
 from toric_origami.template import radial_blow_up, isomorphic
-
-
-class stopwatch:
-    def __init__(self, budget):
-        self.budget = budget
-
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.monotonic() - self.start
-        if exc == (None, None, None):
-            assert self.elapsed < self.budget, (
-                f"runtime {self.elapsed:.2f}s exceeds the {self.budget}s budget"
-            )
 
 
 def report(number, label):

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
-from helpers import box_path_template, hexagon_cycle_template
+from helpers import (
+    box_even_cycle_template,
+    box_path_template,
+    hexagon_cycle_template,
+    hexagon_tree_template,
+    oracle_covers,
+    stopwatch,
+)
 from toric_origami import load_corpus
 from toric_origami.exceptions import FaceMismatch
+from toric_origami.fileformat import corpus_names
 from toric_origami.orbit_space import (
     FacePoset,
     face_poset,
@@ -136,6 +144,27 @@ def test_every_corner_lies_under_its_defining_facets():
         assert corner.defining == frozenset().union(*(g.defining for g in above))
 
 
+def test_covers_are_the_covering_relation():
+    rng = random.Random(23)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng) for _ in range(8)]
+    templates += [hexagon_tree_template(rng) for _ in range(8)]
+    templates += [hexagon_cycle_template(length) for length in (3, 4, 5)]
+    templates.append(box_even_cycle_template())
+    for t in templates:
+        poset = face_poset(t)
+        assert list(poset.covers()) == oracle_covers(poset.faces, FacePoset.leq), t
+
+
+def test_five_cube_path_poset_size_and_time():
+    t = box_path_template(random.Random(0), n=5, length=3)
+    with stopwatch(5.0):
+        poset = face_poset(t)
+        covers = poset.covers()
+    assert len(poset) == 3**5
+    assert len(covers) == 2 * 5 * 3**4
+
+
 # ---------------------------------------------------------------------------
 # face subgraphs
 
@@ -165,8 +194,6 @@ def test_face_subgraph_rejects_foreign_faces():
 
 
 def test_face_acyclicity_agrees_with_graph_acyclicity_on_bundled_templates():
-    from toric_origami.fileformat import corpus_names
-
     for name in corpus_names():
         t = load_corpus(name)
         assert is_face_acyclic(t) == t.graph.is_acyclic(), name

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import box_path_template, build_template, hexagon_tree_template
+from helpers import box_path_template, build_template, hexagon_tree_template, stopwatch
 from toric_origami import load_corpus, radial_blow_up
 from toric_origami.exceptions import (
     ConditionOneViolation,
@@ -233,6 +233,22 @@ def test_blow_up_then_cut_returns_the_original():
     new_leaf = next(v for v in t2.graph.vertices if v != "v1")
     back = t2.cut_leaf(new_leaf).c_plus
     assert isomorphic(t, back)
+
+
+def test_every_leaf_round_trip_of_hexagon_trees():
+    # trees of one repeated polytope give every vertex many candidate images
+    rng = random.Random(3)
+    with stopwatch(20.0):
+        for size in range(2, 31):
+            t = hexagon_tree_template(rng, size)
+            for vid in t.graph.vertices:
+                if t.graph.degree(vid) != 1:
+                    continue
+                cut = t.cut_leaf(vid)
+                rebuilt = radial_blow_up(
+                    cut.c_plus, cut.c_minus, cut.attach_vertex, cut.attach_facet, cut.leaf_facet
+                )
+                assert isomorphic(rebuilt, t), (size, vid)
 
 
 # ---------------------------------------------------------------------------
