@@ -8,12 +8,12 @@ function), derives even Betti numbers from them under the freeness
 recursion, decides membership of explicit tuples with exact division,
 and locates the degrees where new generators appear.
 
-The constraint rows and class vectors are exact `fractions.Fraction`
-values.  Their ranks and kernels come from `lattice`, which eliminates
-modulo a large prime and certifies every answer by an exact check over
-the integers, falling back to `Fraction` elimination when a check fails;
-either way the results are exact.  Divisibility tests are exact
-polynomial division, never numerical.
+The constraint rows are ints: divisibility by an edge weight is read as
+vanishing on its hyperplane.  Class vectors are exact `fractions.Fraction`
+values.  Ranks and kernels come from `lattice`, which eliminates modulo a
+large prime and certifies every answer by an exact check over the
+integers, falling back to `Fraction` elimination when a check fails.
+Membership tests are exact polynomial division, never numerical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .exceptions import FreenessViolation, InternalConsistency, ShapeError
 from .gkm import MomentGraph
-from .lattice import kernel_basis, kernel_dimension, rank
+from .lattice import integer_kernel_basis, kernel_basis, kernel_dimension, rank
 
 
 @lru_cache(maxsize=None)
@@ -163,19 +163,6 @@ def _unit_exponent(n, j):
     return tuple(1 if i == j else 0 for i in range(n))
 
 
-def _poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = out.get(e, Fraction(0)) + c1 * c2
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
-
-
 def _poly_sub(p, q):
     out = dict(p)
     for e, c in q.items():
@@ -194,22 +181,23 @@ def _pivot_index(alpha):
     raise InternalConsistency("edge weight is the zero vector")
 
 
-def _substitution_image(mono, k0, alpha):
-    """Image of x^mono under x_k0 -> -(sum_{j != k0} alpha_j x_j) / alpha_k0."""
-    n = len(alpha)
-    rest = mono[:k0] + (0,) + mono[k0 + 1 :]
-    acc = {rest: Fraction(1)}
-    if mono[k0]:
-        sub = {
-            _unit_exponent(n, j): Fraction(-alpha[j], alpha[k0])
-            for j in range(n)
-            if j != k0 and alpha[j]
-        }
-        power = {tuple([0] * n): Fraction(1)}
-        for _ in range(mono[k0]):
-            power = _poly_mul(power, sub)
-        acc = _poly_mul(acc, power)
-    return acc
+def _restriction(mono, plane, images):
+    """x^mono at x = sum_k y_k plane[k], as a {y exponent: int} dict memoised in images.
+
+    It is the image of x^(mono - e_i) times that of x_i, sum_k plane[k][i] y_k.
+    """
+    if not any(mono):
+        return {(0,) * len(plane): 1}
+    if mono not in images:
+        i = next(i for i, e in enumerate(mono) if e)
+        lower = _restriction(mono[:i] + (mono[i] - 1,) + mono[i + 1 :], plane, images)
+        image = images[mono] = {}
+        for k, b in enumerate(plane):
+            if b[i]:
+                for y, c in lower.items():
+                    z = y[:k] + (y[k] + 1,) + y[k + 1 :]
+                    image[z] = image.get(z, 0) + b[i] * c
+    return images[mono]
 
 
 def _endpoint_indices(g: MomentGraph):
@@ -228,7 +216,12 @@ def _endpoint_indices(g: MomentGraph):
 
 
 def _constraint_rows(g: MomentGraph, degree: int):
-    """Rows of the divisibility system over unknowns (fixed point, monomial)."""
+    """Rows of the divisibility system over unknowns (fixed point, monomial).
+
+    f_p - f_q is divisible by the weight alpha exactly when it vanishes at
+    x = B y, where the n - 1 rows of B = `integer_kernel_basis(alpha)` span
+    alpha^perp.  Each row, a list of ints, is one y-coefficient of that.
+    """
     n = g.dimension
     basis = monomial_basis(n, degree)
     block = len(basis)
@@ -236,21 +229,22 @@ def _constraint_rows(g: MomentGraph, degree: int):
     rows = []
     if ncols == 0:
         return rows, ncols
+    planes = {}  # weight -> (hyperplane basis, monomial images)
     for pi, qi, e in _endpoint_indices(g):
-        k0 = _pivot_index(e.weight)
-        images = [_substitution_image(m, k0, e.weight) for m in basis]
-        residues = [m for m in basis if m[k0] == 0]
-        for rm in residues:
-            row = [Fraction(0)] * ncols
-            hit = False
-            for j, img in enumerate(images):
-                c = img.get(rm)
+        if not any(e.weight):
+            raise InternalConsistency("edge weight is the zero vector")
+        if e.weight not in planes:
+            planes[e.weight] = (integer_kernel_basis(e.weight), {})
+        plane, images = planes[e.weight]
+        restricted = [_restriction(m, plane, images) for m in basis]
+        for y in monomial_basis(n - 1, degree):
+            row = [0] * ncols
+            for j, img in enumerate(restricted):
+                c = img.get(y)
                 if c:
                     row[pi * block + j] += c
                     row[qi * block + j] -= c
-                    hit = True
-            if hit:
-                rows.append(row)
+            rows.append(row)
     return rows, ncols
 
 
@@ -271,13 +265,6 @@ def hilbert_function(g: MomentGraph, max_degree: int) -> HilbertFunction:
     return HilbertFunction(tuple(gkm_dimension(g, d) for d in range(max_degree + 1)))
 
 
-def _series_coefficient(k, nvars):
-    """Coefficient of s^k in (1 - s)^(-nvars)."""
-    if nvars == 0:
-        return 1 if k == 0 else 0
-    return math.comb(k + nvars - 1, nvars - 1)
-
-
 def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
     """Even Betti numbers from the Hilbert function via the freeness recursion.
 
@@ -293,7 +280,7 @@ def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
     h = [gkm_dimension(g, d) for d in range(n + 1)]
     b = []
     for d in range(n + 1):
-        val = h[d] - sum(b[j] * _series_coefficient(d - j, n) for j in range(d))
+        val = h[d] - sum(b[j] * GradedPolySpace(n, d - j).dimension for j in range(d))
         if val < 0:
             raise FreenessViolation(
                 f"negative Betti number b_{2 * d} = {val}; module is not free"
@@ -412,8 +399,9 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
 
     In each degree d the count is h_d minus the dimension spanned inside
     the degree-d class space by monomial multiples of lower-degree
-    classes.  Only nonzero counts are reported, as (degree, count) pairs
-    in increasing degree.
+    classes; as x^m * c = x_i * (x^(m - e_i) * c), the products of the
+    variables with the degree d - 1 basis span it.  Only nonzero counts
+    are reported, as (degree, count) pairs in increasing degree.
     """
     n = g.dimension
     if max_degree is None:
@@ -421,19 +409,16 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
     points = len(g.fixed_points)
-    bases = {}
+    lower = []  # the degree d - 1 class basis
     out = []
     for d in range(max_degree + 1):
         rows, ncols = _constraint_rows(g, d)
         basis = kernel_basis(rows, ncols) if ncols else []
-        bases[d] = basis
-        products = []
-        for d0 in range(d):
-            for mono in monomial_basis(n, d - d0):
-                for vec in bases[d0]:
-                    products.append(
-                        _shift_class_vector(vec, mono, n, d0, d, points)
-                    )
+        products = [
+            _shift_class_vector(vec, _unit_exponent(n, i), n, d - 1, d, points)
+            for i in range(n)
+            for vec in lower
+        ]
         spanned = rank(products, ncols) if products else 0
         count = len(basis) - spanned
         if count < 0:
@@ -442,4 +427,5 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
             )
         if count:
             out.append((d, count))
+        lower = basis
     return tuple(out)

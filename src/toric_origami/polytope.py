@@ -100,6 +100,10 @@ class Face:
     owner: "DelzantPolytope" = field(compare=False, repr=False)
     vertex_set: frozenset = field(compare=False, repr=False)
 
+    def __hash__(self):
+        # equal faces have equal vertex sets, and a frozenset caches its hash
+        return hash(self.vertex_set)
+
     def __repr__(self):
         return f"Face(dim={self.dim}, active={sorted(self.active)}, vertices={list(self.vertices)})"
 

@@ -456,15 +456,9 @@ def random_moment_graph(rng, n=None):
     return MomentGraph(fixed_points=fps, edges=tuple(edges), dimension=n)
 
 
-def oracle_gkm_dimension(g, degree):
-    """Dense divisibility solver: auxiliary quotient unknowns, no substitution.
-
-    f_p - f_q is divisible by alpha iff f_p - f_q = alpha * g_e for some
-    polynomial g_e of one degree less.  The joint (f, g) solution space
-    has the same dimension as the f solution space, because each g_e is
-    uniquely determined by f (a nonzero linear form is not a zero divisor),
-    so the nullity of the joint system is the answer.
-    """
+def _oracle_joint_system(g, degree):
+    """Rows of the joint (f, g) divisibility system, its column count, and
+    the number of f unknowns (the first columns, fixed point by monomial)."""
     from toric_origami.cohomology import monomial_basis
 
     n = g.dimension
@@ -474,8 +468,6 @@ def oracle_gkm_dimension(g, degree):
     nf = k * len(basis_d)
     ng = len(g.edges) * len(basis_lower)
     ncols = nf + ng
-    if ncols == 0:
-        return 0
     index = {fp: i for i, fp in enumerate(g.fixed_points)}
     rows = []
     for ei, e in enumerate(g.edges):
@@ -494,7 +486,57 @@ def oracle_gkm_dimension(g, degree):
                     if shifted == mono:
                         row[nf + ei * len(basis_lower) + ni] -= coeff
             rows.append(row)
+    return rows, ncols, nf
+
+
+def oracle_gkm_dimension(g, degree):
+    """Dense divisibility solver: auxiliary quotient unknowns, no substitution.
+
+    f_p - f_q is divisible by alpha iff f_p - f_q = alpha * g_e for some
+    polynomial g_e of one degree less.  The joint (f, g) solution space
+    has the same dimension as the f solution space, because each g_e is
+    uniquely determined by f (a nonzero linear form is not a zero divisor),
+    so the nullity of the joint system is the answer.
+    """
+    rows, ncols, _ = _oracle_joint_system(g, degree)
+    if ncols == 0:
+        return 0
     return oracle_nullity(rows, ncols)
+
+
+def oracle_generator_degrees(g, max_degree):
+    """Generator degrees by definition: in each degree d, the class-space
+    dimension minus the rank of every monomial multiple of every class of
+    every lower degree.
+
+    Class bases are kernels of the joint system of `oracle_gkm_dimension`,
+    projected onto the f unknowns (the projection is injective there).
+    """
+    from toric_origami.cohomology import monomial_basis
+
+    n = g.dimension
+    points = len(g.fixed_points)
+    bases = []
+    out = []
+    for d in range(max_degree + 1):
+        rows, ncols, nf = _oracle_joint_system(g, d)
+        bases.append([vec[:nf] for vec in oracle_kernel_basis(rows, ncols)])
+        index = {m: i for i, m in enumerate(monomial_basis(n, d))}
+        products = []
+        for d0 in range(d):
+            src = monomial_basis(n, d0)
+            for mono in monomial_basis(n, d - d0):
+                for vec in bases[d0]:
+                    row = [Fraction(0)] * nf
+                    for p in range(points):
+                        for j, m in enumerate(src):
+                            target = tuple(a + b for a, b in zip(m, mono))
+                            row[p * len(index) + index[target]] = vec[p * len(src) + j]
+                    products.append(row)
+        count = len(bases[d]) - (oracle_rank(products, nf) if products else 0)
+        if count:
+            out.append((d, count))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_criterion_6_cut_and_blow_up_round_trip():
 
 
 def test_criterion_7_solver_matches_dense_oracle():
-    """The substitution-based class-space solver against a dense joint system."""
+    """The restriction-based class-space solver against a dense joint system."""
     rng = random.Random(707)
     with stopwatch(30.0):
         from toric_origami.cohomology import gkm_dimension

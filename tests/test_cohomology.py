@@ -6,10 +6,18 @@ from math import comb
 
 import pytest
 
-from helpers import linear_poly, oracle_gkm_dimension, poly_mul, poly_sub, random_moment_graph
+from helpers import (
+    linear_poly,
+    oracle_generator_degrees,
+    oracle_gkm_dimension,
+    poly_mul,
+    poly_sub,
+    random_moment_graph,
+)
 from toric_origami import load_corpus
 from toric_origami.cohomology import (
     BettiVector,
+    _constraint_rows,
     ClassTuple,
     GradedPolySpace,
     HilbertFunction,
@@ -23,6 +31,7 @@ from toric_origami.cohomology import (
 )
 from toric_origami.exceptions import FreenessViolation, ShapeError
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph, moment_graph
+from toric_origami.lattice import kernel_basis
 
 
 def two_point_graph(weights, n):
@@ -106,6 +115,26 @@ def test_dimension_agrees_with_dense_oracle_on_random_graphs():
         g = random_moment_graph(rng, rng.choice((1, 2)))
         for d in range(3):
             assert gkm_dimension(g, d) == oracle_gkm_dimension(g, d)
+
+
+def test_kernel_of_the_rows_is_the_class_space():
+    # the rows are integer, and every kernel vector is a class by exact
+    # division, which shares no code with the rows or the elimination
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        for _ in range(8):
+            g = random_moment_graph(rng, n)
+            for d in range(4):
+                rows, ncols = _constraint_rows(g, d)
+                assert all(type(x) is int for row in rows for x in row)
+                block = len(monomial_basis(n, d))
+                vectors = kernel_basis(rows, ncols)
+                assert len(vectors) == oracle_gkm_dimension(g, d), (n, d)
+                for vec in vectors:
+                    c = ClassTuple(
+                        d, tuple(vec[i : i + block] for i in range(0, ncols, block))
+                    )
+                    assert check_membership(g, c), (n, d, vec)
 
 
 def test_degree_zero_counts_graph_components():
@@ -237,6 +266,26 @@ def test_generator_degrees_match_nonzero_betti_layers():
         g = moment_graph(load_corpus(name))
         expected = tuple((d, c) for d, c in enumerate(expected_b) if c)
         assert generator_degrees(g) == expected, name
+
+
+def test_generator_degrees_match_the_definition_off_the_free_case():
+    graphs = [
+        two_point_graph([(1, 0), (0, 1), (1, 1)], 2),
+        two_point_graph([(2, 0), (1, 1), (1, -1)], 2),
+        two_point_graph([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3),
+    ]
+    rng = random.Random(47)
+    graphs += [random_moment_graph(rng, n) for n in (1, 2, 3) for _ in range(6)]
+    free = 0
+    for i, g in enumerate(graphs):
+        top = min(g.dimension + 1, 3)
+        assert generator_degrees(g, top) == oracle_generator_degrees(g, top), i
+        try:
+            betti_numbers(g)
+            free += 1
+        except FreenessViolation:
+            pass
+    assert len(graphs) - free >= 6  # the sample reaches past the free case
 
 
 def test_generator_degrees_respect_max_degree():
