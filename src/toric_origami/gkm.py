@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import InternalConsistency, NoFixedPoints, Unsupported
-from .lattice import primitive
+from .lattice import rational_to_primitive
 from .template import OrigamiTemplate
 
 
@@ -109,7 +109,7 @@ def _segment_ends(face) -> tuple:
 
 
 def _direction(a, b) -> tuple:
-    return primitive(tuple(y - x for x, y in zip(a, b)))
+    return rational_to_primitive(tuple(y - x for x, y in zip(a, b)))
 
 
 def _trace(t: OrigamiTemplate, start: FixedPoint, first_face):

@@ -37,13 +37,17 @@ def primitive(v):
     """Divide an integer vector by the gcd of its entries.
 
     Keeps the direction: primitive((2, 4)) == (1, 2) and
-    primitive((-3, 0)) == (-1, 0).  Raises DegenerateInput on the zero
-    vector, which has no primitive representative.
+    primitive((-3, 0)) == (-1, 0).  Raises DegenerateInput on a
+    non-integer entry (use `rational_to_primitive`) and on the zero vector,
+    which has no primitive representative.
     """
-    g = math.gcd(*(abs(int(c)) for c in v)) if len(v) else 0
+    ints = tuple(int(c) for c in v)
+    if ints != tuple(v):
+        raise DegenerateInput(f"primitive needs integer entries, got {tuple(v)}")
+    g = math.gcd(*ints)
     if g == 0:
         raise DegenerateInput("zero vector has no primitive representative")
-    return tuple(int(c) // g for c in v)
+    return tuple(c // g for c in ints)
 
 
 def lattice_determinant(rows):
@@ -282,12 +286,9 @@ def solve_square(rows, rhs):
 
 
 def rational_to_primitive(vec):
-    """Scale a nonzero rational vector to a primitive integer vector (same direction)."""
-    fracs = [Fraction(c) for c in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    return primitive(tuple(int(f * lcm) for f in fracs))
+    """Scale a nonzero int/Fraction vector to a primitive integer vector (same direction)."""
+    lcm = math.lcm(*(c.denominator for c in vec))
+    return primitive(tuple(c.numerator * (lcm // c.denominator) for c in vec))
 
 
 def hermite_basis(rows, ncols):

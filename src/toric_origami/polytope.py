@@ -7,6 +7,11 @@ bounded, full-dimensional, no duplicate or redundant halfspace — while
 simplicity and smoothness stay queryable predicates so that candidate
 polytopes can be inspected and rejected with a reason.
 
+Polytope facts come from one vertex–facet incidence, the halfspaces tight
+at each vertex, recorded while the vertices are enumerated.  A face has
+dimension n − rank(normals of the facets containing it), since its affine
+hull is cut out by the inequalities tight on all of it.
+
 All vertex coordinates are exact (`fractions.Fraction`).  A face is
 identified by its vertex set, which determines it uniquely within its
 polytope; two structurally identical polytopes produce equal faces, so
@@ -112,10 +117,11 @@ class DelzantPolytope:
     """A bounded full-dimensional polytope given by irredundant halfspaces.
 
     Raises NotDelzant at construction when the data is empty, unbounded,
-    lower-dimensional, duplicated, or contains a halfspace that does not
-    support a facet.  `is_simple`/`is_smooth` classify the polytope further;
-    `is_delzant` is their conjunction.  Instances are immutable and safe to
-    share between templates.
+    lower-dimensional (a halfspace tight at every vertex), duplicated, or
+    contains a halfspace whose facet has dimension below n − 1.  From the
+    tight sets, `is_simple` counts n at every vertex and `is_smooth` asks
+    |det| = 1 of the tight normals; `is_delzant` is their conjunction.
+    Instances are immutable and safe to share between templates.
     """
 
     def __init__(self, dimension: int, halfspaces):
@@ -131,17 +137,23 @@ class DelzantPolytope:
             raise NotDelzant("duplicate halfspace in description")
         self._dim = dimension
         self._halfspaces = hs
-        self._vertices = self._enumerate_vertices()
+        self._tight = self._enumerate_vertices()
+        self._vertices = tuple(sorted(self._tight))
         if not self._vertices:
             raise NotDelzant("polytope is empty")
         ray = recession_direction([h.normal for h in hs], dimension)
         if ray is not None:
             raise NotDelzant(f"polytope is unbounded in direction {ray}")
-        self._check_full_dimensional()
         self._facet_vertex_sets = tuple(
-            frozenset(v for v in self._vertices if h.on_boundary(v)) for h in hs
+            frozenset(v for v, tight in self._tight.items() if i in tight) for i in range(len(hs))
         )
-        self._check_irredundant()
+        if any(len(fs) == len(self._vertices) for fs in self._facet_vertex_sets):
+            raise NotDelzant("polytope is not full-dimensional")
+        for i, facet in enumerate(self._facet_vertex_sets):
+            if not facet or self._active_and_dimension(facet)[1] != dimension - 1:
+                raise NotDelzant(
+                    f"halfspace {hs[i]!r} is redundant (does not support a facet)"
+                )
         self._face_map = None
         self._sorted_faces = None
         self._simple = None
@@ -149,45 +161,37 @@ class DelzantPolytope:
 
     # -- construction checks ---------------------------------------------
 
-    def _enumerate_vertices(self):
+    def _enumerate_vertices(self) -> dict:
+        """{vertex: indices of the halfspaces tight at it}, from every n-subset solve."""
         n = self._dim
         if n == 0:
-            return ((),)
+            return {(): ()}
         hs = self._halfspaces
-        points = set()
+        incidence = {}
         for subset in combinations(range(len(hs)), n):
             sol = solve_square(
                 [hs[i].normal for i in subset], [hs[i].offset for i in subset]
             )
-            if sol is not None and all(h.contains(sol) for h in hs):
-                points.add(sol)
-        return tuple(sorted(points))
+            if sol is not None and sol not in incidence:
+                slacks = [h.offset - dot(h.normal, sol) for h in hs]
+                if min(slacks) >= 0:
+                    incidence[sol] = tuple(i for i, s in enumerate(slacks) if s == 0)
+        return incidence
 
-    def _check_full_dimensional(self):
-        if self._dim == 0:
-            return
-        k = len(self._vertices)
-        centroid = tuple(sum(v[i] for v in self._vertices) / k for i in range(self._dim))
-        for h in self._halfspaces:
-            if dot(h.normal, centroid) >= h.offset:
-                raise NotDelzant("polytope is not full-dimensional")
+    def _active_and_dimension(self, vertex_set) -> tuple:
+        """The facets containing a face's vertex set, and the face's dimension.
 
-    def _affine_rank(self, points) -> int:
-        pts = sorted(points)
-        if len(pts) <= 1:
-            return 0
-        base = pts[0]
-        return rank(
-            [tuple(p[j] - base[j] for j in range(self._dim)) for p in pts[1:]],
-            self._dim,
+        The face's affine hull is cut out by the inequalities tight on all
+        of it (Schrijver, Theory of Linear and Integer Programming, §8.3),
+        so its dimension is n − rank of their normals.
+        """
+        active = frozenset(
+            i for i, fs in enumerate(self._facet_vertex_sets) if vertex_set <= fs
         )
-
-    def _check_irredundant(self):
-        for i, tight in enumerate(self._facet_vertex_sets):
-            if not tight or self._affine_rank(tight) != self._dim - 1:
-                raise NotDelzant(
-                    f"halfspace {self._halfspaces[i]!r} is redundant (does not support a facet)"
-                )
+        if len(vertex_set) == 1:  # a vertex: its tight normals have rank n
+            return active, 0
+        normals = [self._halfspaces[i].normal for i in active]
+        return active, self._dim - rank(normals, self._dim)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -209,9 +213,6 @@ class DelzantPolytope:
         """For each halfspace index, the frozenset of vertices on that facet."""
         return self._facet_vertex_sets
 
-    def facet_vertices(self, i: int) -> tuple:
-        return tuple(sorted(self._facet_vertex_sets[i]))
-
     def contains(self, point) -> bool:
         return all(h.contains(point) for h in self._halfspaces)
 
@@ -224,9 +225,7 @@ class DelzantPolytope:
     def is_simple(self) -> bool:
         """True when every vertex lies on exactly `dimension` facets."""
         if self._simple is None:
-            self._simple = all(
-                len(self.active_at(v)) == self._dim for v in self._vertices
-            )
+            self._simple = all(len(t) == self._dim for t in self._tight.values())
         return self._simple
 
     def vertex_edge_directions(self, vertex) -> tuple:
@@ -260,15 +259,18 @@ class DelzantPolytope:
     def is_smooth(self) -> bool:
         """True when at each vertex the primitive edge directions form a lattice basis.
 
+        At a simple vertex with primitive tight normals A these directions are
+        the columns of −A⁻¹ made primitive, a basis exactly when |det A| = 1.
         Raises NotSimple for non-simple polytopes, where the criterion does
         not apply.
         """
         if not self.is_simple():
             raise NotSimple("smoothness is only defined for simple polytopes")
         if self._smooth is None:
+            hs = self._halfspaces
             self._smooth = all(
-                abs(lattice_determinant(self.vertex_edge_directions(v))) == 1
-                for v in self._vertices
+                abs(lattice_determinant([hs[i].normal for i in tight])) == 1
+                for tight in self._tight.values()
             )
         return self._smooth
 
@@ -300,14 +302,7 @@ class DelzantPolytope:
                     queue.append(meet)
         faces = {}
         for vset in seen:
-            active = frozenset(
-                i for i, fs in enumerate(self._facet_vertex_sets) if vset <= fs
-            )
-            dim = (
-                self._dim - rank([self._halfspaces[i].normal for i in active], self._dim)
-                if active
-                else self._dim
-            )
+            active, dim = self._active_and_dimension(vset)
             faces[vset] = Face(
                 active=active, vertices=tuple(sorted(vset)), dim=dim, owner=self, vertex_set=vset
             )
@@ -322,10 +317,6 @@ class DelzantPolytope:
             raise FaceMismatch(
                 f"no face of this polytope has vertex set {sorted(vertex_set)}"
             ) from None
-
-    def facet_face(self, i: int) -> Face:
-        """Facet i as a Face value."""
-        return self.face_with_vertices(self._facet_vertex_sets[i])
 
     def faces_meeting(self, face: Face) -> tuple:
         """Indices of the facets whose intersection with `face` is nonempty.
@@ -405,7 +396,7 @@ def facet_as_polytope(p: DelzantPolytope, i: int) -> tuple:
             continue
         shared = p.facet_vertex_sets[j] & facet_set
         # keep only the facets meeting facet i in one of facet i's own facets
-        if not shared or p._affine_rank(shared) != n - 2:
+        if not shared or p._active_and_dimension(shared)[1] != n - 2:
             continue
         row = tuple(dot(h.normal, b) for b in basis)
         cuts.append(HalfSpace(row, h.offset - dot(h.normal, base)))

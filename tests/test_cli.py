@@ -82,6 +82,26 @@ def test_betti_output(capsys):
     assert capsys.readouterr().out == "b0=1 b2=0 b4=1\n"
 
 
+def test_betti_of_a_template_with_rational_offsets(tmp_path, capsys):
+    """The square [0, 1/2]^2 has non-integer vertices; its edge weights are still exact."""
+    halfspaces = [
+        {"normal": [-1, 0], "offset": 0},
+        {"normal": [1, 0], "offset": "1/2"},
+        {"normal": [0, -1], "offset": 0},
+        {"normal": [0, 1], "offset": "1/2"},
+    ]
+    document = {
+        "dimension": 2,
+        "polytopes": [{"id": "square", "halfspaces": halfspaces}],
+        "vertices": [{"id": "v1", "polytope": "square"}],
+        "edges": [],
+    }
+    target = tmp_path / "half_square.json"
+    target.write_text(json.dumps(document), encoding="utf-8")
+    assert run(["betti", str(target)]) == 0
+    assert capsys.readouterr().out == "b0=1 b2=2 b4=1\n"
+
+
 def test_hilbert_output(capsys):
     assert run(["hilbert", corpus("s2")]) == 0
     assert capsys.readouterr().out == "h0=1 h1=2\n"

@@ -1,11 +1,12 @@
 """Moment graphs: fixed points, fold-crossing chains, primitive weights."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import box_path_template, hexagon_tree_template
-from toric_origami import load_corpus
+from helpers import box_path_template, box_polytope, build_template, hexagon_tree_template
+from toric_origami import betti_numbers, load_corpus
 from toric_origami.exceptions import InternalConsistency, NoFixedPoints, Unsupported
 from toric_origami.gkm import (
     export_dot,
@@ -13,6 +14,7 @@ from toric_origami.gkm import (
     lex_positive,
     moment_graph,
 )
+from toric_origami.polytope import DelzantPolytope, HalfSpace
 
 
 def test_lex_positive():
@@ -109,6 +111,27 @@ def test_single_polytope_graph_is_its_edge_skeleton():
     assert len(g.edges) == 3
     assert not any(e.folded for e in g.edges)
     assert sorted(e.weight for e in g.edges) == [(0, 1), (1, -1), (1, 0)]
+
+
+def test_weights_between_rational_vertices():
+    """Edge directions between non-integer vertices are scaled up, not truncated."""
+    half_square = box_polytope(((0, Fraction(1, 2)), (0, Fraction(1, 2))))
+    g = moment_graph(build_template(2, {"v1": half_square}, []))
+    assert sorted(e.weight for e in g.edges) == [(0, 1), (0, 1), (1, 0), (1, 0)]
+    assert betti_numbers(g).values == (1, 2, 1)
+    # vertices (0, 0), (3/2, 1/2), (2, 0), (2, 1/2)
+    polygon = DelzantPolytope(
+        2,
+        [
+            HalfSpace((0, -1), 0),
+            HalfSpace((-1, 3), 0),
+            HalfSpace((1, 0), 2),
+            HalfSpace((0, 1), Fraction(1, 2)),
+        ],
+    )
+    g = moment_graph(build_template(2, {"v1": polygon}, []))
+    assert [e.weight for e in g.edges] == [(3, 1), (1, 0), (1, 0), (0, 1)]
+    assert betti_numbers(g).values == (1, 2, 1)
 
 
 # ---------------------------------------------------------------------------

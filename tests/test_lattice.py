@@ -32,11 +32,18 @@ def test_dot_and_primitive_basics():
     assert primitive((5,)) == (1,)
     with pytest.raises(DegenerateInput):
         primitive((0, 0))
+    assert primitive((Fraction(4), Fraction(-6))) == (2, -3)
+    with pytest.raises(DegenerateInput, match="integer"):  # no silent truncation to (1, 0)
+        primitive((Fraction(3, 2), Fraction(1, 2)))
 
 
 def test_rational_to_primitive_clears_denominators():
     assert rational_to_primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
     assert rational_to_primitive((Fraction(-2), Fraction(4))) == (-1, 2)
+    assert rational_to_primitive((Fraction(3, 2), Fraction(1, 2))) == (3, 1)
+    assert rational_to_primitive((Fraction(2, 3), Fraction(-4, 9), 0)) == (3, -2, 0)
+    with pytest.raises(DegenerateInput):
+        rational_to_primitive((Fraction(0), 0))
 
 
 def test_determinant_matches_permutation_expansion():

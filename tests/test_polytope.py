@@ -7,11 +7,14 @@ import pytest
 
 from helpers import (
     apply_unimodular,
+    box_path_template,
     box_polytope,
     hexagon_polytope,
+    hexagon_tree_template,
     random_lattice_polygon,
     random_unimodular,
 )
+from toric_origami import load_corpus
 from toric_origami.exceptions import (
     DegenerateInput,
     DimensionError,
@@ -19,6 +22,8 @@ from toric_origami.exceptions import (
     NotDelzant,
     NotSimple,
 )
+from toric_origami.fileformat import corpus_names
+from toric_origami.lattice import lattice_determinant
 from toric_origami.polytope import (
     DelzantPolytope,
     HalfSpace,
@@ -67,11 +72,13 @@ def test_vertices_of_simple_shapes():
 
 
 def test_construction_gates_reject_bad_input():
-    with pytest.raises(NotDelzant):  # unbounded: half-plane strip
+    with pytest.raises(NotDelzant, match="unbounded"):  # a wedge with one vertex
+        DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0), HalfSpace((1, -1), 1)])
+    with pytest.raises(NotDelzant):  # a strip: it has no vertex at all
         DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((1, 0), 1)])
-    with pytest.raises(NotDelzant):  # empty: contradictory bounds
+    with pytest.raises(NotDelzant, match="empty"):  # contradictory bounds
         DelzantPolytope(1, [HalfSpace((1,), 0), HalfSpace((-1,), -1)])
-    with pytest.raises(NotDelzant):  # redundant facet: x <= 5 never tight enough
+    with pytest.raises(NotDelzant, match="redundant"):  # x <= 5 never tight
         DelzantPolytope(
             2,
             [
@@ -81,11 +88,13 @@ def test_construction_gates_reject_bad_input():
                 HalfSpace((1, 0), 5),
             ],
         )
-    with pytest.raises(NotDelzant):  # duplicate halfspace
+    with pytest.raises(NotDelzant, match="redundant"):  # x + y <= 2 tight at (1, 1) only
+        DelzantPolytope(2, list(unit_square().halfspaces) + [HalfSpace((1, 1), 2)])
+    with pytest.raises(NotDelzant, match="duplicate"):
         DelzantPolytope(
             1, [HalfSpace((-1,), 0), HalfSpace((1,), 1), HalfSpace((2,), 2)]
         )
-    with pytest.raises(NotDelzant):  # lower-dimensional: squeezed to a segment
+    with pytest.raises(NotDelzant, match="not full-dimensional"):  # squeezed to a segment
         DelzantPolytope(
             2,
             [
@@ -94,6 +103,12 @@ def test_construction_gates_reject_bad_input():
                 HalfSpace((0, -1), 0),
                 HalfSpace((0, 1), 1),
             ],
+        )
+    with pytest.raises(NotDelzant, match="not full-dimensional"):  # a square in z = 0
+        DelzantPolytope(
+            3,
+            list(box_polytope(((0, 1), (0, 1), (0, 1))).halfspaces[:5])
+            + [HalfSpace((0, 0, 1), 0)],
         )
     with pytest.raises(DimensionError):
         DelzantPolytope(2, [HalfSpace((1,), 1)])
@@ -168,6 +183,39 @@ def test_non_simple_polytope_detected():
         pyramid.vertex_edge_directions(next(iter(pyramid.vertices)))
     with pytest.raises(NotSimple):
         pyramid.is_smooth()
+
+
+def test_smoothness_matches_the_edge_direction_definition():
+    """is_smooth reads the tight normals; the definition reads the edge directions."""
+    samples = [hexagon_polytope(), triangle()]
+    for name in corpus_names():
+        samples.extend(load_corpus(name).psi_v.values())
+    for seed in range(6):
+        rng = random.Random(seed)
+        samples.extend(box_path_template(rng).psi_v.values())
+        samples.extend(hexagon_tree_template(rng).psi_v.values())
+        samples.append(random_lattice_polygon(rng)[1])
+    simple_not_smooth = [
+        DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0), HalfSpace((1, 2), 2)]),
+        DelzantPolytope(
+            3,
+            [
+                HalfSpace((-1, 0, 0), 0),
+                HalfSpace((0, -1, 0), 0),
+                HalfSpace((0, 0, -1), 0),
+                HalfSpace((1, 1, 2), 2),
+            ],
+        ),
+    ]
+    samples.extend(simple_not_smooth)
+    for poly in samples:
+        by_definition = all(
+            abs(lattice_determinant(poly.vertex_edge_directions(v))) == 1
+            for v in poly.vertices
+        )
+        assert poly.is_smooth() == by_definition
+    assert not any(p.is_smooth() for p in simple_not_smooth)
+    assert any(p.is_smooth() for p in samples)
 
 
 def test_smoothness_invariant_under_unimodular_maps():
