@@ -201,15 +201,21 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        # the wording argparse gives for type=int, which would otherwise name this function
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _checked(convert, test, requirement):
+    """An argparse type: `convert` the text, then refuse values failing `test`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            # argparse's own wording for type=int or float, which would name `parse` here
+            message = f"invalid {convert.__name__} value: {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="print class space dimensions by degree")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
+    p.add_argument("--max-degree", default=None,
+                   type=_checked(int, lambda v: v >= 0, "nonnegative"))
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("cut", help="cut a leaf; write c_plus, c_minus, and b")
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a 2-dimensional template as SVG")
     p.add_argument("file")
     p.add_argument("--svg", required=True, help="output path")
-    p.add_argument("--explode", type=float, default=0.0,
+    p.add_argument("--explode", type=_checked(float, math.isfinite, "finite"), default=0.0,
                    help="pull superimposed polytopes apart by this distance")
     p.set_defaults(func=_cmd_render)
 

@@ -68,7 +68,10 @@ def _rational(value, path) -> Fraction:
     if isinstance(value, float):
         raise ParseError("offsets must be exact; floats are not allowed", path)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # past the interpreter's int string conversion limit
+            raise ParseError("number with too many digits", path) from None
     raise ParseError("expected an integer or a 'p/q' string", path)
 
 
@@ -84,6 +87,10 @@ def parse(text: str) -> OrigamiTemplate:
         raise ParseError(
             exc.msg, f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError:  # an integer past the int string conversion limit
+        raise ParseError("number with too many digits") from None
     if not isinstance(data, dict):
         raise ParseError("template file must be a JSON object")
 
@@ -167,7 +174,10 @@ def parse(text: str) -> OrigamiTemplate:
 
 def load_path(path) -> OrigamiTemplate:
     """Read and parse a template file from disk."""
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _offset_json(offset: Fraction):

@@ -102,12 +102,6 @@ def fixed_points(t: OrigamiTemplate) -> tuple:
     return tuple(out)
 
 
-def _segment_ends(face) -> tuple:
-    if face.dim != 1 or len(face.vertices) != 2:
-        raise InternalConsistency(f"chain segment is not a 1-face: {face!r}")
-    return face.vertices
-
-
 def _direction(a, b) -> tuple:
     return rational_to_primitive(tuple(y - x for x, y in zip(a, b)))
 
@@ -121,7 +115,7 @@ def _trace(t: OrigamiTemplate, start: FixedPoint, first_face):
     vid = start.vertex_id
     face = first_face
     at = start.point
-    a, b = _segment_ends(face)
+    a, b = face.vertices
     ahead = b if a == at else a
     line = frozenset((_direction(at, ahead), _direction(ahead, at)))
     chain = [(vid, face)]
@@ -144,17 +138,15 @@ def _trace(t: OrigamiTemplate, start: FixedPoint, first_face):
         vid = v if u == vid else u
         fu, fv = t.edge_facets(eid)
         across_facet = fv if vid == v else fu
-        p2 = t.polytope(vid)
-        fold_vs = p2.facet_vertex_sets[across_facet]
         candidates = [
-            m for m in p2.one_faces_at(ahead) if not (m.vertex_set <= fold_vs)
+            m for m in t.polytope(vid).one_faces_at(ahead) if across_facet not in m.active
         ]
         if len(candidates) != 1:
             raise InternalConsistency(
                 f"no unique continuation at {format_point(ahead)} across edge {eid}"
             )
         face = candidates[0]
-        a, b = _segment_ends(face)
+        a, b = face.vertices
         at, ahead = ahead, (b if a == ahead else a)
         if _direction(at, ahead) not in line:
             raise InternalConsistency(

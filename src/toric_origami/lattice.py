@@ -6,17 +6,17 @@ tuples of ints, rational points are tuples of Fractions, and matrices are
 sequences of row tuples.  All functions are pure and their outputs are
 deterministic (pivots are always the first nonzero entry in column order).
 
-`rank`, `kernel_dimension` and `kernel_basis` share one certified modular
-kernel.  Each row is scaled to integers and the matrix is brought to
-reduced row echelon form modulo a large prime p; every kernel vector read
-off the free columns is lifted to the rationals by rational reconstruction
-and checked exactly against every row.  A passing check is a proof: the
-lifted vectors are independent (the identity sits on the free columns), so
-the rational nullity is at least the modular one, and rank mod p never
-exceeds the rational rank.  The lifted basis is then the rational reduced
-echelon basis itself.  When reconstruction or the check fails the next
-prime is tried, and past the last one the matrix is reduced over
-`Fraction` instead.
+`rank`, `kernel_dimension`, `kernel_basis` and `solve_square` share one
+certified modular kernel.  Each row is scaled to integers and the matrix is
+brought to reduced row echelon form modulo a large prime p; every kernel
+vector read off the free columns is lifted to the rationals by rational
+reconstruction and checked exactly against every row.  A passing check is
+a proof: the lifted vectors are independent (the identity sits on the free
+columns), so the rational nullity is at least the modular one, and rank
+mod p never exceeds the rational rank.  The lifted basis is then the
+rational reduced echelon basis itself.  When reconstruction or the check
+fails the next prime is tried, and past the last one the matrix is reduced
+over `Fraction` instead.
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ def lattice_determinant(rows):
 def _reduced_echelon(rows, ncols):
     """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
     mat = [[Fraction(c) for c in r] for r in rows]
-    for r in mat:
-        if len(r) != ncols:
-            raise DimensionError(f"row of length {len(r)} in a {ncols}-column matrix")
     pivots = []
     r = 0
     for c in range(ncols):
@@ -274,15 +271,19 @@ def kernel_basis(rows, ncols):
 
 
 def solve_square(rows, rhs):
-    """Solve the square rational system rows * x = rhs; None if singular."""
+    """Solve the square rational system rows * x = rhs; None if singular.
+
+    x is the kernel vector of [rows | -rhs] that is 1 on the last column,
+    unique exactly when the pivots are 0..n-1, so the verdict is exact.
+    """
     n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
+    aug = [(*row, -b) for row, b in zip(rows, rhs, strict=True)]
     if any(len(r) != n + 1 for r in aug):
         raise DimensionError("solve_square needs an n x n matrix")
-    ech, pivots = _reduced_echelon(aug, n + 1)
-    if pivots[:n] != list(range(n)):
+    pivots, vectors = _solve(aug, n + 1)
+    if pivots != list(range(n)):
         return None
-    return tuple(r[n] for r in ech)
+    return tuple(Fraction(*vectors[0].get(c, (0, 1))) for c in range(n))
 
 
 def rational_to_primitive(vec):
@@ -301,9 +302,6 @@ def hermite_basis(rows, ncols):
     work = [list(map(int, r)) for r in rows if any(r)]
     basis = []  # list of (pivot_col, row)
     for col in range(ncols):
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
         # gcd-reduce this column down to a single nonzero row
         while True:
             live = [r for r in work if r[col] != 0]
@@ -369,12 +367,11 @@ def recession_direction(normals, n):
     """
     if n == 0:
         return None
-    rows = [tuple(Fraction(c) for c in a) for a in normals]
-    ker = kernel_basis(rows, n)
+    ker = kernel_basis(normals, n)
     if ker:  # rank below n: the normals leave a line free
         return rational_to_primitive(ker[0])
-    for subset in combinations(range(len(rows)), n - 1):
-        ker = kernel_basis([rows[i] for i in subset], n)
+    for subset in combinations(range(len(normals)), n - 1):
+        ker = kernel_basis([normals[i] for i in subset], n)
         if len(ker) != 1:
             continue
         d = rational_to_primitive(ker[0])

@@ -35,7 +35,6 @@ from .exceptions import (
 from .lattice import (
     dot,
     integer_kernel_basis,
-    kernel_basis,
     lattice_determinant,
     rank,
     rational_to_primitive,
@@ -133,7 +132,8 @@ class DelzantPolytope:
                 raise DimensionError(
                     f"normal {h.normal} has length {len(h.normal)}, expected {dimension}"
                 )
-        if len(set(hs)) != len(hs):
+        self._halfspace_set = frozenset(hs)
+        if len(self._halfspace_set) != len(hs):
             raise NotDelzant("duplicate halfspace in description")
         self._dim = dimension
         self._halfspaces = hs
@@ -151,11 +151,10 @@ class DelzantPolytope:
             raise NotDelzant("polytope is not full-dimensional")
         for i, facet in enumerate(self._facet_vertex_sets):
             if not facet or self._active_and_dimension(facet)[1] != dimension - 1:
-                raise NotDelzant(
-                    f"halfspace {hs[i]!r} is redundant (does not support a facet)"
-                )
+                raise NotDelzant(f"halfspace {hs[i]!r} is redundant (does not support a facet)")
         self._face_map = None
         self._sorted_faces = None
+        self._edges_at = None
         self._simple = None
         self._smooth = None
 
@@ -164,17 +163,13 @@ class DelzantPolytope:
     def _enumerate_vertices(self) -> dict:
         """{vertex: indices of the halfspaces tight at it}, from every n-subset solve."""
         n = self._dim
-        if n == 0:
-            return {(): ()}
         hs = self._halfspaces
         incidence = {}
         for subset in combinations(range(len(hs)), n):
-            sol = solve_square(
-                [hs[i].normal for i in subset], [hs[i].offset for i in subset]
-            )
+            sol = solve_square([hs[i].normal for i in subset], [hs[i].offset for i in subset])
             if sol is not None and sol not in incidence:
                 slacks = [h.offset - dot(h.normal, sol) for h in hs]
-                if min(slacks) >= 0:
+                if all(s >= 0 for s in slacks):
                     incidence[sol] = tuple(i for i, s in enumerate(slacks) if s == 0)
         return incidence
 
@@ -232,29 +227,22 @@ class DelzantPolytope:
         """Primitive integer directions of the edges leaving a vertex.
 
         Defined for simple polytopes: for each facet through the vertex,
-        the direction obtained by leaving that facet while staying on the
-        others, oriented into the polytope.  Order matches `active_at`.
+        the direction of the edge through the vertex that leaves that
+        facet, from the vertex to the edge's other endpoint.  Order
+        matches `active_at`.
         """
         if not self.is_simple():
             raise NotSimple("edge directions at a vertex need a simple polytope")
-        active = self.active_at(vertex)
-        if len(active) != self._dim:
+        tight = self._tight.get(vertex)
+        if tight is None:
             raise FaceMismatch(f"{vertex} is not a vertex of this polytope")
-        dirs = []
-        for leave in active:
-            others = [
-                tuple(Fraction(c) for c in self._halfspaces[i].normal)
-                for i in active
-                if i != leave
-            ]
-            ker = kernel_basis(others, self._dim)
-            if len(ker) != 1:
-                raise NotSimple(f"degenerate facet normals at vertex {vertex}")
-            d = rational_to_primitive(ker[0])
-            if dot(self._halfspaces[leave].normal, d) > 0:
-                d = tuple(-x for x in d)
-            dirs.append(d)
-        return tuple(dirs)
+        dirs = {}
+        for edge in self.one_faces_at(vertex):
+            (leave,) = set(tight) - edge.active  # an edge lies on all but one facet of the vertex
+            a, b = edge.vertices
+            other = b if a == vertex else a
+            dirs[leave] = rational_to_primitive(tuple(y - x for x, y in zip(vertex, other)))
+        return tuple(dirs[i] for i in tight)
 
     def is_smooth(self) -> bool:
         """True when at each vertex the primitive edge directions form a lattice basis.
@@ -330,18 +318,24 @@ class DelzantPolytope:
         return tuple(i for i, fs in enumerate(self._facet_vertex_sets) if vset & fs)
 
     def one_faces_at(self, vertex) -> tuple:
-        """The edges (1-faces) of the polytope through a given vertex."""
-        return tuple(f for f in self.faces() if f.dim == 1 and vertex in f.vertex_set)
+        """The edges (1-faces) through a vertex, in `faces()` order; () for a non-vertex."""
+        if self._edges_at is None:  # built on demand: `face_poset` never asks for edges
+            self._edges_at = {v: () for v in self._vertices}
+            for f in self.faces():
+                if f.dim == 1:
+                    for v in f.vertices:
+                        self._edges_at[v] += (f,)
+        return self._edges_at.get(vertex, ())
 
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, DelzantPolytope):
             return NotImplemented
-        return self._dim == other._dim and set(self._halfspaces) == set(other._halfspaces)
+        return self._dim == other._dim and self._halfspace_set == other._halfspace_set
 
     def __hash__(self):
-        return hash((self._dim, frozenset(self._halfspaces)))
+        return hash((self._dim, self._halfspace_set))
 
     def __repr__(self):
         return (

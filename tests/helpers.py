@@ -1,9 +1,10 @@
 """Shared test utilities: independent oracles and seeded template generators.
 
 Oracle code here deliberately avoids the package's own linear algebra:
-rank, nullity and kernel bases use a local echelon reduction, determinants
-use permutation expansion, hulls use a monotone chain, and smoothness
-solves integer systems directly.  Agreement between these and the package
+rank, nullity, kernel bases and square solves use a local echelon
+reduction, determinants use permutation expansion, hulls use a monotone
+chain, polytope edges are read off the rank of the normals tight at both
+ends, and smoothness solves integer systems directly.  Agreement between these and the package
 is the point of the dual-route tests.
 """
 
@@ -88,6 +89,16 @@ def oracle_nullity(rows, ncols):
     return ncols - oracle_rank(rows, ncols)
 
 
+def oracle_solve_square(rows, rhs):
+    """Gauss-Jordan on [rows | rhs]: the unique solution, or None when the
+    pivots are not the first n columns (a singular system)."""
+    n = len(rows)
+    mat, pivots = _oracle_rref([list(row) + [b] for row, b in zip(rows, rhs)], n + 1)
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in mat)
+
+
 def oracle_det(rows):
     """Determinant by signed permutation expansion (fine for n <= 5)."""
     n = len(rows)
@@ -104,6 +115,62 @@ def oracle_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def _oracle_primitive(vec):
+    """A nonzero rational vector scaled to a primitive integer vector."""
+    scale = 1
+    for c in vec:
+        scale = scale * Fraction(c).denominator // _gcd2(scale, Fraction(c).denominator)
+    ints = [int(c * scale) for c in vec]
+    g = 0
+    for c in ints:
+        g = _gcd2(g, c)
+    return tuple(c // g for c in ints)
+
+
+def _oracle_tight(polytope, v):
+    """Indices of the halfspaces whose boundary holds v, by direct dot products."""
+    return [
+        i
+        for i, h in enumerate(polytope.halfspaces)
+        if sum(a * x for a, x in zip(h.normal, v)) == h.offset
+    ]
+
+
+def oracle_edges_at(polytope, v):
+    """Vertex pairs of the edges through v, sorted.
+
+    [v, w] is an edge exactly when the normals tight at both points have
+    rank n - 1: the smallest face holding both is then 1-dimensional.
+    """
+    n = polytope.dimension
+    tight_v = set(_oracle_tight(polytope, v))
+    out = []
+    for w in polytope.vertices:
+        if w == v:
+            continue
+        common = tight_v & set(_oracle_tight(polytope, w))
+        normals = [polytope.halfspaces[i].normal for i in sorted(common)]
+        if oracle_rank(normals, n) == n - 1:
+            out.append(tuple(sorted((v, w))))
+    return sorted(out)
+
+
+def oracle_edge_directions(polytope, v):
+    """Per tight facet at v, in index order: the primitive kernel vector of
+    the other tight normals, signed to point into the polytope."""
+    n = polytope.dimension
+    tight = _oracle_tight(polytope, v)
+    out = []
+    for leave in tight:
+        others = [polytope.halfspaces[i].normal for i in tight if i != leave]
+        (ker,) = oracle_kernel_basis(others, n)
+        d = _oracle_primitive(ker)
+        if sum(a * x for a, x in zip(polytope.halfspaces[leave].normal, d)) > 0:
+            d = tuple(-x for x in d)
+        out.append(d)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

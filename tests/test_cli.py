@@ -204,6 +204,53 @@ def test_parse_and_io_failures_exit_three(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"[" * 200_000, "nested too deeply"),
+        (b'{"dimension": ' + b"7" * 5000 + b"}", "too many digits"),
+        (
+            json.dumps(
+                {
+                    "dimension": 1,
+                    "polytopes": [
+                        {
+                            "id": "p",
+                            "halfspaces": [
+                                {"normal": [-1], "offset": 0},
+                                {"normal": [1], "offset": "1" * 5000 + "/3"},
+                            ],
+                        }
+                    ],
+                    "vertices": [{"id": "v", "polytope": "p"}],
+                    "edges": [],
+                }
+            ).encode(),
+            "polytopes[0].halfspaces[1].offset: number with too many digits",
+        ),
+        (b'{"dimension": 2\xff}', "not UTF-8"),
+    ],
+    ids=["deep-nesting", "long-number", "long-offset", "non-utf8"],
+)
+@pytest.mark.parametrize("command", ["validate", "betti"])
+def test_unreadable_files_are_parse_errors(tmp_path, capsys, command, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run([command, str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ")
+    assert reason in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_render_refuses_a_non_finite_explode(tmp_path, capsys, value):
+    target = tmp_path / "fig.svg"
+    assert run(["render", corpus("cp2"), "--svg", str(target), f"--explode={value}"]) == 3
+    assert not target.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_three(capsys):
     assert run(["no-such-command"]) == 3
     assert run([]) == 3

@@ -1,10 +1,13 @@
 """JSON template files: parsing, breadcrumb errors, stable serialization."""
 
 import json
+import random
+import re
 
 import pytest
 
-from toric_origami.exceptions import NotDelzant, ParseError
+from helpers import stopwatch
+from toric_origami.exceptions import NotDelzant, OrigamiError, ParseError
 from toric_origami.fileformat import (
     corpus_names,
     corpus_path,
@@ -241,3 +244,55 @@ def test_face_poset_dot_structure():
     assert '  f4 [label="dim 2: v1,v2 (2 piece(s))"];' in lines
     # covers only: no corner jumps straight to the top face
     assert "  f0 -> f4;" not in lines and "  f1 -> f4;" not in lines
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing: damaged files fail with the package's own errors
+
+_TOKEN_RE = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+|[{}\[\],:]|true|false|null')
+
+
+def _mutants(data, rng, count):
+    """Byte flips, truncations and swaps of two JSON tokens of `data`."""
+    tokens = [m.span() for m in _TOKEN_RE.finditer(data)]
+    for _ in range(count):
+        pos = rng.randrange(len(data))
+        yield data[:pos] + bytes([data[pos] ^ (1 << rng.randrange(8))]) + data[pos + 1 :]
+        yield data[: rng.randrange(len(data))]
+        (a0, a1), (b0, b1) = sorted(rng.sample(tokens, 2))
+        yield data[:a0] + data[b0:b1] + data[a1:b0] + data[a0:a1] + data[b1:]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        b"[" * 200_000,
+        b'{"dimension": ' + b"9" * 5000 + b"}",
+        b'{"dimension": 1, "polytopes": [{"id": "p", "halfspaces": '
+        b'[{"normal": [1], "offset": "' + b"1" * 5000 + b'/7"}]}]}',
+        b"\xff\xfe{}",
+    ],
+    ids=["deep-nesting", "long-number", "long-offset", "non-utf8"],
+)
+def test_fixed_damaged_inputs_raise_parse_error(tmp_path, extra):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(extra)
+    with pytest.raises(ParseError):
+        load_path(bad)
+
+
+def test_seeded_damage_to_the_corpus_fails_only_with_package_errors(tmp_path):
+    target = tmp_path / "mutant.json"
+    outcomes = {"parsed": 0, "refused": 0}
+    with stopwatch(5.0):
+        for k, name in enumerate(corpus_names()):
+            rng = random.Random(1000 + k)
+            for mutant in _mutants(corpus_path(name).read_bytes(), rng, 60):
+                target.write_bytes(mutant)
+                try:
+                    load_path(target).validate()
+                except OrigamiError:
+                    outcomes["refused"] += 1
+                else:
+                    outcomes["parsed"] += 1
+    assert outcomes["parsed"] and outcomes["refused"]

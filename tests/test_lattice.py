@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_det, oracle_kernel_basis, oracle_nullity, oracle_rank
+from helpers import (
+    oracle_det,
+    oracle_kernel_basis,
+    oracle_nullity,
+    oracle_rank,
+    oracle_solve_square,
+)
 from toric_origami import lattice
 from toric_origami.exceptions import DegenerateInput
 from toric_origami.lattice import (
@@ -169,6 +175,45 @@ def test_solve_square_unique_and_singular():
     assert x == (Fraction(1), Fraction(1))
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert solve_square(singular, (Fraction(1), Fraction(1))) is None
+
+
+def test_solve_square_matches_gauss_jordan_oracle():
+    rng = random.Random(83)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.25:  # a row made dependent on another
+            i, j = rng.sample(range(n), 2)
+            scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[i] = [scale * x for x in rows[j]]
+        rhs = [_random_entry(rng) for _ in range(n)]
+        x = solve_square(rows, rhs)
+        assert x == oracle_solve_square(rows, rhs), (rows, rhs)
+        if x is None:
+            singular += 1
+        else:
+            assert all(type(c) is Fraction for c in x)
+            assert all(dot(row, x) == b for row, b in zip(rows, rhs))
+    assert 50 < singular < 400  # both verdicts are exercised
+
+
+def test_solve_square_on_entries_at_the_modulus():
+    # P vanishes mod the first prime: the system is singular there, not over Q
+    rows = [[P, 1], [2 * P, 3]]
+    rhs = [Fraction(1, P), 2 * P]
+    assert solve_square(rows, rhs) == oracle_solve_square(rows, rhs)
+    assert solve_square([[P, 2 * P], [1, 2]], [1, 1]) is None
+
+
+def test_solve_square_fraction_fallback_matches_oracle(monkeypatch):
+    log = _record_routes(monkeypatch)
+    # x = (P, -P) is beyond rational reconstruction at every prime
+    rows = [[1, 1], [Fraction(1, P), 0]]
+    rhs = [0, 1]
+    assert solve_square(rows, rhs) == oracle_solve_square(rows, rhs) == (P, -P)
+    assert log[: len(lattice._PRIMES)] == [(p, False) for p in lattice._PRIMES]
+    assert log[len(lattice._PRIMES)] == "fraction"
 
 
 def test_hermite_basis_normal_form_shape():

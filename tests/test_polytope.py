@@ -11,6 +11,8 @@ from helpers import (
     box_polytope,
     hexagon_polytope,
     hexagon_tree_template,
+    oracle_edge_directions,
+    oracle_edges_at,
     random_lattice_polygon,
     random_unimodular,
 )
@@ -183,6 +185,52 @@ def test_non_simple_polytope_detected():
         pyramid.vertex_edge_directions(next(iter(pyramid.vertices)))
     with pytest.raises(NotSimple):
         pyramid.is_smooth()
+
+
+def test_edges_at_a_vertex_match_the_tight_normal_oracle():
+    samples = [hexagon_polytope(), triangle()]
+    for name in corpus_names():
+        samples.extend(load_corpus(name).distinct_polytopes())
+    for seed in range(8):
+        rng = random.Random(40 + seed)
+        n = 2 + seed % 3
+        for box in box_path_template(rng, n=n, length=2, twist=False).distinct_polytopes():
+            shift = tuple(rng.randint(-2, 2) for _ in range(n))
+            samples.append(apply_unimodular(box, random_unimodular(rng, n), shift))
+        samples.extend(hexagon_tree_template(rng, size=4).distinct_polytopes())
+        samples.append(random_lattice_polygon(rng)[1])
+    for poly in samples:
+        assert poly.is_simple()
+        for v in poly.vertices:
+            assert [f.vertices for f in poly.one_faces_at(v)] == oracle_edges_at(poly, v)
+            assert poly.vertex_edge_directions(v) == oracle_edge_directions(poly, v)
+
+
+def test_edges_at_a_non_simple_vertex_and_at_non_vertices(monkeypatch):
+    pyramid = DelzantPolytope(
+        3,
+        [
+            HalfSpace((0, 0, -1), 0),
+            HalfSpace((-1, 0, 1), 0),
+            HalfSpace((1, 0, 1), 1),
+            HalfSpace((0, -1, 1), 0),
+            HalfSpace((0, 1, 1), 1),
+        ],
+    )
+    apex = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    assert len(pyramid.one_faces_at(apex)) == 4
+    for v in pyramid.vertices:
+        assert [f.vertices for f in pyramid.one_faces_at(v)] == oracle_edges_at(pyramid, v)
+    hexagon = hexagon_polytope()
+    assert hexagon.one_faces_at((1, 1)) == ()  # an interior point
+    assert hexagon.one_faces_at((0, 3)) == ()  # two facet lines meet outside
+    with pytest.raises(FaceMismatch):
+        hexagon.vertex_edge_directions((0, 3))
+    # the edge map is built once: later queries do not read the faces again
+    first = hexagon.one_faces_at((0, 1))
+    monkeypatch.setattr(hexagon, "faces", lambda: pytest.fail("faces() read again"))
+    assert hexagon.one_faces_at((0, 1)) == first
+    assert hexagon.vertex_edge_directions((0, 1)) == ((1, -1), (0, 1))
 
 
 def test_smoothness_matches_the_edge_direction_definition():
