@@ -126,6 +126,10 @@ def _polygon_order(points) -> list:
     return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
 
 
+class _PastFloatRange(Exception):
+    """A drawn coordinate, or the drawing's width or height, is not a finite float."""
+
+
 def _render_svg(t: OrigamiTemplate, explode: float) -> str:
     vids = t.graph.vertices
     shift = {}
@@ -144,12 +148,14 @@ def _render_svg(t: OrigamiTemplate, explode: float) -> str:
     scale = 120.0
     minx, maxx = min(xs) - pad, max(xs) + pad
     miny, maxy = min(ys) - pad, max(ys) + pad
-    width = (maxx - minx) * scale
-    height = (maxy - miny) * scale
 
     def pix(x, y):
-        return (x - minx) * scale, (maxy - y) * scale
+        point = (x - minx) * scale, (maxy - y) * scale
+        if not all(map(math.isfinite, point)):
+            raise _PastFloatRange
+        return point
 
+    width, height = pix(maxx, miny)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.3f} {height:.3f}">',
@@ -195,7 +201,12 @@ def _cmd_render(args) -> int:
     t = load_path(args.file)
     if t.dimension != 2:
         raise Unsupported("render supports 2-dimensional templates only")
-    svg = _render_svg(t, explode=args.explode)
+    try:
+        svg = _render_svg(t, explode=args.explode)
+    except _PastFloatRange:
+        print(f"error: argument --explode: at {args.explode} the drawing passes the float range",
+              file=sys.stderr)
+        return 3
     Path(args.svg).write_text(svg, encoding="utf-8")
     print(f"wrote {args.svg}")
     return 0

@@ -8,8 +8,17 @@ function), derives even Betti numbers from them under the freeness
 recursion, decides membership of explicit tuples with exact division,
 and locates the degrees where new generators appear.
 
-The constraint rows are ints: divisibility by an edge weight is read as
-vanishing on its hyperplane.  Class vectors are exact `fractions.Fraction`
+Class spaces are solved in the coordinates of a breadth-first spanning
+forest of the moment graph: one degree-d polynomial f_r per component
+root and one degree-(d - 1) quotient g_e per forest edge, with
+f_v = f_r + sum alpha_e g_e over the forest edges on the root path of v.
+A nonzero linear form alpha_e is not a zero divisor, so each g_e is fixed
+by the class and this map onto the class space is an isomorphism.  Forest
+edges hold by construction, so only the E - V + c edges off the forest
+(E edges, V fixed points, c components) add constraint rows.  The rows
+are ints: divisibility by an edge weight is read as vanishing on its
+hyperplane.  Multiplying by a variable commutes with the map, so products
+are taken block by block.  Class vectors are exact `fractions.Fraction`
 values.  Ranks and kernels come from `lattice`, which eliminates modulo a
 large prime and certifies every answer by an exact check over the
 integers, falling back to `Fraction` elimination when a check fails.
@@ -22,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exceptions import FreenessViolation, InternalConsistency, ShapeError
 from .gkm import MomentGraph
@@ -215,37 +225,132 @@ def _endpoint_indices(g: MomentGraph):
     return out
 
 
-def _constraint_rows(g: MomentGraph, degree: int):
-    """Rows of the divisibility system over unknowns (fixed point, monomial).
+class _Forest(NamedTuple):
+    """A breadth-first spanning forest of a moment graph, as unknown blocks.
 
-    f_p - f_q is divisible by the weight alpha exactly when it vanishes at
-    x = B y, where the n - 1 rows of B = `integer_kernel_basis(alpha)` span
-    alpha^perp.  Each row, a list of ints, is one y-coefficient of that.
+    `blocks` lists the unknowns in column order: None for the polynomial
+    f_r at a component root, the weight alpha_e for the quotient g_e of a
+    forest edge.  `up[v]` is (parent fixed point or None at a root, block
+    of v's root or of the forest edge into v), so f_v = f_parent +
+    alpha_e g_e.  `cycles` holds, per other edge (p, q), its weight and the
+    (block, sign) pairs of the forest edges on exactly one of the root
+    paths of p and q, + on p's side: f_p - f_q = sum sign * alpha_e g_e.
+    """
+
+    blocks: tuple
+    up: tuple
+    cycles: tuple
+
+
+def _spanning_forest(g: MomentGraph) -> _Forest:
+    """The forest of a breadth-first search taking fixed points and edges in graph order."""
+    ends = _endpoint_indices(g)
+    if any(not any(e.weight) for _, _, e in ends):
+        raise InternalConsistency("edge weight is the zero vector")
+    incident = [[] for _ in g.fixed_points]
+    for k, (pi, qi, _) in enumerate(ends):
+        incident[pi].append(k)
+        if qi != pi:
+            incident[qi].append(k)
+    blocks, up, depth = [], [None] * len(incident), [0] * len(incident)
+    in_forest = set()
+    for root in range(len(incident)):
+        if up[root] is not None:
+            continue
+        up[root] = (None, len(blocks))
+        blocks.append(None)
+        queue = [root]
+        for u in queue:
+            for k in incident[u]:
+                pi, qi, e = ends[k]
+                w = qi if pi == u else pi
+                if up[w] is None:
+                    up[w] = (u, len(blocks))
+                    blocks.append(e.weight)
+                    depth[w] = depth[u] + 1
+                    in_forest.add(k)
+                    queue.append(w)
+    cycles = []
+    for k, (p, q, e) in enumerate(ends):
+        if k in in_forest:
+            continue
+        path = []
+        while p != q:
+            if depth[p] >= depth[q]:
+                p, b = up[p]
+                path.append((b, 1))
+            else:
+                q, b = up[q]
+                path.append((b, -1))
+        if path:  # a loop constrains nothing
+            cycles.append((e.weight, tuple(path)))
+    return _Forest(tuple(blocks), tuple(up), tuple(cycles))
+
+
+def _block_bases(n, degree):
+    """Monomial bases of a root block (degree d) and a forest-edge block (d - 1)."""
+    return monomial_basis(n, degree), (monomial_basis(n, degree - 1) if degree else ())
+
+
+def _offsets(blocks, root_size, edge_size):
+    """Column offset of each unknown block, and the column count."""
+    offsets, total = [], 0
+    for b in blocks:
+        offsets.append(total)
+        total += root_size if b is None else edge_size
+    return offsets, total
+
+
+def _constraint_rows(g: MomentGraph, degree: int):
+    """Rows of the divisibility system over the forest unknowns (block, monomial).
+
+    A forest edge holds by construction, so only each other edge (p, q)
+    adds rows: f_p - f_q = sum sign * alpha_e g_e is divisible by its
+    weight alpha exactly when it vanishes at x = B y, where the n - 1 rows
+    of B = `integer_kernel_basis(alpha)` span alpha^perp.  The coefficient
+    of g_e[m] there is sum_i alpha_e[i] times the image of x^(m + e_i).
+    Each row, a list of ints, is one y-coefficient of that.
     """
     n = g.dimension
-    basis = monomial_basis(n, degree)
-    block = len(basis)
-    ncols = len(g.fixed_points) * block
+    basis, lower = _block_bases(n, degree)
+    if not g.fixed_points or not basis:
+        return [], 0
+    forest = _spanning_forest(g)
+    offsets, ncols = _offsets(forest.blocks, len(basis), len(lower))
     rows = []
-    if ncols == 0:
+    if not lower:  # degree 0: f is constant on each component
         return rows, ncols
+    ys = {y: i for i, y in enumerate(monomial_basis(n - 1, degree))}
     planes = {}  # weight -> (hyperplane basis, monomial images)
-    for pi, qi, e in _endpoint_indices(g):
-        if not any(e.weight):
-            raise InternalConsistency("edge weight is the zero vector")
-        if e.weight not in planes:
-            planes[e.weight] = (integer_kernel_basis(e.weight), {})
-        plane, images = planes[e.weight]
-        restricted = [_restriction(m, plane, images) for m in basis]
-        for y in monomial_basis(n - 1, degree):
-            row = [0] * ncols
-            for j, img in enumerate(restricted):
-                c = img.get(y)
-                if c:
-                    row[pi * block + j] += c
-                    row[qi * block + j] -= c
-            rows.append(row)
+    terms = {}  # (cycle weight, forest weight) -> per m in lower, {row: coefficient}
+    for weight, path in forest.cycles:
+        if weight not in planes:
+            planes[weight] = (integer_kernel_basis(weight), {})
+        plane, images = planes[weight]
+        cycle_rows = [[0] * ncols for _ in ys]
+        for b, sign in path:
+            alpha = forest.blocks[b]
+            if (weight, alpha) not in terms:
+                terms[weight, alpha] = [
+                    _times_linear(m, alpha, plane, images, ys) for m in lower
+                ]
+            for j, image in enumerate(terms[weight, alpha]):
+                col = offsets[b] + j
+                for y, c in image.items():
+                    cycle_rows[y][col] += sign * c
+        rows.extend(cycle_rows)
     return rows, ncols
+
+
+def _times_linear(mono, alpha, plane, images, ys):
+    """alpha . x times x^mono, restricted to the plane, as {row index: int}."""
+    out = {}
+    for i, a in enumerate(alpha):
+        if a:
+            shifted = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+            for y, c in _restriction(shifted, plane, images).items():
+                out[ys[y]] = out.get(ys[y], 0) + a * c
+    return {y: c for y, c in out.items() if c}
 
 
 def gkm_dimension(g: MomentGraph, degree: int) -> int:
@@ -378,20 +483,25 @@ def check_membership(g: MomentGraph, c: ClassTuple) -> MembershipResult:
     )
 
 
-def _shift_class_vector(vec, mono, n, from_degree, to_degree, points):
-    """Multiply a class-space vector by a monomial, re-indexed to the new degree."""
-    src = monomial_basis(n, from_degree)
-    dst = monomial_basis(n, to_degree)
-    dst_index = {m: i for i, m in enumerate(dst)}
-    b_src, b_dst = len(src), len(dst)
-    out = [Fraction(0)] * (points * b_dst)
-    for p in range(points):
-        for j, m in enumerate(src):
-            c = vec[p * b_src + j]
-            if c:
-                target = tuple(a + b for a, b in zip(m, mono))
-                out[p * b_dst + dst_index[target]] = c
-    return out
+def _shift_targets(blocks, n, degree):
+    """Per variable x_i, the degree-d column of x_i times each degree-(d - 1) column.
+
+    Multiplying by x_i commutes with the forest coordinates, as
+    x_i f_v = x_i f_r + sum alpha_e (x_i g_e): root blocks shift from
+    degree d - 1 to d and forest-edge blocks from d - 2 to d - 1.
+    """
+    src = _block_bases(n, degree - 1)
+    dst = _block_bases(n, degree)
+    offsets, _ = _offsets(blocks, *map(len, dst))
+    indices = [{m: j for j, m in enumerate(basis)} for basis in dst]
+    targets = []
+    for i in range(n):
+        shifted = [
+            [index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in basis]
+            for basis, index in zip(src, indices)
+        ]
+        targets.append([t + j for b, t in zip(blocks, offsets) for j in shifted[b is not None]])
+    return targets
 
 
 def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
@@ -408,17 +518,24 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
         max_degree = n
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
-    points = len(g.fixed_points)
+    blocks = None  # forest blocks, built once a lower degree has classes
     lower = []  # the degree d - 1 class basis
     out = []
     for d in range(max_degree + 1):
         rows, ncols = _constraint_rows(g, d)
         basis = kernel_basis(rows, ncols) if ncols else []
-        products = [
-            _shift_class_vector(vec, _unit_exponent(n, i), n, d - 1, d, points)
-            for i in range(n)
-            for vec in lower
-        ]
+        products = []
+        if lower:
+            if blocks is None:
+                blocks = _spanning_forest(g).blocks
+            targets = _shift_targets(blocks, n, d)
+            entries = [[(c, x) for c, x in enumerate(vec) if x] for vec in lower]
+            for target in targets:
+                for nonzero in entries:
+                    product = [0] * ncols
+                    for c, x in nonzero:
+                        product[target[c]] = x
+                    products.append(product)
         spanned = rank(products, ncols) if products else 0
         count = len(basis) - spanned
         if count < 0:

@@ -30,6 +30,10 @@ class FixedPoint:
     point: tuple
     key: str
 
+    def __hash__(self):
+        # equal fixed points have equal keys, and a str caches its hash
+        return hash(self.key)
+
     def __repr__(self):
         return f"FixedPoint({self.key} at {format_point(self.point)})"
 

@@ -113,12 +113,19 @@ _PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
 
 
 def _integer_rows(rows, ncols):
-    """Each row scaled by the lcm of its denominators, as a sparse {column: int} dict."""
+    """Each row scaled by the lcm of its denominators, as a sparse {column: int} dict.
+
+    int and Fraction entries are read as they are; any other entry goes
+    through Fraction(), so "1/2", 0.5 and Decimal("0.5") are all 1/2.
+    """
     out = []
     for row in rows:
         if len(row) != ncols:
             raise DimensionError(f"row of length {len(row)} in a {ncols}-column matrix")
-        entries = [(c, Fraction(row[c])) for c in compress(range(ncols), row)]
+        entries = [
+            (c, x if isinstance(x, (int, Fraction)) else Fraction(x))
+            for c, x in zip(compress(range(ncols), row), compress(row, row))
+        ]
         scale = math.lcm(*(x.denominator for _, x in entries))
         out.append({c: x.numerator * (scale // x.denominator) for c, x in entries})
     return out
@@ -238,6 +245,11 @@ def _column_count(rows, ncols):
     if not rows:
         raise DimensionError("column count required for an empty matrix")
     return len(rows[0])
+
+
+def pivot_columns(rows, ncols):
+    """The columns of a rational matrix independent of the columns before them."""
+    return _solve(rows, ncols)[0]
 
 
 def rank(rows, ncols=None):

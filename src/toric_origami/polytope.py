@@ -36,6 +36,7 @@ from .lattice import (
     dot,
     integer_kernel_basis,
     lattice_determinant,
+    pivot_columns,
     rank,
     rational_to_primitive,
     recession_direction,
@@ -112,6 +113,31 @@ class Face:
         return f"Face(dim={self.dim}, active={sorted(self.active)}, vertices={list(self.vertices)})"
 
 
+def _vertex_incidence(normals, offsets, n) -> dict:
+    """{vertex: indices of the halfspaces tight at it}, from every n-subset solve."""
+    incidence = {}
+    for subset in combinations(range(len(normals)), n):
+        sol = solve_square([normals[i] for i in subset], [offsets[i] for i in subset])
+        if sol is not None and sol not in incidence:
+            slacks = [b - dot(a, sol) for a, b in zip(normals, offsets)]
+            if all(s >= 0 for s in slacks):
+                incidence[sol] = tuple(i for i, s in enumerate(slacks) if s == 0)
+    return incidence
+
+
+def _is_nonempty_without_vertex(normals, offsets, n) -> bool:
+    """Whether {x : <a_i, x> <= b_i}, known to have no vertex, is nonempty.
+
+    With normals of full rank n it is pointed, so it is empty.  With rank
+    r < n it contains lines and is nonempty exactly when its image on r
+    pivot columns of the normals is, which is pointed and so has a vertex.
+    """
+    pivots = pivot_columns(normals, n)
+    if len(pivots) == n:
+        return False
+    return bool(_vertex_incidence([[a[j] for j in pivots] for a in normals], offsets, len(pivots)))
+
+
 class DelzantPolytope:
     """A bounded full-dimensional polytope given by irredundant halfspaces.
 
@@ -137,11 +163,13 @@ class DelzantPolytope:
             raise NotDelzant("duplicate halfspace in description")
         self._dim = dimension
         self._halfspaces = hs
-        self._tight = self._enumerate_vertices()
+        normals = [h.normal for h in hs]
+        offsets = [h.offset for h in hs]
+        self._tight = _vertex_incidence(normals, offsets, dimension)
         self._vertices = tuple(sorted(self._tight))
-        if not self._vertices:
+        if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
-        ray = recession_direction([h.normal for h in hs], dimension)
+        ray = recession_direction(normals, dimension)
         if ray is not None:
             raise NotDelzant(f"polytope is unbounded in direction {ray}")
         self._facet_vertex_sets = tuple(
@@ -159,19 +187,6 @@ class DelzantPolytope:
         self._smooth = None
 
     # -- construction checks ---------------------------------------------
-
-    def _enumerate_vertices(self) -> dict:
-        """{vertex: indices of the halfspaces tight at it}, from every n-subset solve."""
-        n = self._dim
-        hs = self._halfspaces
-        incidence = {}
-        for subset in combinations(range(len(hs)), n):
-            sol = solve_square([hs[i].normal for i in subset], [hs[i].offset for i in subset])
-            if sol is not None and sol not in incidence:
-                slacks = [h.offset - dot(h.normal, sol) for h in hs]
-                if all(s >= 0 for s in slacks):
-                    incidence[sol] = tuple(i for i, s in enumerate(slacks) if s == 0)
-        return incidence
 
     def _active_and_dimension(self, vertex_set) -> tuple:
         """The facets containing a face's vertex set, and the face's dimension.

@@ -251,6 +251,14 @@ def test_render_refuses_a_non_finite_explode(tmp_path, capsys, value):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["chain3", "cp2"])
+def test_render_refuses_an_explode_that_overflows(tmp_path, capsys, name):
+    target = tmp_path / "fig.svg"
+    assert run(["render", corpus(name), "--svg", str(target), "--explode", "1e308"]) == 3
+    assert not target.exists()
+    assert "--explode" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_three(capsys):
     assert run(["no-such-command"]) == 3
     assert run([]) == 3

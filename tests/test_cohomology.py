@@ -10,6 +10,7 @@ from helpers import (
     linear_poly,
     oracle_generator_degrees,
     oracle_gkm_dimension,
+    oracle_rank,
     poly_mul,
     poly_sub,
     random_moment_graph,
@@ -18,6 +19,7 @@ from toric_origami import load_corpus
 from toric_origami.cohomology import (
     BettiVector,
     _constraint_rows,
+    _spanning_forest,
     ClassTuple,
     GradedPolySpace,
     HilbertFunction,
@@ -117,8 +119,35 @@ def test_dimension_agrees_with_dense_oracle_on_random_graphs():
             assert gkm_dimension(g, d) == oracle_gkm_dimension(g, d)
 
 
+def _expand(g, degree, vec):
+    """Per-fixed-point polynomials of a forest-coordinate vector:
+    f_v = f_r + sum of alpha_e g_e over the forest edges on the root path."""
+    n = g.dimension
+    forest = _spanning_forest(g)
+    basis = monomial_basis(n, degree)
+    lower = monomial_basis(n, degree - 1) if degree else ()
+    blocks, start = {}, 0
+    for b, weight in enumerate(forest.blocks):
+        size = len(basis) if weight is None else len(lower)
+        monomials = basis if weight is None else lower
+        block = {m: c for m, c in zip(monomials, vec[start : start + size]) if c}
+        blocks[b] = block if weight is None else poly_mul(linear_poly(weight), block)
+        start += size
+    assert start == len(vec)
+    polys = []
+    for v in range(len(g.fixed_points)):
+        f = {}
+        while v is not None:
+            v, b = forest.up[v]
+            for m, c in blocks[b].items():
+                f[m] = f.get(m, 0) + c
+        polys.append(f)
+    return polys
+
+
 def test_kernel_of_the_rows_is_the_class_space():
-    # the rows are integer, and every kernel vector is a class by exact
+    # the rows are integer, and every kernel vector, expanded from forest
+    # coordinates to one polynomial per fixed point, is a class by exact
     # division, which shares no code with the rows or the elimination
     rng = random.Random(43)
     for n in (1, 2, 3):
@@ -127,14 +156,53 @@ def test_kernel_of_the_rows_is_the_class_space():
             for d in range(4):
                 rows, ncols = _constraint_rows(g, d)
                 assert all(type(x) is int for row in rows for x in row)
-                block = len(monomial_basis(n, d))
+                basis = monomial_basis(n, d)
                 vectors = kernel_basis(rows, ncols)
-                assert len(vectors) == oracle_gkm_dimension(g, d), (n, d)
+                count = oracle_gkm_dimension(g, d)
+                assert len(vectors) == count, (n, d)
+                expanded = []
                 for vec in vectors:
-                    c = ClassTuple(
-                        d, tuple(vec[i : i + block] for i in range(0, ncols, block))
-                    )
+                    polys = _expand(g, d, vec)
+                    c = ClassTuple(d, tuple(tuple(f.get(m, 0) for m in basis) for f in polys))
                     assert check_membership(g, c), (n, d, vec)
+                    expanded.append([x for coefficients in c.coefficients for x in coefficients])
+                width = len(g.fixed_points) * len(basis)
+                assert (oracle_rank(expanded, width) if expanded else 0) == count, (n, d)
+
+
+def _relabelled(rng, g):
+    """The same graph with fixed points and edges shuffled and edges reversed at random."""
+    fps = list(g.fixed_points)
+    rng.shuffle(fps)
+    edges = [
+        GkmEdge(e.endpoints[::-1] if rng.random() < 0.5 else e.endpoints, e.weight, e.chain, e.folded)
+        for e in g.edges
+    ]
+    rng.shuffle(edges)
+    return MomentGraph(fixed_points=tuple(fps), edges=tuple(edges), dimension=g.dimension)
+
+
+def _outcome(query, g):
+    try:
+        return tuple(query(g))
+    except FreenessViolation as exc:
+        return type(exc), str(exc)
+
+
+def test_answers_do_not_depend_on_graph_order():
+    # the spanning forest follows the order of fixed points and edges; the answers must not
+    rng = random.Random(53)
+    queries = (
+        lambda g: hilbert_function(g, g.dimension + 1),
+        betti_numbers,
+        lambda g: generator_degrees(g, g.dimension + 1),
+    )
+    for _ in range(40):
+        g = random_moment_graph(rng, rng.choice((1, 2, 3)))
+        expected = [_outcome(q, g) for q in queries]
+        for _ in range(3):
+            h = _relabelled(rng, g)
+            assert [_outcome(q, h) for q in queries] == expected, g
 
 
 def test_degree_zero_counts_graph_components():

@@ -9,6 +9,7 @@ from helpers import box_path_template, box_polytope, build_template, hexagon_tre
 from toric_origami import betti_numbers, load_corpus
 from toric_origami.exceptions import InternalConsistency, NoFixedPoints, Unsupported
 from toric_origami.gkm import (
+    FixedPoint,
     export_dot,
     fixed_points,
     lex_positive,
@@ -47,6 +48,17 @@ def test_fixed_point_payload():
     fps = fixed_points(load_corpus("s4"))
     assert fps[0].vertex_id == "v1" and fps[0].point == (0, 0)
     assert fps[1].vertex_id == "v2" and fps[1].point == (0, 0)
+
+
+def test_an_equal_fixed_point_finds_its_dict_entry():
+    fps = fixed_points(load_corpus("chain3"))
+    index = {fp: i for i, fp in enumerate(fps)}
+    for i, fp in enumerate(fps):
+        twin = FixedPoint(fp.vertex_id, tuple(Fraction(c) for c in fp.point), fp.key)
+        assert twin is not fp and twin == fp and hash(twin) == hash(fp)
+        assert index[twin] == i
+    other = FixedPoint(fps[0].vertex_id, fps[1].point, fps[0].key)
+    assert other != fps[0]  # equality still compares every field
 
 
 # ---------------------------------------------------------------------------

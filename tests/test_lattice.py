@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,33 @@ def test_certified_kernel_matches_fraction_route():
         basis = kernel_basis(rows, n)
         assert basis == oracle_kernel_basis(rows, n), rows
         assert all(type(c) is Fraction for vec in basis for c in vec)
+
+
+def _mixed_entry(rng):
+    """A rational with denominator 1, 2, 4, 5 or 8, as an int, a Fraction,
+    a "p/q" string, a float or a Decimal (all five are exact there)."""
+    q = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 5, 8)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return int(q) if q.denominator == 1 else q
+    if kind == 1:
+        return q
+    if kind == 2:
+        return f"{q.numerator}/{q.denominator}"
+    if kind == 3 and q.denominator != 5:
+        return float(q)
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def test_mixed_entry_types_read_as_their_fractions():
+    # ints and Fractions are read directly; the other types go through Fraction()
+    rng = random.Random(67)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        rows = [[_mixed_entry(rng) for _ in range(n)] for _ in range(m)]
+        assert rank(rows, n) == oracle_rank(rows, n), rows
+        assert kernel_basis(rows, n) == oracle_kernel_basis(rows, n), rows
 
 
 def test_certified_kernel_on_wider_integer_matrices():

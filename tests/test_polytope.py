@@ -76,8 +76,10 @@ def test_vertices_of_simple_shapes():
 def test_construction_gates_reject_bad_input():
     with pytest.raises(NotDelzant, match="unbounded"):  # a wedge with one vertex
         DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0), HalfSpace((1, -1), 1)])
-    with pytest.raises(NotDelzant):  # a strip: it has no vertex at all
+    with pytest.raises(NotDelzant, match=r"unbounded in direction \(0, 1\)"):  # a strip: no vertex
         DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((1, 0), 1)])
+    with pytest.raises(NotDelzant, match="empty"):  # x <= 0 and x >= 1 in the plane
+        DelzantPolytope(2, [HalfSpace((1, 0), 0), HalfSpace((-1, 0), -1)])
     with pytest.raises(NotDelzant, match="empty"):  # contradictory bounds
         DelzantPolytope(1, [HalfSpace((1,), 0), HalfSpace((-1,), -1)])
     with pytest.raises(NotDelzant, match="redundant"):  # x <= 5 never tight
