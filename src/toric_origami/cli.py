@@ -139,9 +139,12 @@ def _render_svg(t: OrigamiTemplate, explode: float) -> str:
     corners = {}
     for vid in vids:
         dx, dy = shift[vid]
-        corners[vid] = [
-            (float(x) + dx, float(y) + dy) for x, y in t.polytope(vid).vertices
-        ]
+        try:
+            corners[vid] = [
+                (float(x) + dx, float(y) + dy) for x, y in t.polytope(vid).vertices
+            ]
+        except OverflowError:  # a Fraction past the float range
+            raise _PastFloatRange from None
     xs = [x for pts in corners.values() for x, _ in pts]
     ys = [y for pts in corners.values() for _, y in pts]
     pad = 0.5
@@ -197,6 +200,14 @@ def _render_svg(t: OrigamiTemplate, explode: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _farthest_vertex(t: OrigamiTemplate) -> str:
+    """The first template vertex whose polytope has a coordinate of largest size."""
+    return max(
+        t.graph.vertices,
+        key=lambda vid: max(abs(c) for point in t.polytope(vid).vertices for c in point),
+    )
+
+
 def _cmd_render(args) -> int:
     t = load_path(args.file)
     if t.dimension != 2:
@@ -204,6 +215,14 @@ def _cmd_render(args) -> int:
     try:
         svg = _render_svg(t, explode=args.explode)
     except _PastFloatRange:
+        # blame --explode only when the template can be drawn without it
+        try:
+            _render_svg(t, explode=0.0)
+        except _PastFloatRange:
+            raise Unsupported(
+                f"render: the polytope of template vertex {_farthest_vertex(t)} "
+                "cannot be drawn within the float range"
+            ) from None
         print(f"error: argument --explode: at {args.explode} the drawing passes the float range",
               file=sys.stderr)
         return 3

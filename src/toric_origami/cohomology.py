@@ -15,7 +15,8 @@ f_v = f_r + sum alpha_e g_e over the forest edges on the root path of v.
 A nonzero linear form alpha_e is not a zero divisor, so each g_e is fixed
 by the class and this map onto the class space is an isomorphism.  Forest
 edges hold by construction, so only the E - V + c edges off the forest
-(E edges, V fixed points, c components) add constraint rows.  The rows
+(E edges, V fixed points, c components) add constraint rows; a request
+over several degrees builds the forest once.  The rows
 are ints: divisibility by an edge weight is read as vanishing on its
 hyperplane.  Multiplying by a variable commutes with the map, so products
 are taken block by block.  Class vectors are exact `fractions.Fraction`
@@ -301,7 +302,7 @@ def _offsets(blocks, root_size, edge_size):
     return offsets, total
 
 
-def _constraint_rows(g: MomentGraph, degree: int):
+def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None):
     """Rows of the divisibility system over the forest unknowns (block, monomial).
 
     A forest edge holds by construction, so only each other edge (p, q)
@@ -309,13 +310,15 @@ def _constraint_rows(g: MomentGraph, degree: int):
     weight alpha exactly when it vanishes at x = B y, where the n - 1 rows
     of B = `integer_kernel_basis(alpha)` span alpha^perp.  The coefficient
     of g_e[m] there is sum_i alpha_e[i] times the image of x^(m + e_i).
-    Each row, a list of ints, is one y-coefficient of that.
+    Each row, a list of ints, is one y-coefficient of that.  `forest` is
+    `_spanning_forest(g)`, built here when it is not passed in.
     """
     n = g.dimension
     basis, lower = _block_bases(n, degree)
     if not g.fixed_points or not basis:
         return [], 0
-    forest = _spanning_forest(g)
+    if forest is None:
+        forest = _spanning_forest(g)
     offsets, ncols = _offsets(forest.blocks, len(basis), len(lower))
     rows = []
     if not lower:  # degree 0: f is constant on each component
@@ -353,21 +356,33 @@ def _times_linear(mono, alpha, plane, images, ys):
     return {y: c for y, c in out.items() if c}
 
 
+def _forest_for(g: MomentGraph) -> _Forest | None:
+    """The spanning forest shared by every degree of one request, which
+    starts at degree 0; None without fixed points, where no degree has
+    unknowns."""
+    return _spanning_forest(g) if g.fixed_points else None
+
+
+def _dimension(g: MomentGraph, degree: int, forest: _Forest | None) -> int:
+    rows, ncols = _constraint_rows(g, degree, forest)
+    if ncols == 0:
+        return 0
+    return kernel_dimension(rows, ncols)
+
+
 def gkm_dimension(g: MomentGraph, degree: int) -> int:
     """Dimension of the degree-d class space of a moment graph."""
     if degree < 0:
         raise ShapeError("degree must be nonnegative")
-    rows, ncols = _constraint_rows(g, degree)
-    if ncols == 0:
-        return 0
-    return kernel_dimension(rows, ncols)
+    return _dimension(g, degree, None)  # the rows build their own forest
 
 
 def hilbert_function(g: MomentGraph, max_degree: int) -> HilbertFunction:
     """Class-space dimensions in degrees 0 through max_degree."""
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
-    return HilbertFunction(tuple(gkm_dimension(g, d) for d in range(max_degree + 1)))
+    forest = _forest_for(g)
+    return HilbertFunction(tuple(_dimension(g, d, forest) for d in range(max_degree + 1)))
 
 
 def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
@@ -382,7 +397,8 @@ def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
         n = g.dimension
     if n < 0:
         raise ShapeError("ambient rank must be nonnegative")
-    h = [gkm_dimension(g, d) for d in range(n + 1)]
+    forest = _forest_for(g)
+    h = [_dimension(g, d, forest) for d in range(n + 1)]
     b = []
     for d in range(n + 1):
         val = h[d] - sum(b[j] * GradedPolySpace(n, d - j).dimension for j in range(d))
@@ -518,17 +534,15 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
         max_degree = n
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
-    blocks = None  # forest blocks, built once a lower degree has classes
+    forest = _forest_for(g)
     lower = []  # the degree d - 1 class basis
     out = []
     for d in range(max_degree + 1):
-        rows, ncols = _constraint_rows(g, d)
+        rows, ncols = _constraint_rows(g, d, forest)
         basis = kernel_basis(rows, ncols) if ncols else []
         products = []
         if lower:
-            if blocks is None:
-                blocks = _spanning_forest(g).blocks
-            targets = _shift_targets(blocks, n, d)
+            targets = _shift_targets(forest.blocks, n, d)
             entries = [[(c, x) for c, x in enumerate(vec) if x] for vec in lower]
             for target in targets:
                 for nonzero in entries:

@@ -11,10 +11,15 @@ space as top element.  A set-theoretic intersection of two faces can fall
 apart into several connected components in the quotient; each component
 is its own face, which keeps every face's template subgraph connected.
 `face_poset` finds them by a worklist closure: every new face is
-intersected with each glued facet, and each new component joins the
-worklist.  The orbit space is a manifold with corners, so its faces are
-graded by dimension and a face covers exactly the faces one dimension
-lower that it contains (`FacePoset.covers`).
+intersected with each glued facet that has a member at one of the face's
+own template vertices (no other glued facet can meet it), and each new
+component joins the worklist.  The closure indexes the glued facets and
+the template edges by template vertex once, so a face is only compared
+with the facets and folds of its own polytopes.  The orbit space is a
+manifold with corners, so its faces are graded by dimension and a face
+covers exactly the faces one dimension lower that it contains
+(`FacePoset.covers`); a face lies in every glued facet holding a face
+above it, so only faces whose `defining` sets nest are compared.
 """
 
 from __future__ import annotations
@@ -95,13 +100,18 @@ class FacePoset:
         """The covering pairs (i, j) of `faces`, in order of i, then j.
 
         Faces are graded by dimension, so a face covers exactly the faces
-        one dimension lower that it contains.
+        one dimension lower that it contains.  A face lies in every glued
+        facet that contains a face above it, so only the faces one
+        dimension up whose `defining` set is inside its own are tested.
         """
+        above = {}  # dimension -> (index, face) pairs, in order of index
+        for j, b in enumerate(self.faces):
+            above.setdefault(b.dimension - 1, []).append((j, b))
         return tuple(
             (i, j)
             for i, a in enumerate(self.faces)
-            for j, b in enumerate(self.faces)
-            if b.dimension == a.dimension + 1 and self.leq(a, b)
+            for j, b in above.get(a.dimension, ())
+            if b.defining <= a.defining and self.leq(a, b)
         )
 
     @staticmethod
@@ -173,11 +183,12 @@ def glued_facets(t: OrigamiTemplate) -> tuple:
     )
 
 
-def _edge_data(t: OrigamiTemplate) -> tuple:
-    """Per template edge: (edge id, end u, end v, fold facet vertex set)."""
-    return tuple(
-        (eid, *t.graph.ends(eid), t.fold_vertex_set(eid)) for eid in t.graph.edges
-    )
+def _edge_data(t: OrigamiTemplate) -> dict:
+    """Per template edge id: (position in graph order, end u, end v, fold facet vertex set)."""
+    return {
+        eid: (k, *t.graph.ends(eid), t.fold_vertex_set(eid))
+        for k, eid in enumerate(t.graph.edges)
+    }
 
 
 def _link_components(pieces, folds) -> tuple:
@@ -213,46 +224,51 @@ def _link_components(pieces, folds) -> tuple:
 
 
 def _face_subgraph(t: OrigamiTemplate, members, edge_data) -> TemplateGraph:
-    vids = {vid for vid, _ in members}
+    """Only the edges at the face's own vertices can meet it; they are taken in graph order."""
+    graph = t.graph
+    pieces = {}  # vid -> vertex sets of the face's pieces there
+    for vid, f in members:
+        pieces.setdefault(vid, []).append(f.vertex_set)
+    near = {eid for vid in pieces for eid in graph.incident_edges(vid)}
     chosen = []
-    for eid, eu, ev, fold_vs in edge_data:
-        meets = any(
-            wid in (eu, ev) and (f.vertex_set & fold_vs) for wid, f in members
-        )
-        if meets:
-            if eu not in vids or ev not in vids:
+    for eid in sorted(near, key=lambda e: edge_data[e][0]):
+        _, eu, ev, fold_vs = edge_data[eid]
+        if any(vs & fold_vs for w in {eu, ev} for vs in pieces.get(w, ())):
+            if eu not in pieces or ev not in pieces:
                 raise InternalConsistency(
                     f"fold of edge {eid} meets a face that misses one of its end polytopes"
                 )
             chosen.append(eid)
-    graph = t.graph
-    sub_vertices = tuple(w for w in graph.vertices if w in vids)
-    sub_edges = tuple(e for e in graph.edges if e in chosen)
+    sub_vertices = tuple(w for w in graph.vertices if w in pieces)
     return TemplateGraph(
-        sub_vertices, sub_edges, {e: graph.ends(e) for e in sub_edges}
+        sub_vertices, tuple(chosen), {e: graph.ends(e) for e in chosen}
     )
 
 
 def face_poset(t: OrigamiTemplate) -> FacePoset:
     """All faces of the orbit space: glued facets, their intersections, and the top.
 
-    A worklist closure: each new face is intersected with every glued
-    facet, memberwise inside each polytope, and the intersection is split
-    into connected components of the quotient; each component not seen
-    before is a new face.  Deterministic: faces are sorted by (dimension,
-    member vertex data).
+    A worklist closure: each new face is intersected, memberwise inside
+    each polytope, with the glued facets that have a member at one of its
+    own template vertices (no other facet can meet it), and the
+    intersection is split into connected components of the quotient; each
+    component not seen before is a new face.  Deterministic: faces are
+    sorted by (dimension, member vertex data).
     """
     t.require_valid()
     glued = glued_facets(t)
     edge_data = _edge_data(t)
     folds = {}  # (vid, wid) -> fold facet vertex sets of the edges joining them
-    for _, eu, ev, fold_vs in edge_data:
+    for _, eu, ev, fold_vs in edge_data.values():
         for key in {(eu, ev), (ev, eu)}:
             folds.setdefault(key, []).append(fold_vs)
     facet_sets = [{} for _ in glued]  # per glued facet: vid -> member facet vertex sets
-    for sets, g in zip(facet_sets, glued):
+    at_vertex = {}  # vid -> indices of the glued facets with a member there, increasing
+    for gi, (sets, g) in enumerate(zip(facet_sets, glued)):
         for vid, fi in g.members:
             sets.setdefault(vid, []).append(t.polytope(vid).facet_vertex_sets[fi])
+        for vid in sets:
+            at_vertex.setdefault(vid, []).append(gi)
 
     def face_from_members(members: frozenset) -> OrbitFace:
         dims = {f.dim for _, f in members}
@@ -260,11 +276,13 @@ def face_poset(t: OrigamiTemplate) -> FacePoset:
             raise InternalConsistency(
                 f"face members disagree on dimension: {sorted(dims)}"
             )
+        # a glued facet containing the face has a member at each of its vertices
+        first_vid = next(iter(members))[0]
         defining = frozenset(
             gi
-            for gi, sets in enumerate(facet_sets)
+            for gi in at_vertex.get(first_vid, ())
             if all(
-                any(f.vertex_set <= fs for fs in sets.get(vid, ()))
+                any(f.vertex_set <= fs for fs in facet_sets[gi].get(vid, ()))
                 for vid, f in members
             )
         )
@@ -294,7 +312,9 @@ def face_poset(t: OrigamiTemplate) -> FacePoset:
     add(top_members)
     while queue:
         members = queue.pop()
-        for sets in facet_sets:
+        # increasing facet order, so faces are met in the order of a full scan
+        for gi in sorted({gi for vid, _ in members for gi in at_vertex.get(vid, ())}):
+            sets = facet_sets[gi]
             pieces = set()
             for vid, f in members:
                 for fs in sets.get(vid, ()):

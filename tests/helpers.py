@@ -4,8 +4,10 @@ Oracle code here deliberately avoids the package's own linear algebra:
 rank, nullity, kernel bases and square solves use a local echelon
 reduction, determinants use permutation expansion, hulls use a monotone
 chain, polytope edges are read off the rank of the normals tight at both
-ends, and smoothness solves integer systems directly.  Agreement between these and the package
-is the point of the dual-route tests.
+ends, smoothness solves integer systems directly, and orbit-space faces
+come from a plain fixed point over every (face, glued facet) pair with a
+local union-find.  Agreement between these and the package is the point
+of the dual-route tests.
 """
 
 from __future__ import annotations
@@ -189,6 +191,72 @@ def oracle_covers(faces, leq):
         for j, b in enumerate(faces)
         if less(a, b) and not any(less(a, c) and less(c, b) for c in faces)
     ]
+
+
+def oracle_face_members(t, glued):
+    """Every orbit-space face as a frozenset of (template vertex, polytope vertex set).
+
+    A plain fixed point: starting from the whole space, every face is
+    intersected with every glued facet (`glued`, as from `glued_facets`),
+    polytope by polytope, until no new face appears.  An intersection falls
+    apart into the classes of a local union-find: two pieces are joined
+    when they lie in one polytope and share a vertex, or lie at the two
+    ends of a template edge and share a vertex of its fold facet.
+    """
+    graph = t.graph
+
+    def facet(vid, fi):
+        return t.polytope(vid).facet_vertex_sets[fi]
+
+    facets = [[(vid, facet(vid, fi)) for vid, fi in g.members] for g in glued]
+    folds = []  # (end u, end v, fold facet vertex set at u)
+    for eid in graph.edges:
+        u, v = graph.incidence[eid]
+        folds.append((u, v, facet(u, t.edge_facets(eid)[0])))
+
+    def components(pieces):
+        pieces = list(pieces)
+        parent = list(range(len(pieces)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, (vi, si) in enumerate(pieces):
+            for j, (vj, sj) in enumerate(pieces[:i]):
+                common = si & sj
+                if vi == vj:
+                    linked = bool(common)
+                else:
+                    linked = any(
+                        {a, b} == {vi, vj} and common & fold for a, b, fold in folds
+                    )
+                if linked:
+                    parent[find(i)] = find(j)
+        classes = {}
+        for i, piece in enumerate(pieces):
+            classes.setdefault(find(i), set()).add(piece)
+        return [frozenset(c) for c in classes.values()]
+
+    top = frozenset(
+        (vid, frozenset(t.polytope(vid).vertices)) for vid in graph.vertices
+    )
+    faces = {top}
+    while True:
+        found = set()
+        for face in faces:
+            for facet in facets:
+                pieces = {
+                    (vid, vs & fs)
+                    for vid, vs in face
+                    for fvid, fs in facet
+                    if fvid == vid and vs & fs
+                }
+                found.update(components(pieces))
+        if found <= faces:
+            return faces
+        faces |= found
 
 
 # ---------------------------------------------------------------------------

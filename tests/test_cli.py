@@ -259,6 +259,35 @@ def test_render_refuses_an_explode_that_overflows(tmp_path, capsys, name):
     assert "--explode" in capsys.readouterr().err
 
 
+def _scaled_copy(tmp_path, name, vid, digits):
+    """The corpus file with `vid` moved to a copy of its polytope whose
+    nonzero offsets are 10**digits."""
+    document = json.loads(corpus_path(name).read_text(encoding="utf-8"))
+    (vertex,) = (v for v in document["vertices"] if v["id"] == vid)
+    (polytope,) = (p for p in document["polytopes"] if p["id"] == vertex["polytope"])
+    halfspaces = [dict(h, offset=h["offset"] and 10**digits) for h in polytope["halfspaces"]]
+    document["polytopes"].append({"id": "scaled", "halfspaces": halfspaces})
+    vertex["polytope"] = "scaled"
+    target = tmp_path / "scaled.json"
+    target.write_text(json.dumps(document), encoding="utf-8")
+    return str(target)
+
+
+# 10**400 cannot become a float at all; 10**307 can, but its drawing cannot
+@pytest.mark.parametrize("digits", [400, 307])
+@pytest.mark.parametrize("name, vid", [("cp2", "v1"), ("chain3", "v3")])
+@pytest.mark.parametrize("explode", ["0", "0.4", "1e308"])
+def test_render_refuses_a_template_past_the_float_range(tmp_path, capsys, name, vid, digits, explode):
+    source = _scaled_copy(tmp_path, name, vid, digits)
+    target = tmp_path / "fig.svg"
+    assert run(["render", source, "--svg", str(target), "--explode", explode]) == 2
+    assert not target.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: ")
+    assert f"template vertex {vid} " in err
+    assert "--explode" not in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_three(capsys):
     assert run(["no-such-command"]) == 3
     assert run([]) == 3

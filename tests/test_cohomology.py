@@ -15,7 +15,7 @@ from helpers import (
     poly_sub,
     random_moment_graph,
 )
-from toric_origami import load_corpus
+from toric_origami import cohomology, load_corpus
 from toric_origami.cohomology import (
     BettiVector,
     _constraint_rows,
@@ -203,6 +203,26 @@ def test_answers_do_not_depend_on_graph_order():
         for _ in range(3):
             h = _relabelled(rng, g)
             assert [_outcome(q, h) for q in queries] == expected, g
+
+
+def test_each_request_builds_one_forest(monkeypatch):
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return _spanning_forest(g)
+
+    monkeypatch.setattr(cohomology, "_spanning_forest", counted)
+    g = moment_graph(load_corpus("chain3"))
+    for query in (
+        betti_numbers,
+        lambda g: hilbert_function(g, 4),
+        lambda g: generator_degrees(g, 4),
+        lambda g: gkm_dimension(g, 2),
+    ):
+        built.clear()
+        query(g)
+        assert built == [g]
 
 
 def test_degree_zero_counts_graph_components():

@@ -1,6 +1,7 @@
 """Glued orbit spaces: facet classes, face posets, face subgraphs."""
 
 import random
+import re
 
 import pytest
 
@@ -10,11 +11,14 @@ from helpers import (
     hexagon_cycle_template,
     hexagon_tree_template,
     oracle_covers,
+    oracle_face_members,
+    random_unimodular,
     stopwatch,
+    transform_template,
 )
-from toric_origami import load_corpus
+from toric_origami import OrigamiTemplate, TemplateGraph, load_corpus
 from toric_origami.exceptions import FaceMismatch
-from toric_origami.fileformat import corpus_names
+from toric_origami.fileformat import corpus_names, face_poset_dot
 from toric_origami.orbit_space import (
     FacePoset,
     face_poset,
@@ -144,16 +148,81 @@ def test_every_corner_lies_under_its_defining_facets():
         assert corner.defining == frozenset().union(*(g.defining for g in above))
 
 
-def test_covers_are_the_covering_relation():
-    rng = random.Random(23)
+def _templates(rng):
+    """The corpus, seeded box paths and hexagon trees, hexagon cycles of
+    length 3 to 7 and the box 4-cycle."""
     templates = [load_corpus(name) for name in corpus_names()]
     templates += [box_path_template(rng) for _ in range(8)]
     templates += [hexagon_tree_template(rng) for _ in range(8)]
-    templates += [hexagon_cycle_template(length) for length in (3, 4, 5)]
+    templates += [hexagon_cycle_template(length) for length in range(3, 8)]
     templates.append(box_even_cycle_template())
-    for t in templates:
+    return templates
+
+
+def test_faces_are_those_of_the_plain_fixed_point():
+    for t in _templates(random.Random(29)):
+        got = {
+            frozenset((vid, f.vertex_set) for vid, f in face.members)
+            for face in face_poset(t)
+        }
+        assert got == oracle_face_members(t, glued_facets(t)), t
+
+
+def test_covers_are_the_covering_relation():
+    for t in _templates(random.Random(23)):
         poset = face_poset(t)
         assert list(poset.covers()) == oracle_covers(poset.faces, FacePoset.leq), t
+
+
+def _relabelled(rng, t):
+    """The template with its vertices renamed by a random bijection and its
+    vertex and edge orders shuffled; returns it and the renaming."""
+    graph = t.graph
+    names = list(graph.vertices)
+    rng.shuffle(names)
+    rename = dict(zip(graph.vertices, names))
+    vertices = [rename[v] for v in graph.vertices]
+    edges = list(graph.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    relabelled = OrigamiTemplate(
+        dimension=t.dimension,
+        graph=TemplateGraph(
+            tuple(vertices),
+            tuple(edges),
+            {e: tuple(rename[w] for w in graph.ends(e)) for e in edges},
+        ),
+        psi_v={rename[v]: t.polytope(v) for v in graph.vertices},
+        psi_e={e: t.edge_facets(e) for e in edges},
+    )
+    return relabelled, rename
+
+
+def _poset_summary(t, rename=None):
+    """Face counts per dimension, the cover count and the sorted DOT labels,
+    with vertex names read back through `rename` when given."""
+    back = {new: old for old, new in (rename or {}).items()}
+    dot = face_poset_dot(t)
+    labels = []
+    for line in dot.splitlines():
+        if "[label=" in line:
+            head, vids, pieces = re.search(r'label="(dim \d+): (\S+) (\(.*\))"', line).groups()
+            vids = ",".join(sorted(back.get(v, v) for v in vids.split(",")))
+            labels.append(f"{head}: {vids} {pieces}")
+    poset = face_poset(t)
+    counts = [len(poset.by_dimension(d)) for d in range(t.dimension + 1)]
+    return counts, dot.count(" -> "), sorted(labels)
+
+
+def test_poset_is_invariant_under_lattice_maps_and_relabelling():
+    rng = random.Random(31)
+    for t in _templates(random.Random(37)):
+        expected = _poset_summary(t)
+        mat = random_unimodular(rng, t.dimension)
+        shift = tuple(rng.randint(-3, 3) for _ in range(t.dimension))
+        assert _poset_summary(transform_template(t, mat, shift)) == expected, t
+        relabelled, rename = _relabelled(rng, t)
+        assert _poset_summary(relabelled, rename) == expected, t
 
 
 def test_five_cube_path_poset_size_and_time():
