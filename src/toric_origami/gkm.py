@@ -1,15 +1,15 @@
-"""Moment graphs: fixed points, chains of 1-faces, and primitive weights.
+"""Moment graphs: fixed points, glued 1-faces, and primitive weights.
 
 The fixed points of a template are the polytope vertices that avoid every
-fold facet of their own polytope.  Each such vertex emits one graph edge
-per incident polytope 1-face; an edge is a chain of collinear 1-faces
-that may cross folds — at a fold, the chain continues in the neighbor
-polytope along the unique 1-face at the same geometric vertex that is not
-inside the fold.  Because neighboring polytopes superimpose near folds,
-the chain retraces its line backwards at each crossing; chains that cross
-at least one fold are the folded edges.
+fold facet of their own polytope.  The edges are the glued classes of
+1-pieces of the orbit space (`orbit_space._glue` at d = 1): polytope
+1-faces in no fold facet, linked across a fold where they meet it at the
+same vertex.  Neighboring polytopes superimpose near folds, so a class is
+a chain of collinear 1-faces between two fixed points that retraces its
+line at each fold it crosses; chains that cross a fold are the folded
+edges.  There is no chain tracing.
 
-Tracing is defined for valid, coorientable, acyclic templates with at
+Edges are defined for valid, coorientable, acyclic templates with at
 least one fixed point; everything else is refused with a typed error.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .exceptions import InternalConsistency, NoFixedPoints, Unsupported
 from .lattice import rational_to_primitive
+from .orbit_space import _classes, _glue
 from .template import OrigamiTemplate
 
 
@@ -110,59 +111,17 @@ def _direction(a, b) -> tuple:
     return rational_to_primitive(tuple(y - x for x, y in zip(a, b)))
 
 
-def _trace(t: OrigamiTemplate, start: FixedPoint, first_face):
-    """Walk a chain of 1-faces from a fixed point until another fixed point.
-
-    Returns (chain, end FixedPoint-key-pair) where chain is a tuple of
-    (template vertex id, Face) segments.
-    """
-    vid = start.vertex_id
-    face = first_face
-    at = start.point
-    a, b = face.vertices
-    ahead = b if a == at else a
-    line = frozenset((_direction(at, ahead), _direction(ahead, at)))
-    chain = [(vid, face)]
-    guard = len(t.graph.vertices) + 1
-    while True:
-        p = t.polytope(vid)
-        on_folds = [
-            (eid, f)
-            for eid, f in t.fold_entries(vid)
-            if ahead in p.facet_vertex_sets[f]
-        ]
-        if not on_folds:
-            return tuple(chain), (vid, ahead)
-        if len(on_folds) != 1:
-            raise InternalConsistency(
-                f"vertex {format_point(ahead)} lies on several fold facets at {vid}"
-            )
-        (eid, _), = on_folds
-        u, v = t.graph.ends(eid)
-        vid = v if u == vid else u
-        fu, fv = t.edge_facets(eid)
-        across_facet = fv if vid == v else fu
-        candidates = [
-            m for m in t.polytope(vid).one_faces_at(ahead) if across_facet not in m.active
-        ]
-        if len(candidates) != 1:
-            raise InternalConsistency(
-                f"no unique continuation at {format_point(ahead)} across edge {eid}"
-            )
-        face = candidates[0]
-        a, b = face.vertices
-        at, ahead = ahead, (b if a == ahead else a)
-        if _direction(at, ahead) not in line:
-            raise InternalConsistency(
-                f"chain direction changes across edge {eid} at {format_point(at)}"
-            )
-        chain.append((vid, face))
-        if len(chain) > guard:
-            raise InternalConsistency("chain does not terminate (template cycle?)")
+def _name(chain) -> str:
+    """A chain of (template vertex id, polytope 1-face) pieces as text."""
+    return " ".join(f"{vid}:" + "-".join(format_point(w) for w in f.vertices) for vid, f in chain)
 
 
 def moment_graph(t: OrigamiTemplate) -> MomentGraph:
     """Extract the GKM graph of a valid, coorientable, acyclic template.
+
+    Each edge is a glued class of 1-pieces, a path of collinear 1-faces
+    walked from its end at the earlier fixed point in `fixed_points`
+    order to its end at the other.
 
     Raises NoFixedPoints when there is nothing to anchor the graph
     (checked first, so a free torus action is reported as such), and
@@ -174,51 +133,53 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
         raise NoFixedPoints("template has no fixed points")
     if not t.is_acyclic():
         raise Unsupported("moment graph extraction needs an acyclic template")
-    by_location = {(fp.vertex_id, fp.point): fp for fp in fps}
-    edges = {}
-    discoveries = {}
-    for fp in fps:
-        p = t.polytope(fp.vertex_id)
-        for face in p.one_faces_at(fp.point):
-            chain, end_loc = _trace(t, fp, face)
-            if end_loc not in by_location:
+    by_location = {(fp.vertex_id, fp.point): k for k, fp in enumerate(fps)}
+    pieces, links = _glue(t, 1)
+    across = {}  # (piece index, fold vertex) -> the piece linked to it there
+    for i, j, (w,) in links:
+        for end, other in ((i, j), (j, i)):
+            if across.setdefault((end, w), other) != other:
                 raise InternalConsistency(
-                    f"chain from {fp.key} ends at non-fixed vertex {end_loc}"
+                    f"chain piece {_name([pieces[end]])} has two links at {format_point(w)}"
                 )
-            end = by_location[end_loc]
-            segs = tuple((vid, f.vertices) for vid, f in chain)
-            key = min(segs, tuple(reversed(segs)))
-            discoveries[key] = discoveries.get(key, 0) + 1
-            if key in edges:
-                prior = edges[key]
-                prior_segs = tuple((vid, f.vertices) for vid, f in prior.chain)
-                same = prior.endpoints == (fp, end) and prior_segs == segs
-                reverse = (
-                    prior.endpoints == (end, fp)
-                    and tuple(reversed(prior_segs)) == segs
-                )
-                if not (same or reverse):
-                    raise InternalConsistency(
-                        f"re-tracing edge {prior!r} gave a different chain"
-                    )
-                continue
-            first_vid, first_face = chain[0]
-            va, vb = first_face.vertices
-            weight = lex_positive(_direction(va, vb))
-            edges[key] = GkmEdge(
-                endpoints=(fp, end),
-                weight=weight,
-                chain=chain,
+    edges = []
+    for cls in _classes(len(pieces), links):
+        # (fixed point index, or -1 for none; piece index; vertex) per unlinked piece end
+        ends = sorted(
+            (by_location.get((pieces[i][0], w), -1), i, w)
+            for i in cls
+            for w in pieces[i][1].vertices
+            if (i, w) not in across
+        )
+        if len(ends) != 2 or ends[0][0] < 0 or ends[0][0] == ends[1][0]:
+            raise InternalConsistency(
+                f"chain {_name(pieces[k] for k in cls)} does not end at two distinct fixed points"
+            )
+        (first, i, at), (last, _, _) = ends
+        # a connected class with two unlinked ends and at most one link per
+        # piece end is a path, so the walk passes each piece once
+        chain = [pieces[i]]
+        while True:
+            a, b = pieces[i][1].vertices
+            at = b if a == at else a
+            if (i, at) not in across:
+                break
+            i = across[(i, at)]
+            chain.append(pieces[i])
+        weights = {lex_positive(_direction(*f.vertices)) for _, f in chain}
+        if len(weights) != 1:
+            raise InternalConsistency(f"chain {_name(chain)} changes direction")
+        edges.append(
+            GkmEdge(
+                endpoints=(fps[first], fps[last]),
+                weight=weights.pop(),
+                chain=tuple(chain),
                 folded=len(chain) > 1,
             )
-    for key, count in discoveries.items():
-        if count != 2:
-            raise InternalConsistency(
-                f"edge {key} discovered {count} times, expected exactly 2"
-            )
+        )
     ordered = tuple(
         sorted(
-            edges.values(),
+            edges,
             key=lambda e: (
                 e.endpoints[0].key,
                 e.endpoints[1].key,

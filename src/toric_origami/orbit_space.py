@@ -1,25 +1,19 @@
 """The glued orbit space of a template: facets, face poset, face subgraphs.
 
 The polytopes of a template overlap in the ambient space (neighbors
-superimpose near folds), so the orbit space is never represented as a
-global point set.  Every face is kept as a set of member pairs
-(template vertex, polytope face) and two members are identified only
-through fold facets, mirroring the quotient that defines the space.
-
-Faces are the nonempty intersections of glued facets, plus the whole
-space as top element.  A set-theoretic intersection of two faces can fall
-apart into several connected components in the quotient; each component
-is its own face, which keeps every face's template subgraph connected.
-`face_poset` finds them by a worklist closure: every new face is
-intersected with each glued facet that has a member at one of the face's
-own template vertices (no other glued facet can meet it), and each new
-component joins the worklist.  The closure indexes the glued facets and
-the template edges by template vertex once, so a face is only compared
-with the facets and folds of its own polytopes.  The orbit space is a
-manifold with corners, so its faces are graded by dimension and a face
-covers exactly the faces one dimension lower that it contains
-(`FacePoset.covers`); a face lies in every glued facet holding a face
-above it, so only faces whose `defining` sets nest are compared.
+superimpose near folds), so the orbit space Q is never represented as a
+global point set.  A face of Q is kept as its pieces, (template vertex,
+polytope face) pairs, glued by one rule.  The d-pieces are the d-faces of
+the polytopes that lie in no fold facet of their own polytope; two
+d-pieces, one at each end of a template edge, are glued when they cut
+the edge's fold facet in the same nonempty vertex set, since the two
+polytopes coincide near the fold.  The d-faces of Q are the classes of one union-find over
+these links (`_glue`, `_classes`): the whole space at d = n, the glued
+facets at d = n - 1, and the moment-graph edges of `gkm` at d = 1.  Q is
+a manifold with corners, so a face covers exactly the faces one
+dimension lower that it contains (`FacePoset.covers`); a face lies in
+every glued facet holding a face above it, so only faces whose
+`defining` sets nest are compared.
 """
 
 from __future__ import annotations
@@ -66,12 +60,6 @@ class OrbitFace:
 
     def member_vertices(self) -> tuple:
         return tuple(sorted({vid for vid, _ in self.members}))
-
-    def sort_key(self):
-        return (
-            self.dimension,
-            tuple(sorted((vid, f.vertices) for vid, f in self.members)),
-        )
 
     def __repr__(self):
         pieces = ", ".join(
@@ -125,23 +113,52 @@ class FacePoset:
         return True
 
 
-def glued_facets(t: OrigamiTemplate) -> tuple:
-    """The facets of the orbit space, as equivalence classes of polytope facets.
+def _glue(t: OrigamiTemplate, d: int) -> tuple:
+    """The d-dimensional pieces of the orbit space and the folds linking them.
 
-    Classes are computed by union-find: facets F at u and F' at v are
-    joined whenever an edge e=(u,v) exists and F and F' cut the fold facet
-    of e in the same nonempty set.  Fold facets themselves are excluded —
-    they are interior to the orbit space, not part of its boundary.
+    `pieces` holds (vid, Face) for each d-face of each polytope that lies
+    in no fold facet of its own polytope: template vertices in graph
+    order, faces in `faces()` order.  `links` holds (i, j, trace) for each
+    template edge and each piece i at its first end and piece j at its
+    second end whose vertex sets meet the fold facet (first-end copy) in
+    the same nonempty set `trace`.  In a simple polytope a face outside a
+    facet meets it in a face one dimension lower, and that face lies in
+    only one d-face outside the facet, so a trace names at most one piece
+    per end.
     """
-    t.require_valid()
     graph = t.graph
-    nodes = []
+    pieces = []
+    at = {}  # vid -> indices of its pieces
     for vid in graph.vertices:
         folds = t.fold_facet_indices(vid)
-        for fi in range(len(t.polytope(vid).halfspaces)):
-            if fi not in folds:
-                nodes.append((vid, fi))
-    parent = {node: node for node in nodes}
+        start = len(pieces)
+        pieces += [
+            (vid, f) for f in t.polytope(vid).faces() if f.dim == d and f.active.isdisjoint(folds)
+        ]
+        at[vid] = range(start, len(pieces))
+    links = []
+    for eid in graph.edges:
+        u, v = graph.ends(eid)
+        fold = t.fold_vertex_set(eid)
+        first_end = {}  # trace -> piece at u
+        for i in at[u]:
+            trace = pieces[i][1].vertex_set & fold
+            if trace:
+                first_end[trace] = i
+        for j in at[v]:
+            trace = pieces[j][1].vertex_set & fold
+            if trace in first_end:
+                links.append((first_end[trace], j, trace))
+    return pieces, links
+
+
+def _classes(count: int, links) -> list:
+    """The classes of pieces 0..count-1 under `links`: one union-find.
+
+    Each class is a list of piece indices in increasing order, and the
+    classes are ordered by their least piece.
+    """
+    parent = list(range(count))
 
     def find(x):
         while parent[x] != x:
@@ -149,38 +166,33 @@ def glued_facets(t: OrigamiTemplate) -> tuple:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for eid in graph.edges:
-        u, v = graph.ends(eid)
-        fold_vs = t.fold_vertex_set(eid)
-        traces_u = {
-            node: t.polytope(u).facet_vertex_sets[node[1]] & fold_vs
-            for node in nodes
-            if node[0] == u
-        }
-        traces_v = {
-            node: t.polytope(v).facet_vertex_sets[node[1]] & fold_vs
-            for node in nodes
-            if node[0] == v
-        }
-        for nu, tu in traces_u.items():
-            if not tu:
-                continue
-            for nv, tv in traces_v.items():
-                if tu == tv:
-                    union(nu, nv)
-
+    for i, j, _ in links:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)  # a root is the least piece of its class
     classes = {}
-    for node in nodes:
-        classes.setdefault(find(node), []).append(node)
-    return tuple(
-        GluedFacet(tuple(sorted(members)))
-        for _, members in sorted(classes.items())
+    for i in range(count):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+def glued_facets(t: OrigamiTemplate) -> tuple:
+    """The facets of the orbit space: the glued classes of (n-1)-pieces.
+
+    The pieces are the polytope facets other than fold facets (those are
+    interior to the orbit space, not part of its boundary), and facets F
+    at u and F' at v are glued when an edge e=(u,v) exists and F and F'
+    cut the fold facet of e in the same nonempty set.  Members are
+    (template vertex id, facet index) pairs; classes are sorted by their
+    members.
+    """
+    t.require_valid()
+    pieces, links = _glue(t, t.dimension - 1)
+    classes = (  # a facet lies in itself alone, so its active set is its index
+        GluedFacet(tuple((pieces[i][0], *pieces[i][1].active) for i in cls))
+        for cls in _classes(len(pieces), links)
     )
+    return tuple(sorted(classes, key=lambda g: g.members))
 
 
 def _edge_data(t: OrigamiTemplate) -> dict:
@@ -189,38 +201,6 @@ def _edge_data(t: OrigamiTemplate) -> dict:
         eid: (k, *t.graph.ends(eid), t.fold_vertex_set(eid))
         for k, eid in enumerate(t.graph.edges)
     }
-
-
-def _link_components(pieces, folds) -> tuple:
-    """Split a set of (vid, Face) pieces into glued connected components.
-
-    Two pieces are linked when they live in one polytope and share a
-    polytope vertex, or when they live at the two ends of a template edge
-    and share a geometric vertex lying on that edge's fold facet.
-    """
-    items = list(pieces)
-    owner = [None] * len(items)  # index of the component holding each piece
-    components = []
-    for seed in range(len(items)):
-        if owner[seed] is not None:
-            continue
-        owner[seed] = len(components)
-        comp = [seed]
-        for cur in comp:
-            cvid, cface = items[cur]
-            for k, (ovid, oface) in enumerate(items):
-                if owner[k] is not None:
-                    continue
-                common = cface.vertex_set & oface.vertex_set
-                if ovid == cvid:
-                    linked = bool(common)
-                else:
-                    linked = any(common & fold_vs for fold_vs in folds.get((cvid, ovid), ()))
-                if linked:
-                    owner[k] = len(components)
-                    comp.append(k)
-        components.append(frozenset(items[k] for k in comp))
-    return tuple(components)
 
 
 def _face_subgraph(t: OrigamiTemplate, members, edge_data) -> TemplateGraph:
@@ -246,86 +226,38 @@ def _face_subgraph(t: OrigamiTemplate, members, edge_data) -> TemplateGraph:
 
 
 def face_poset(t: OrigamiTemplate) -> FacePoset:
-    """All faces of the orbit space: glued facets, their intersections, and the top.
+    """All faces of the orbit space: the glued classes of d-pieces, d = 0..n.
 
-    A worklist closure: each new face is intersected, memberwise inside
-    each polytope, with the glued facets that have a member at one of its
-    own template vertices (no other facet can meet it), and the
-    intersection is split into connected components of the quotient; each
-    component not seen before is a new face.  Deterministic: faces are
-    sorted by (dimension, member vertex data).
+    A face's `defining` set is read off the active facets of any of its
+    pieces, through the glued facet holding each.  Deterministic: faces
+    are sorted by (dimension, sorted (vid, piece index) pairs); within one
+    polytope the piece index follows the order of the vertex tuples.
     """
     t.require_valid()
-    glued = glued_facets(t)
+    glued = {m: gi for gi, g in enumerate(glued_facets(t)) for m in g.members}
     edge_data = _edge_data(t)
-    folds = {}  # (vid, wid) -> fold facet vertex sets of the edges joining them
-    for _, eu, ev, fold_vs in edge_data.values():
-        for key in {(eu, ev), (ev, eu)}:
-            folds.setdefault(key, []).append(fold_vs)
-    facet_sets = [{} for _ in glued]  # per glued facet: vid -> member facet vertex sets
-    at_vertex = {}  # vid -> indices of the glued facets with a member there, increasing
-    for gi, (sets, g) in enumerate(zip(facet_sets, glued)):
-        for vid, fi in g.members:
-            sets.setdefault(vid, []).append(t.polytope(vid).facet_vertex_sets[fi])
-        for vid in sets:
-            at_vertex.setdefault(vid, []).append(gi)
-
-    def face_from_members(members: frozenset) -> OrbitFace:
-        dims = {f.dim for _, f in members}
-        if len(dims) != 1:
-            raise InternalConsistency(
-                f"face members disagree on dimension: {sorted(dims)}"
+    keyed = []  # (sort key, face)
+    for d in range(t.dimension + 1):
+        pieces, links = _glue(t, d)
+        classes = _classes(len(pieces), links)
+        if d == t.dimension and len(classes) != 1:
+            raise InternalConsistency(f"the orbit space has {len(classes)} top faces, expected 1")
+        for cls in classes:
+            members = frozenset(pieces[i] for i in cls)
+            vid, f = pieces[cls[0]]
+            face = OrbitFace(
+                members=members,
+                dimension=d,
+                defining=frozenset(glued[(vid, fi)] for fi in f.active),
+                subgraph=_face_subgraph(t, members, edge_data),
             )
-        # a glued facet containing the face has a member at each of its vertices
-        first_vid = next(iter(members))[0]
-        defining = frozenset(
-            gi
-            for gi in at_vertex.get(first_vid, ())
-            if all(
-                any(f.vertex_set <= fs for fs in facet_sets[gi].get(vid, ()))
-                for vid, f in members
-            )
-        )
-        subgraph = _face_subgraph(t, members, edge_data)
-        if not subgraph.is_connected():
-            raise InternalConsistency("orbit face has a disconnected template subgraph")
-        return OrbitFace(
-            members=members, dimension=dims.pop(), defining=defining, subgraph=subgraph
-        )
-
-    top_members = frozenset(
-        (vid, t.polytope(vid).face_with_vertices(t.polytope(vid).vertices))
-        for vid in t.graph.vertices
-    )
-    faces = {}
-    queue = []
-
-    def add(members: frozenset):
-        if members not in faces:
-            faces[members] = face_from_members(members)
-            queue.append(members)
-
-    # The glued facets are connected, so they come out of the top face.  A
-    # component C of X is clopen in X, so the components of C and a glued
-    # facet are those of X and that facet lying in C: intersecting new faces
-    # with glued facets alone reaches every intersection of faces.
-    add(top_members)
-    while queue:
-        members = queue.pop()
-        # increasing facet order, so faces are met in the order of a full scan
-        for gi in sorted({gi for vid, _ in members for gi in at_vertex.get(vid, ())}):
-            sets = facet_sets[gi]
-            pieces = set()
-            for vid, f in members:
-                for fs in sets.get(vid, ()):
-                    common = f.vertex_set & fs
-                    if common:
-                        pieces.add((vid, t.polytope(vid).face_with_vertices(common)))
-            for comp in _link_components(pieces, folds):
-                add(comp)
-
-    ordered = tuple(sorted(faces.values(), key=OrbitFace.sort_key))
-    return FacePoset(faces=ordered, top=faces[top_members])
+            if any(frozenset(glued[(w, fi)] for fi in g.active) != face.defining for w, g in members):
+                raise InternalConsistency(f"the pieces of {face!r} lie in different glued facets")
+            if not face.subgraph.is_connected():
+                raise InternalConsistency(f"{face!r} has a disconnected template subgraph")
+            keyed.append(((d, tuple(sorted((pieces[i][0], i) for i in cls))), face))
+    keyed.sort(key=lambda kf: kf[0])
+    return FacePoset(faces=tuple(face for _, face in keyed), top=keyed[-1][1])
 
 
 def face_subgraph(t: OrigamiTemplate, face: OrbitFace) -> TemplateGraph:

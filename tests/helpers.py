@@ -4,10 +4,12 @@ Oracle code here deliberately avoids the package's own linear algebra:
 rank, nullity, kernel bases and square solves use a local echelon
 reduction, determinants use permutation expansion, hulls use a monotone
 chain, polytope edges are read off the rank of the normals tight at both
-ends, smoothness solves integer systems directly, and orbit-space faces
-come from a plain fixed point over every (face, glued facet) pair with a
-local union-find.  Agreement between these and the package is the point
-of the dual-route tests.
+ends, smoothness solves integer systems directly, glued facets come from
+a local union-find over facet cuts of the folds, and orbit-space faces
+come from a plain fixed point over every (face, glued facet) pair with
+another local union-find; facet vertex sets are read off direct dot
+products.  Agreement between these and the package is the point of the
+dual-route tests.
 """
 
 from __future__ import annotations
@@ -193,22 +195,69 @@ def oracle_covers(faces, leq):
     ]
 
 
+def _oracle_facet(polytope, fi):
+    """The vertices on facet fi, by direct dot products."""
+    return frozenset(v for v in polytope.vertices if fi in _oracle_tight(polytope, v))
+
+
+def oracle_glued_facets(t):
+    """The orbit-space facets as sorted member tuples (vid, facet index), sorted.
+
+    A local union-find over the facets that are no fold facet of their
+    polytope: facets at the two ends of a template edge are joined when
+    they cut the fold facet (each end's own copy) in the same nonempty
+    vertex set.
+    """
+    graph = t.graph
+    folds = {vid: set() for vid in graph.vertices}
+    for eid in graph.edges:
+        for w, fi in zip(graph.incidence[eid], t.edge_facets(eid)):
+            folds[w].add(fi)
+    facets = {
+        (vid, fi): _oracle_facet(t.polytope(vid), fi)
+        for vid in graph.vertices
+        for fi in range(len(t.polytope(vid).halfspaces))
+        if fi not in folds[vid]
+    }
+    parent = {node: node for node in facets}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid in graph.edges:
+        cuts = []  # per end: facet -> its cut with the fold
+        for w, fi in zip(graph.incidence[eid], t.edge_facets(eid)):
+            fold = _oracle_facet(t.polytope(w), fi)
+            cuts.append({node: vs & fold for node, vs in facets.items() if node[0] == w})
+        for a, cut_a in cuts[0].items():
+            for b, cut_b in cuts[1].items():
+                if cut_a and cut_a == cut_b:
+                    parent[find(a)] = find(b)
+    classes = {}
+    for node in facets:
+        classes.setdefault(find(node), []).append(node)
+    return sorted(tuple(sorted(c)) for c in classes.values())
+
+
 def oracle_face_members(t, glued):
     """Every orbit-space face as a frozenset of (template vertex, polytope vertex set).
 
     A plain fixed point: starting from the whole space, every face is
-    intersected with every glued facet (`glued`, as from `glued_facets`),
-    polytope by polytope, until no new face appears.  An intersection falls
-    apart into the classes of a local union-find: two pieces are joined
-    when they lie in one polytope and share a vertex, or lie at the two
-    ends of a template edge and share a vertex of its fold facet.
+    intersected with every glued facet (`glued`, member tuples as from
+    `oracle_glued_facets`), polytope by polytope, until no new face
+    appears.  An intersection falls apart into the classes of a local
+    union-find: two pieces are joined when they lie in one polytope and
+    share a vertex, or lie at the two ends of a template edge and share a
+    vertex of its fold facet.
     """
     graph = t.graph
 
     def facet(vid, fi):
-        return t.polytope(vid).facet_vertex_sets[fi]
+        return _oracle_facet(t.polytope(vid), fi)
 
-    facets = [[(vid, facet(vid, fi)) for vid, fi in g.members] for g in glued]
+    facets = [[(vid, facet(vid, fi)) for vid, fi in members] for members in glued]
     folds = []  # (end u, end v, fold facet vertex set at u)
     for eid in graph.edges:
         u, v = graph.incidence[eid]

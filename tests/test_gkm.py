@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import box_path_template, box_polytope, build_template, hexagon_tree_template
-from toric_origami import betti_numbers, load_corpus
+from toric_origami import betti_numbers, gkm, load_corpus
 from toric_origami.exceptions import InternalConsistency, NoFixedPoints, Unsupported
+from toric_origami.fileformat import corpus_names
 from toric_origami.gkm import (
     FixedPoint,
     export_dot,
@@ -15,6 +16,7 @@ from toric_origami.gkm import (
     lex_positive,
     moment_graph,
 )
+from toric_origami.orbit_space import face_poset
 from toric_origami.polytope import DelzantPolytope, HalfSpace
 
 
@@ -226,6 +228,46 @@ def test_moment_graph_is_deterministic():
         (e.endpoints[0].key, e.endpoints[1].key, e.weight) for e in g1.edges
     ] == [(e.endpoints[0].key, e.endpoints[1].key, e.weight) for e in g2.edges]
     assert export_dot(g1) == export_dot(g2)
+
+
+def _pieces(pairs):
+    return frozenset((vid, f.vertices) for vid, f in pairs)
+
+
+def test_moment_graph_is_the_one_skeleton_of_the_orbit_space():
+    rng = random.Random(34)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng) for _ in range(10)]
+    templates += [hexagon_tree_template(rng, rng.randint(1, 12)) for _ in range(10)]
+    checked = 0
+    for t in templates:
+        if not (t.is_acyclic() and t.is_coorientable() and fixed_points(t)):
+            continue
+        checked += 1
+        poset, g = face_poset(t), moment_graph(t)
+        corners = [_pieces(f.members) for f in poset.by_dimension(0)]
+        assert len(corners) == len(g.fixed_points), t
+        assert set(corners) == {
+            frozenset({(fp.vertex_id, (fp.point,))}) for fp in g.fixed_points
+        }, t
+        one_faces = [_pieces(f.members) for f in poset.by_dimension(1)]
+        assert len(one_faces) == len(g.edges), t
+        assert set(one_faces) == {_pieces(e.chain) for e in g.edges}, t
+    assert checked == 26  # the corpus has three templates outside the class
+
+
+def test_a_broken_chain_is_named(monkeypatch):
+    real = gkm._glue
+
+    def one_link_short(t, d):
+        pieces, links = real(t, d)
+        return pieces, links[1:]
+
+    monkeypatch.setattr(gkm, "_glue", one_link_short)
+    with pytest.raises(
+        InternalConsistency, match=r"chain v1:\(0\)-\(1\) does not end at two distinct fixed points"
+    ):
+        moment_graph(load_corpus("s2"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ from helpers import (
     hexagon_tree_template,
     oracle_covers,
     oracle_face_members,
+    oracle_glued_facets,
     random_unimodular,
     stopwatch,
     transform_template,
 )
 from toric_origami import OrigamiTemplate, TemplateGraph, load_corpus
-from toric_origami.exceptions import FaceMismatch
+from toric_origami import orbit_space
+from toric_origami.exceptions import FaceMismatch, InternalConsistency
 from toric_origami.fileformat import corpus_names, face_poset_dot
 from toric_origami.orbit_space import (
     FacePoset,
@@ -165,7 +167,12 @@ def test_faces_are_those_of_the_plain_fixed_point():
             frozenset((vid, f.vertex_set) for vid, f in face.members)
             for face in face_poset(t)
         }
-        assert got == oracle_face_members(t, glued_facets(t)), t
+        assert got == oracle_face_members(t, oracle_glued_facets(t)), t
+
+
+def test_glued_facets_are_those_of_the_oracle():
+    for t in _templates(random.Random(41)):
+        assert [g.members for g in glued_facets(t)] == oracle_glued_facets(t), t
 
 
 def test_covers_are_the_covering_relation():
@@ -232,6 +239,18 @@ def test_five_cube_path_poset_size_and_time():
         covers = poset.covers()
     assert len(poset) == 3**5
     assert len(covers) == 2 * 5 * 3**4
+
+
+def test_a_split_top_face_is_refused(monkeypatch):
+    real = orbit_space._glue
+
+    def unlinked_top(t, d):
+        pieces, links = real(t, d)
+        return pieces, (links if d < t.dimension else [])
+
+    monkeypatch.setattr(orbit_space, "_glue", unlinked_top)
+    with pytest.raises(InternalConsistency, match="the orbit space has 2 top faces, expected 1"):
+        face_poset(load_corpus("s4"))
 
 
 # ---------------------------------------------------------------------------
