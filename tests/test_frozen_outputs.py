@@ -200,6 +200,9 @@ FROZEN = {
 }
 
 
-@pytest.mark.parametrize("name, build", _cases(), ids=[name for name, _ in _cases()])
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name, build", CASES, ids=[name for name, _ in CASES])
 def test_outputs_are_frozen(name, build):
     assert outputs(build()) == FROZEN[name]

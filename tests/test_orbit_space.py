@@ -17,8 +17,7 @@ from helpers import (
     stopwatch,
     transform_template,
 )
-from toric_origami import OrigamiTemplate, TemplateGraph, load_corpus
-from toric_origami import orbit_space
+from toric_origami import OrigamiTemplate, TemplateGraph, load_corpus, orbit_space
 from toric_origami.exceptions import FaceMismatch, InternalConsistency
 from toric_origami.fileformat import corpus_names, face_poset_dot
 from toric_origami.orbit_space import (
