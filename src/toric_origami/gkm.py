@@ -134,9 +134,9 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
     if not t.is_acyclic():
         raise Unsupported("moment graph extraction needs an acyclic template")
     by_location = {(fp.vertex_id, fp.point): k for k, fp in enumerate(fps)}
-    pieces, links = _glue(t, 1)
+    pieces, links = _glue(t, (1,))
     across = {}  # (piece index, fold vertex) -> the piece linked to it there
-    for i, j, (w,) in links:
+    for i, j, _, (w,) in links:
         for end, other in ((i, j), (j, i)):
             if across.setdefault((end, w), other) != other:
                 raise InternalConsistency(

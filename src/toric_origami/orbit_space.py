@@ -7,9 +7,11 @@ polytope face) pairs, glued by one rule.  The d-pieces are the d-faces of
 the polytopes that lie in no fold facet of their own polytope; two
 d-pieces, one at each end of a template edge, are glued when they cut
 the edge's fold facet in the same nonempty vertex set, since the two
-polytopes coincide near the fold.  The d-faces of Q are the classes of one union-find over
-these links (`_glue`, `_classes`): the whole space at d = n, the glued
-facets at d = n - 1, and the moment-graph edges of `gkm` at d = 1.  Q is
+polytopes coincide near the fold.  The faces of Q are the classes of one
+union-find over these links (`_glue`, `_classes`), every dimension in one
+pass: the whole space at d = n, the glued facets at d = n - 1, and the
+moment-graph edges of `gkm` at d = 1.  A face's template subgraph is read
+off its class: the vertices of its pieces and the edges of its links.  Q is
 a manifold with corners, so a face covers exactly the faces one
 dimension lower that it contains (`FacePoset.covers`); a face lies in
 every glued facet holding a face above it, so only faces whose
@@ -50,7 +52,8 @@ class OrbitFace:
     — the pieces of the face inside each polytope; `defining` indexes the
     glued facets containing this face (empty for the top face); `subgraph`
     is the induced template subgraph of the face (vertices whose polytope
-    meets it, edges whose fold meets it).
+    meets it, edges whose fold meets it), read off the face's class: the
+    vertices of its pieces and the edges of its links, so it is connected.
     """
 
     members: frozenset
@@ -113,18 +116,18 @@ class FacePoset:
         return True
 
 
-def _glue(t: OrigamiTemplate, d: int) -> tuple:
-    """The d-dimensional pieces of the orbit space and the folds linking them.
+def _glue(t: OrigamiTemplate, dims) -> tuple:
+    """The d-dimensional pieces of the orbit space, d in `dims`, and the folds linking them.
 
     `pieces` holds (vid, Face) for each d-face of each polytope that lies
     in no fold facet of its own polytope: template vertices in graph
-    order, faces in `faces()` order.  `links` holds (i, j, trace) for each
-    template edge and each piece i at its first end and piece j at its
-    second end whose vertex sets meet the fold facet (first-end copy) in
-    the same nonempty set `trace`.  In a simple polytope a face outside a
-    facet meets it in a face one dimension lower, and that face lies in
-    only one d-face outside the facet, so a trace names at most one piece
-    per end.
+    order, faces in `faces()` order.  `links` holds (i, j, eid, trace) for
+    each template edge `eid`, in graph order, and each piece i at its first
+    end and piece j at its second end (i = j on a loop) whose vertex sets
+    meet the fold facet (first-end copy) in the same nonempty set `trace`.
+    In a simple polytope a d-face outside a facet meets it in a (d - 1)-face,
+    and that face lies in only one d-face outside the facet, so a trace
+    names at most one piece per end, whatever the dimensions.
     """
     graph = t.graph
     pieces = []
@@ -133,7 +136,7 @@ def _glue(t: OrigamiTemplate, d: int) -> tuple:
         folds = t.fold_facet_indices(vid)
         start = len(pieces)
         pieces += [
-            (vid, f) for f in t.polytope(vid).faces() if f.dim == d and f.active.isdisjoint(folds)
+            (vid, f) for f in t.polytope(vid).faces() if f.dim in dims and f.active.isdisjoint(folds)
         ]
         at[vid] = range(start, len(pieces))
     links = []
@@ -148,7 +151,7 @@ def _glue(t: OrigamiTemplate, d: int) -> tuple:
         for j in at[v]:
             trace = pieces[j][1].vertex_set & fold
             if trace in first_end:
-                links.append((first_end[trace], j, trace))
+                links.append((first_end[trace], j, eid, trace))
     return pieces, links
 
 
@@ -166,7 +169,7 @@ def _classes(count: int, links) -> list:
             x = parent[x]
         return x
 
-    for i, j, _ in links:
+    for i, j, *_ in links:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)  # a root is the least piece of its class
@@ -187,7 +190,7 @@ def glued_facets(t: OrigamiTemplate) -> tuple:
     members.
     """
     t.require_valid()
-    pieces, links = _glue(t, t.dimension - 1)
+    pieces, links = _glue(t, (t.dimension - 1,))
     classes = (  # a facet lies in itself alone, so its active set is its index
         GluedFacet(tuple((pieces[i][0], *pieces[i][1].active) for i in cls))
         for cls in _classes(len(pieces), links)
@@ -195,98 +198,90 @@ def glued_facets(t: OrigamiTemplate) -> tuple:
     return tuple(sorted(classes, key=lambda g: g.members))
 
 
-def _edge_data(t: OrigamiTemplate) -> dict:
-    """Per template edge id: (position in graph order, end u, end v, fold facet vertex set)."""
-    return {
-        eid: (k, *t.graph.ends(eid), t.fold_vertex_set(eid))
-        for k, eid in enumerate(t.graph.edges)
-    }
-
-
-def _face_subgraph(t: OrigamiTemplate, members, edge_data) -> TemplateGraph:
-    """Only the edges at the face's own vertices can meet it; they are taken in graph order."""
-    graph = t.graph
-    pieces = {}  # vid -> vertex sets of the face's pieces there
-    for vid, f in members:
-        pieces.setdefault(vid, []).append(f.vertex_set)
-    near = {eid for vid in pieces for eid in graph.incident_edges(vid)}
-    chosen = []
-    for eid in sorted(near, key=lambda e: edge_data[e][0]):
-        _, eu, ev, fold_vs = edge_data[eid]
-        if any(vs & fold_vs for w in {eu, ev} for vs in pieces.get(w, ())):
-            if eu not in pieces or ev not in pieces:
-                raise InternalConsistency(
-                    f"fold of edge {eid} meets a face that misses one of its end polytopes"
-                )
-            chosen.append(eid)
-    sub_vertices = tuple(w for w in graph.vertices if w in pieces)
-    return TemplateGraph(
-        sub_vertices, tuple(chosen), {e: graph.ends(e) for e in chosen}
-    )
-
-
 def face_poset(t: OrigamiTemplate) -> FacePoset:
-    """All faces of the orbit space: the glued classes of d-pieces, d = 0..n.
+    """All faces of the orbit space: the glued classes of d-pieces, d = 0..n, in one pass.
 
     A face's `defining` set is read off the active facets of any of its
-    pieces, through the glued facet holding each.  Deterministic: faces
-    are sorted by (dimension, sorted (vid, piece index) pairs); within one
-    polytope the piece index follows the order of the vertex tuples.
+    pieces, through the glued facet holding each, and its subgraph off its
+    class.  Deterministic: faces are sorted by (dimension, sorted (vid,
+    piece index) pairs); within one polytope the piece index follows the
+    order of the vertex tuples.
     """
     t.require_valid()
     glued = {m: gi for gi, g in enumerate(glued_facets(t)) for m in g.members}
-    edge_data = _edge_data(t)
+    graph = t.graph
+    pieces, links = _glue(t, range(t.dimension + 1))
+    classes = _classes(len(pieces), links)
+    tops = sum(pieces[cls[0]][1].dim == t.dimension for cls in classes)
+    if tops != 1:
+        raise InternalConsistency(f"the orbit space has {tops} top faces, expected 1")
+    owner = {i: k for k, cls in enumerate(classes) for i in cls}
+    edges = [{} for _ in classes]  # per class: the edges of its links, in graph order, once
+    for i, _, eid, _ in links:
+        edges[owner[i]][eid] = None
     keyed = []  # (sort key, face)
-    for d in range(t.dimension + 1):
-        pieces, links = _glue(t, d)
-        classes = _classes(len(pieces), links)
-        if d == t.dimension and len(classes) != 1:
-            raise InternalConsistency(f"the orbit space has {len(classes)} top faces, expected 1")
-        for cls in classes:
-            members = frozenset(pieces[i] for i in cls)
-            vid, f = pieces[cls[0]]
-            face = OrbitFace(
-                members=members,
-                dimension=d,
-                defining=frozenset(glued[(vid, fi)] for fi in f.active),
-                subgraph=_face_subgraph(t, members, edge_data),
-            )
-            if any(frozenset(glued[(w, fi)] for fi in g.active) != face.defining for w, g in members):
-                raise InternalConsistency(f"the pieces of {face!r} lie in different glued facets")
-            if not face.subgraph.is_connected():
-                raise InternalConsistency(f"{face!r} has a disconnected template subgraph")
-            keyed.append(((d, tuple(sorted((pieces[i][0], i) for i in cls))), face))
+    for cls, eids in zip(classes, edges):
+        members = frozenset(pieces[i] for i in cls)
+        vid, f = pieces[cls[0]]
+        face = OrbitFace(
+            members=members,
+            dimension=f.dim,
+            defining=frozenset(glued[(vid, fi)] for fi in f.active),
+            subgraph=TemplateGraph(  # pieces are in graph order of their vertices
+                tuple(dict.fromkeys(pieces[i][0] for i in cls)),
+                tuple(eids),
+                {e: graph.ends(e) for e in eids},
+            ),
+        )
+        if any(frozenset(glued[(w, fi)] for fi in g.active) != face.defining for w, g in members):
+            raise InternalConsistency(f"the pieces of {face!r} lie in different glued facets")
+        keyed.append(((f.dim, tuple(sorted((pieces[i][0], i) for i in cls))), face))
     keyed.sort(key=lambda kf: kf[0])
     return FacePoset(faces=tuple(face for _, face in keyed), top=keyed[-1][1])
 
 
 def face_subgraph(t: OrigamiTemplate, face: OrbitFace) -> TemplateGraph:
-    """The induced template subgraph of an orbit-space face.
+    """The induced template subgraph of an orbit-space face, from the definition.
 
     Vertices are the template vertices whose polytope meets the face;
-    edges are the template edges whose fold facet meets it.  Raises
-    FaceMismatch when the face's members do not belong to this template.
+    edges are the template edges whose fold facet meets it, both in graph
+    order.  Raises FaceMismatch when the face's members do not belong to
+    this template, or when a fold meets the face but the face misses one
+    of the fold's end polytopes.
     """
+    graph = t.graph
+    pieces = {}  # vid -> vertex sets of the face's pieces there
     for vid, f in face.members:
-        if vid not in t.graph.vertices:
+        if vid not in graph.vertices:
             raise FaceMismatch(f"face member references unknown template vertex {vid!r}")
-        p = t.polytope(vid)
         try:
-            found = p.face_with_vertices(f.vertex_set)
+            found = t.polytope(vid).face_with_vertices(f.vertex_set)
         except FaceMismatch:
-            raise FaceMismatch(
-                f"face member at {vid} is not a face of that polytope"
-            ) from None
+            raise FaceMismatch(f"face member at {vid} is not a face of that polytope") from None
         if found.dim != f.dim:
             raise FaceMismatch(f"face member at {vid} has inconsistent dimension")
-    return _face_subgraph(t, face.members, _edge_data(t))
+        pieces.setdefault(vid, []).append(f.vertex_set)
+    chosen = []
+    for eid in graph.edges:
+        ends, fold = graph.ends(eid), t.fold_vertex_set(eid)
+        if any(vs & fold for w in ends for vs in pieces.get(w, ())):
+            if not all(w in pieces for w in ends):
+                raise FaceMismatch(
+                    f"the fold of edge {eid} meets the face, which misses one of its end polytopes"
+                )
+            chosen.append(eid)
+    return TemplateGraph(
+        tuple(w for w in graph.vertices if w in pieces),
+        tuple(chosen),
+        {e: graph.ends(e) for e in chosen},
+    )
 
 
 def is_face_acyclic(t: OrigamiTemplate) -> bool:
     """Is every orbit-space face's template subgraph a tree?
 
     Equivalent to template-graph acyclicity; both directions of that
-    equivalence are exercised in the test suite.  `face_poset` has already
-    checked that every face subgraph is connected.
+    equivalence are exercised in the test suite.  Every face subgraph is
+    connected, as a face is one class of pieces linked along its edges.
     """
     return all(face.subgraph.is_acyclic() for face in face_poset(t))

@@ -241,6 +241,30 @@ def oracle_glued_facets(t):
     return sorted(tuple(sorted(c)) for c in classes.values())
 
 
+def oracle_face_subgraph(t, face):
+    """The template subgraph of an orbit-space face by definition, as
+    (vertices, edges), both in graph order.
+
+    Its vertices are the template vertices of the face's pieces; its
+    edges are the template edges whose fold facet, at either end, meets a
+    piece at that end, each fold facet read by direct dot products.
+    """
+    graph = t.graph
+    pieces = {}  # vid -> vertex sets of the face's pieces there
+    for vid, f in face.members:
+        pieces.setdefault(vid, []).append(frozenset(f.vertices))
+    edges = tuple(
+        eid
+        for eid in graph.edges
+        if any(
+            vs & _oracle_facet(t.polytope(w), fi)
+            for w, fi in zip(graph.incidence[eid], t.edge_facets(eid))
+            for vs in pieces.get(w, ())
+        )
+    )
+    return tuple(w for w in graph.vertices if w in pieces), edges
+
+
 def oracle_face_members(t, glued):
     """Every orbit-space face as a frozenset of (template vertex, polytope vertex set).
 

@@ -1,7 +1,9 @@
-"""Frozen outputs: the face-poset DOT and the moment-graph DOT, byte for byte.
+"""Frozen outputs: the face-poset DOT, the moment-graph DOT and the face
+facts the DOT leaves out, byte for byte.
 
-Each case's two SHA-256 digests were recorded from the code before the
-orbit space and the moment graph were glued by one rule; a refusal is
+Each case's first two SHA-256 digests were recorded from the code before
+the orbit space and the moment graph were glued by one rule, the third
+from the code before the face poset was glued in one pass; a refusal is
 recorded by its exception class name.  A change that keeps behaviour
 keeps every digest.
 """
@@ -21,6 +23,7 @@ from toric_origami import load_corpus
 from toric_origami.exceptions import OrigamiError
 from toric_origami.fileformat import corpus_names, face_poset_dot
 from toric_origami.gkm import export_dot, moment_graph
+from toric_origami.orbit_space import face_poset
 
 
 def _cases():
@@ -52,11 +55,20 @@ def _digest(render):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _face_facts(t):
+    """Per face in poset order: dimension, sorted `defining`, subgraph vertices and edges."""
+    return "\n".join(
+        repr((f.dimension, sorted(f.defining), f.subgraph.vertices, f.subgraph.edges))
+        for f in face_poset(t)
+    )
+
+
 def outputs(t):
-    """(face-poset DOT digest, moment-graph DOT digest or refusal)."""
+    """(face-poset DOT digest, moment-graph DOT digest or refusal, face-facts digest)."""
     return (
         _digest(lambda: face_poset_dot(t)),
         _digest(lambda: export_dot(moment_graph(t))),
+        _digest(lambda: _face_facts(t)),
     )
 
 
@@ -64,138 +76,172 @@ FROZEN = {
     "corpus:chain3": (
         "ecc6261d7a1926a7929e969ae5298da9132b8159b96673e73620be825ec09c5d",
         "4e6a71825fa267c7920c6d520c152b85855831d1ed4856ad58da31179cd52b61",
+        "20cda14f7619fbe4bd8a6d30ea981ec85d5475af93d87b4a12245b63364e9a2e",
     ),
     "corpus:cp2": (
         "7f7171447efea7e032839e60dcd3bb96cafaff7ba360568529a8cd8ed9bfb92c",
         "3468ee5eeeb85e459fa5bd3582cd7e649e8a9710962d4666182c7b6edb5742bb",
+        "8975f806ad4e8b38722fea008d4b363ffcdbb3545610146b9430a760f750a6c9",
     ),
     "corpus:hirzebruch": (
         "ef7e5403b7a65ef8bd5aae588f78ccaf0cf6e2edef0927f4685ccb6c1ab71d8d",
         "dbb0577b6e78cecae4f44f1e271e474b1438e40eae75fd15cb300b2fdecc3cbb",
+        "35477a6051a067ab551d0a377b47192b797ad9692eb002afc04f738527ed21fa",
     ),
     "corpus:oddcycle3": (
         "56c6fea1c0304a127eddd9fc0391e43798e533f2b157d96281ab73e7dc08c351",
         "Unsupported",
+        "e998d007270e2a3497cf8527457733e901c764fe2c06c81a211efba3f8fa5b8f",
     ),
     "corpus:rp2": (
         "e7bc8f0bfa5919d006b91870191cf02a050acc7a24aea24430343323cabacaff",
         "Unsupported",
+        "4dc3d6ffb46582ea124cf0ac45589f0d33d6c48e2a61ed9a428276d002df6700",
     ),
     "corpus:s2": (
         "59c8f7e67e6c577823b14f7c971a00f6507319ec73acd7fd82adc310417ab794",
         "c3a0f6376b345d9c5ea714b6e580aad2ff2fc734e9ca73a8ab429a3fd7bcfe15",
+        "b8387da27cafefda09bacc5d04b91f8ccd5df8035ac1061e3e0be5d9bcfcce7f",
     ),
     "corpus:s4": (
         "383a8fe15bf4c8e7ba2e64e6b20a17aff095f249642a7e9ed75081de51b38de1",
         "f7a45d4ef6ce705a95f3c690c93a28737f6bc982b1ceb7184b8ffa0ddc35f0c0",
+        "4fe8058178f48bc270f52c8653fe1bf13e3d044af17b6ce0dc8a28aeda7435b0",
     ),
     "corpus:s6": (
         "5b17f3e5ca12133e0be631048b3daa678585d90f1ffeafdcb81f8db3a3dbb13d",
         "c12a5e5db704d3681f86612cf29e43d2936e12eccd545d5592ced339ae668895",
+        "3bf6109858559cf382feee8d78090d59f4f908642767ed8cd567dd48c9547b3e",
     ),
     "corpus:torus": (
         "08069cf107c331d9d67e142454f7e63ea4a9bf2dc996e8e8963876360280c971",
         "NoFixedPoints",
+        "b8965ebe68e53ec4b5eea6c7905429db2611041d601b6cb0a0d93c2991ccf591",
     ),
     "box:0": (
         "0b2f56bfbbb5a9a89cacc24e0a30114950c1573aa03d2dc7a6965f33bc9263a8",
         "6bc8c259b96fbb037ae4566bab081b3902e19df40534de01f53fe2b96547d011",
+        "9fae405f56602d0049b8abee40e0361b9a8c7a89d2f0036f06a3c7e48499451c",
     ),
     "box:1": (
         "3203d84568fbc6d97f537948770e795121f1e17e5598c130124b469f62e9b435",
         "e47b5c0685994ed0f35111865ba38bef6351e63335ada3aaedcdc99161d59698",
+        "906474ee82a16548c064dab3230aa04d3dd92a2b92bc1b605c871966f5aa0d1e",
     ),
     "box:2": (
         "79bef3740d7bb909552fc75bedca8b931a8e2675ff86ae13a002d11cf9ede5a4",
         "9a803688e4f84b94f79d4509f733879a6db562f67516dc064a3c21b4e81a11f0",
+        "24b4374cda7cbbc4d4e5e4bfa07db5958269c4831c50f238af6efe38a9f5af20",
     ),
     "box:3": (
         "3203d84568fbc6d97f537948770e795121f1e17e5598c130124b469f62e9b435",
         "6a599ea331f04b671d8ca807ddcb600052b3241ec82c6b5e1b9ae11942be4300",
+        "906474ee82a16548c064dab3230aa04d3dd92a2b92bc1b605c871966f5aa0d1e",
     ),
     "box:4": (
         "74f93b91d5d0ae4c315ae47c583a2f73c745c1d76e3aaa435496ca46448ee584",
         "efb4b5a3accad277d99c038c68fb905dae45ff6ae56dca3e7fa0e01a2d0447ab",
+        "8edd7d8a1f9e4d33f9ea1cccfa12e2ba28de7852b35c9f427aa27aea94c91e3c",
     ),
     "box:5": (
         "b4426609972ac2cf30025283843c7b2a576f0c4a59c3e5bce6a846a36bf224d5",
         "0f91bb46587359b594a0f662fbe0ce003d51a5a45f569596761f3cf54e26da09",
+        "b97fff56afc518c64210248fc94a1bccfc05e643fd7b4c30399ff33970e3541d",
     ),
     "box:6": (
         "79e6403f795ce9cc3cf57dff5d0aa34772e0ea378329a3cb622336e4c26fb05a",
         "c0435b21d363e15b217a5d3ed0dda0e5f2a6e89ba2ee8e1b249fced4954e32ed",
+        "1d265372cf93412f7d14e1a2dfbedbc4d5742a471ea3667ed48b70a01886cb97",
     ),
     "box:7": (
         "b586c36de3664baf10577ab4f8cabfd05445241e27f2e9825481955f6ecde48d",
         "a15bdc1aa8cb6a0b13b52e4d6a4856a08e5f4885a9e47ac00e923602350c7f81",
+        "c51e3f50a9cd28a1c1948cb73f679bfe34f6f1d11c6cb85ea023addfd0d09e88",
     ),
     "box:8": (
         "74f93b91d5d0ae4c315ae47c583a2f73c745c1d76e3aaa435496ca46448ee584",
         "6f2fafc3974531fc0ee82b962977c5ab914b75a999a6aa2a24f82b1acc4bf805",
+        "8edd7d8a1f9e4d33f9ea1cccfa12e2ba28de7852b35c9f427aa27aea94c91e3c",
     ),
     "box:9": (
         "b1fa452e2ae3e989f88578960f2dbf9f1755bf987e9f4e526e9803a1f2ab6976",
         "31236fae9e817c582a814b54aa4fe42e97e7990941c352cf72f0829d911edcb0",
+        "2569a5fc7bbf56632b241516523d3f6a2756da32a0e246a430136e69cf730487",
     ),
     "box:10": (
         "79e6403f795ce9cc3cf57dff5d0aa34772e0ea378329a3cb622336e4c26fb05a",
         "63b4dcfa66b4a4223dfd3af8ae3999f816383ddd0a443c67a58eb32ab0feaf28",
+        "d8f4011a3f4c483763b307db2ef28f3f13d44a34aaca6244df4787a486d4b671",
     ),
     "box:11": (
         "b1fa452e2ae3e989f88578960f2dbf9f1755bf987e9f4e526e9803a1f2ab6976",
         "2dc95f3a72b6d4b88209ab06ebe9709d8ef1fab3d4fdf64a1e6985b73d0e18f1",
+        "de185e690174570b293e64c2334228d74dad9d037368756f55235058400748d1",
     ),
     "box:n5:0": (
         "6bff39c700547cf3aef299e6d724aabab47868315dfe5c5ed842fa2e678c3aa9",
         "9116cc7a06e803d2dd78fb89b17a8c8298d7df85d9aec798b6adf79a65dbc477",
+        "6d4bf79ecf88a4c240fa43c0e2e8e5ed9becf52eabfe9758b9cb8ed299cdaa5c",
     ),
     "box:n5:1": (
         "04e4a667941ce176269a3a9177e4a71f9e3ba9de60e2230468a9ca640972544c",
         "4ff6b0c51837dbf1ffcf8627f1f022080362c2022e7f27cce618d3608017aed4",
+        "5018aeb813f91aa2df790f253fda58f645edf0f288c7396fbe76aee7be5722ae",
     ),
     "hex:0": (
         "5af0dc3b5ad7009359dd5081effe0169e91e6cb0a1820949d4486fd37649dc78",
         "3b224398f0635f704f039340353b9de87793a5d84f1969967fc04e45242e05e5",
+        "5e81cf5de0dd6ba3ffb208261373f2a1a93507549bacd005f4708b4b7d3d4bf9",
     ),
     "hex:1": (
         "6abd13fbca8ae778e57c0bc246d04c53677ea967bfa7e681e5c295c34cfa5252",
         "9d710ca581cf26e8c64f43445e4dfabb72f8a0ae064c8741f123ca79c89a8f47",
+        "8494de2f77ccffe0b4f840ad276637eb84b6a909aadbd737d0470b0e0727edd6",
     ),
     "hex:2": (
         "f1c7e38f7a62f1d694556686278f7d1ea2756485be4a3550f2635231cf4b5e2f",
         "55999c3a5168a6391db9edeecdd75065d4b549095b1456a190e9a677d0c05c84",
+        "dfb11326235a5cd4b10d777618cf48466ba1ca5880b1527f12731b078e2f9e25",
     ),
     "hex:3": (
         "d790a94c94a4dcdf0d473ac8ad0db17669727f6039f76ad81923191da4bd9c97",
         "93eb2c6bce3f48c288cf608afc030cd5ccdb1a5fee78903e289b87e33b90d4b1",
+        "9f71040fa991ebc42b5f7d85b32af9950ab288e93ae0ea7578007e3b3f704238",
     ),
     "hex:4": (
         "68927463e6f69b02fa4871be1b2ed49afd9a96b20a7de58a06043b36da062077",
         "993267163ce7c2938af374c02f127466a6d436d477ad795f29633d46cbad05b2",
+        "238655587f5585effefc132ed859569d8a3361f2b4d0785236809d1898f3b44a",
     ),
     "hex:5": (
         "0773d277ae652b2bf71c71cf0b3aef9722554b5f449d7da9287ec0fb3261eef6",
         "5f1032b707fa56173384d584b59bf0abaaaec406d82b7c093ac578d6eee7957a",
+        "19f1d49f35d06a116ea9392aed29da94063769db6574eeda8b35f908088ccee2",
     ),
     "hex:6": (
         "7a6940d42cc8f8d2be3432bcfdac1b61c7ad65c7c0159a3a8b03b5779d0deb23",
         "aca7e7b90353a0cf5962434d30daf0f77a6fd915f643bc28fd69aff3bd46b505",
+        "36f1bf161d619c15f84464ceb9b4172de707c1837654283f2c5601c34c924493",
     ),
     "hex:7": (
         "777f4183d127c544f19278a65ad0188568e592c83c734197de54a94cb7d9e1b2",
         "d3e7b7b39575b67cebd5197876b51f1531b364e7bd4ae69dd40c1f81f9a7652c",
+        "af46c21dd58527e2926444e0cbc8d2f1848ac750696553eeabdcfdd96759b1f5",
     ),
     "cycle:3": (
         "3cb01311258ecc5e144c58e85e06e008129874fe1c0316a3b340597c2da855b5",
         "Unsupported",
+        "b37441eeb73095af4863beb9d6149e158000954511a8c654e8a7f08ad0f56f0a",
     ),
     "cycle:4": (
         "7734a53aed73be1fb6e3ecf21c1bb5680171d2d9ee4f9419f036c06b7b8fb21e",
         "Unsupported",
+        "b4608794898414c5ae2c6fc3bd340aba3ad03e0d805a267e9c7f33ee61a2a6e9",
     ),
     "box4cycle": (
         "df56c62e2b36e79210301e029664b27c4cb5eb6e545810e6eada54c9bba7bb08",
         "NoFixedPoints",
+        "c7325bd9487238ac046eccf999f27de30f3c789e57f5c037e8cf1e3d11775ac7",
     ),
 }
 

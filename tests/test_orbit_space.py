@@ -12,6 +12,7 @@ from helpers import (
     hexagon_tree_template,
     oracle_covers,
     oracle_face_members,
+    oracle_face_subgraph,
     oracle_glued_facets,
     random_unimodular,
     stopwatch,
@@ -243,13 +244,37 @@ def test_five_cube_path_poset_size_and_time():
 def test_a_split_top_face_is_refused(monkeypatch):
     real = orbit_space._glue
 
-    def unlinked_top(t, d):
-        pieces, links = real(t, d)
-        return pieces, (links if d < t.dimension else [])
+    def unlinked_top(t, dims):
+        pieces, links = real(t, dims)
+        return pieces, [link for link in links if pieces[link[0]][1].dim < t.dimension]
 
     monkeypatch.setattr(orbit_space, "_glue", unlinked_top)
     with pytest.raises(InternalConsistency, match="the orbit space has 2 top faces, expected 1"):
         face_poset(load_corpus("s4"))
+
+
+def test_face_poset_glues_in_one_pass(monkeypatch):
+    real_glue, real_glued_facets = orbit_space._glue, orbit_space.glued_facets
+    calls = []  # (inside glued_facets, dimensions) per `_glue` call
+    inside = []
+
+    def counted_glue(t, dims):
+        calls.append((bool(inside), dims))
+        return real_glue(t, dims)
+
+    def counted_glued_facets(t):
+        inside.append(True)
+        try:
+            return real_glued_facets(t)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(orbit_space, "_glue", counted_glue)
+    monkeypatch.setattr(orbit_space, "glued_facets", counted_glued_facets)
+    t = box_path_template(random.Random(0), n=3)
+    face_poset(t)
+    assert len(calls) == 2
+    assert [(within, tuple(dims)) for within, dims in calls] == [(True, (2,)), (False, (0, 1, 2, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +282,21 @@ def test_a_split_top_face_is_refused(monkeypatch):
 
 
 def test_face_subgraph_matches_stored_subgraph():
-    t = load_corpus("chain3")
-    for face in face_poset(t):
-        g = face_subgraph(t, face)
-        assert g.vertices == face.subgraph.vertices
-        assert g.edges == face.subgraph.edges
+    rng = random.Random(43)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng) for _ in range(6)]
+    templates += [hexagon_tree_template(rng) for _ in range(6)]
+    templates += [hexagon_cycle_template(length) for length in range(3, 6)]
+    templates.append(box_even_cycle_template())
+    loops = 0
+    for t in templates:
+        for face in face_poset(t):
+            expected = oracle_face_subgraph(t, face)
+            for g in (face.subgraph, face_subgraph(t, face)):
+                assert (g.vertices, g.edges) == expected, (t, face)
+                assert g.incidence == {e: t.graph.ends(e) for e in g.edges}
+            loops += len(face.subgraph.loops())
+    assert loops == 1  # the top face of the corpus's `rp2`
 
 
 def test_face_subgraph_rejects_foreign_faces():
@@ -274,6 +309,16 @@ def test_face_subgraph_rejects_foreign_faces():
     )
     with pytest.raises(FaceMismatch):
         face_subgraph(s4, with_v3)
+    # a face of a one-polytope template on chain3's middle polytope: every
+    # piece is a face of that polytope, but the face stops at the folds
+    solo = OrigamiTemplate(
+        dimension=2,
+        graph=TemplateGraph(("v2",), (), {}),
+        psi_v={"v2": chain.polytope("v2")},
+        psi_e={},
+    )
+    with pytest.raises(FaceMismatch, match="edge e1"):
+        face_subgraph(chain, face_poset(solo).top)
 
 
 # ---------------------------------------------------------------------------
