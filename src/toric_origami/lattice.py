@@ -54,14 +54,15 @@ def lattice_determinant(rows):
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
 
     The empty 0x0 matrix has determinant 1.  Raises DimensionError unless
-    exactly n vectors of length n are supplied.
+    exactly n vectors of length n are supplied.  int entries are read as
+    they are; any other entry must be an integral Fraction() value.
     """
     n = len(rows)
     mat = []
     for r in rows:
         row = []
         for c in r:
-            q = Fraction(c)
+            q = c if isinstance(c, int) else Fraction(c)
             if q.denominator != 1:
                 raise DegenerateInput(f"integer determinant got non-integer entry {c}")
             row.append(q.numerator)

@@ -10,7 +10,13 @@ polytopes can be inspected and rejected with a reason.
 Polytope facts come from one vertex–facet incidence, the halfspaces tight
 at each vertex, recorded while the vertices are enumerated.  A face has
 dimension n − rank(normals of the facets containing it), since its affine
-hull is cut out by the inequalities tight on all of it.
+hull is cut out by the inequalities tight on all of it; at a vertex on
+exactly n facets those normals are a basis, so the rank is a count.  If
+every vertex is on exactly n facets, the polytope is bounded when each
+edge has two end vertices.  So on simple input no elimination runs after
+the scan: `recession_direction` and `rank` serve only inputs with no
+vertex or one on more than n facets.  Faces are closed and ordered over
+bitmasks of the sorted vertices.
 
 All vertex coordinates are exact (`fractions.Fraction`).  A face is
 identified by its vertex set, which determines it uniquely within its
@@ -21,6 +27,7 @@ code that mixes several polytopes must key faces by (polytope id, face).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -114,15 +121,34 @@ class Face:
 
 
 def _vertex_incidence(normals, offsets, n) -> dict:
-    """{vertex: indices of the halfspaces tight at it}, from every n-subset solve."""
-    incidence = {}
+    """{vertex: indices of the halfspaces tight at it}, sorted, from every n-subset solve.
+
+    Offsets are scaled to integers, and a solution is held as integers X
+    over a common denominator d, so the slacks d·b − <a, X> are ints.
+    """
+    scale = math.lcm(*(b.denominator for b in offsets))
+    rhs = [b.numerator * (scale // b.denominator) for b in offsets]
+    incidence = {}  # (X, d) -> tight indices
     for subset in combinations(range(len(normals)), n):
-        sol = solve_square([normals[i] for i in subset], [offsets[i] for i in subset])
-        if sol is not None and sol not in incidence:
-            slacks = [b - dot(a, sol) for a, b in zip(normals, offsets)]
-            if all(s >= 0 for s in slacks):
-                incidence[sol] = tuple(i for i, s in enumerate(slacks) if s == 0)
-    return incidence
+        sol = solve_square([normals[i] for i in subset], [rhs[i] for i in subset])
+        if sol is not None:
+            d = math.lcm(*(x.denominator for x in sol))
+            point = tuple(x.numerator * (d // x.denominator) for x in sol)
+            slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
+            if min(slacks, default=0) >= 0:
+                incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
+    vertices = ((tuple(Fraction(x, d * scale) for x in X), t) for (X, d), t in incidence.items())
+    return dict(sorted(vertices))
+
+
+def _bounded_by_edges(tight_sets, n) -> bool:
+    """True when there is a vertex, each lies on exactly n facets and each n − 1
+    of those are shared by exactly two vertices: then every edge has two ends,
+    and a pointed polyhedron with no unbounded edge is bounded."""
+    if not tight_sets or n == 0 or any(len(t) != n for t in tight_sets):
+        return False
+    edges = Counter(s for t in tight_sets for s in combinations(t, n - 1))
+    return all(c == 2 for c in edges.values())
 
 
 def _is_nonempty_without_vertex(normals, offsets, n) -> bool:
@@ -146,6 +172,10 @@ class DelzantPolytope:
     contains a halfspace whose facet has dimension below n − 1.  From the
     tight sets, `is_simple` counts n at every vertex and `is_smooth` asks
     |det| = 1 of the tight normals; `is_delzant` is their conjunction.
+    Boundedness and face dimensions are read off the tight sets as well;
+    `recession_direction` runs only when some vertex is not simple, some
+    edge has one end or there is no vertex, and `rank` only for a face
+    with two or more vertices, none of them simple.
     Instances are immutable and safe to share between templates.
     """
 
@@ -166,39 +196,48 @@ class DelzantPolytope:
         normals = [h.normal for h in hs]
         offsets = [h.offset for h in hs]
         self._tight = _vertex_incidence(normals, offsets, dimension)
-        self._vertices = tuple(sorted(self._tight))
+        self._vertices = tuple(self._tight)
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
-        ray = recession_direction(normals, dimension)
-        if ray is not None:
-            raise NotDelzant(f"polytope is unbounded in direction {ray}")
+        if not _bounded_by_edges(self._tight.values(), dimension):
+            ray = recession_direction(normals, dimension)
+            if ray is not None:
+                raise NotDelzant(f"polytope is unbounded in direction {ray}")
         self._facet_vertex_sets = tuple(
             frozenset(v for v, tight in self._tight.items() if i in tight) for i in range(len(hs))
         )
         if any(len(fs) == len(self._vertices) for fs in self._facet_vertex_sets):
             raise NotDelzant("polytope is not full-dimensional")
-        for i, facet in enumerate(self._facet_vertex_sets):
-            if not facet or self._active_and_dimension(facet)[1] != dimension - 1:
+        self._vertex_set = frozenset(self._vertices)
+        tights = list(self._tight.values())  # vertex k is bit k of a vertex mask
+        self._facet_masks = [
+            sum(1 << k for k, t in enumerate(tights) if i in t) for i in range(len(hs))
+        ]
+        self._simple_mask = sum(1 << k for k, t in enumerate(tights) if len(t) == dimension)
+        for i, mask in enumerate(self._facet_masks):
+            if not mask or self._active_and_dimension(mask)[1] != dimension - 1:
                 raise NotDelzant(f"halfspace {hs[i]!r} is redundant (does not support a facet)")
+        self._simple = self._simple_mask == (1 << len(self._vertices)) - 1
         self._face_map = None
         self._sorted_faces = None
         self._edges_at = None
-        self._simple = None
         self._smooth = None
 
     # -- construction checks ---------------------------------------------
 
-    def _active_and_dimension(self, vertex_set) -> tuple:
-        """The facets containing a face's vertex set, and the face's dimension.
+    def _active_and_dimension(self, mask) -> tuple:
+        """The facets containing a face's vertex mask, and the face's dimension.
 
         The face's affine hull is cut out by the inequalities tight on all
         of it (Schrijver, Theory of Linear and Integer Programming, §8.3),
-        so its dimension is n − rank of their normals.
+        so its dimension is n − rank of their normals.  When the face has
+        a vertex on exactly n facets, those n normals form a basis holding
+        the active ones, so the rank is their count.
         """
-        active = frozenset(
-            i for i, fs in enumerate(self._facet_vertex_sets) if vertex_set <= fs
-        )
-        if len(vertex_set) == 1:  # a vertex: its tight normals have rank n
+        active = frozenset(i for i, fm in enumerate(self._facet_masks) if mask & fm == mask)
+        if mask & self._simple_mask:
+            return active, self._dim - len(active)
+        if mask & (mask - 1) == 0:  # a vertex: its tight normals have rank n
             return active, 0
         normals = [self._halfspaces[i].normal for i in active]
         return active, self._dim - rank(normals, self._dim)
@@ -234,8 +273,6 @@ class DelzantPolytope:
 
     def is_simple(self) -> bool:
         """True when every vertex lies on exactly `dimension` facets."""
-        if self._simple is None:
-            self._simple = all(len(t) == self._dim for t in self._tight.values())
         return self._simple
 
     def vertex_edge_directions(self, vertex) -> tuple:
@@ -283,39 +320,42 @@ class DelzantPolytope:
     # -- face structure -----------------------------------------------------
 
     def faces(self) -> tuple:
-        """All nonempty faces, the polytope itself included, sorted by (dim, vertices)."""
-        if self._sorted_faces is None:
-            self._sorted_faces = tuple(
-                sorted(self._faces().values(), key=lambda f: (f.dim, f.vertices))
-            )
-        return self._sorted_faces
+        """All nonempty faces, the polytope itself included, sorted by (dim, vertices).
 
-    def _faces(self) -> dict:
-        if self._face_map is not None:
-            return self._face_map
-        full = frozenset(self._vertices)
+        The facet intersections are closed over vertex masks, and faces sort
+        by (dim, vertex numbers), which is (dim, vertices) order.
+        """
+        if self._sorted_faces is not None:
+            return self._sorted_faces
+        full = (1 << len(self._vertices)) - 1
         seen = {full}
         queue = [full]
         while queue:
             current = queue.pop()
-            for facet_set in self._facet_vertex_sets:
-                meet = current & facet_set
+            for facet_mask in self._facet_masks:
+                meet = current & facet_mask
                 if meet and meet not in seen:
                     seen.add(meet)
                     queue.append(meet)
-        faces = {}
-        for vset in seen:
-            active, dim = self._active_and_dimension(vset)
-            faces[vset] = Face(
-                active=active, vertices=tuple(sorted(vset)), dim=dim, owner=self, vertex_set=vset
-            )
-        self._face_map = faces
-        return faces
+        keyed = []
+        for mask in seen:
+            active, dim = self._active_and_dimension(mask)
+            numbers = tuple(k for k in range(len(self._vertices)) if mask >> k & 1)
+            vertices = tuple(self._vertices[k] for k in numbers)
+            # set intersections reuse the points' stored hashes
+            vset = self._vertex_set.intersection(*(self._facet_vertex_sets[i] for i in active))
+            face = Face(active, vertices, dim, owner=self, vertex_set=vset)
+            keyed.append(((dim, numbers), face))
+        keyed.sort(key=lambda kf: kf[0])
+        self._sorted_faces = tuple(f for _, f in keyed)
+        self._face_map = {f.vertex_set: f for f in self._sorted_faces}
+        return self._sorted_faces
 
     def face_with_vertices(self, vertex_set) -> Face:
         """The face whose vertex set is exactly `vertex_set`; FaceMismatch if absent."""
+        self.faces()  # builds the face map once
         try:
-            return self._faces()[frozenset(vertex_set)]
+            return self._face_map[frozenset(vertex_set)]
         except KeyError:
             raise FaceMismatch(
                 f"no face of this polytope has vertex set {sorted(vertex_set)}"
@@ -397,13 +437,12 @@ def facet_as_polytope(p: DelzantPolytope, i: int) -> tuple:
         raise DimensionError("a 0-dimensional polytope has no facets")
     normal = p.halfspaces[i].normal
     basis = integer_kernel_basis(normal)
-    facet_set = p.facet_vertex_sets[i]
-    base = min(facet_set)
+    base = min(p.facet_vertex_sets[i])
     cuts = []
     for j, h in enumerate(p.halfspaces):
         if j == i:
             continue
-        shared = p.facet_vertex_sets[j] & facet_set
+        shared = p._facet_masks[j] & p._facet_masks[i]
         # keep only the facets meeting facet i in one of facet i's own facets
         if not shared or p._active_and_dimension(shared)[1] != n - 2:
             continue

@@ -4,17 +4,19 @@ Oracle code here deliberately avoids the package's own linear algebra:
 rank, nullity, kernel bases and square solves use a local echelon
 reduction, determinants use permutation expansion, hulls use a monotone
 chain, polytope edges are read off the rank of the normals tight at both
-ends, smoothness solves integer systems directly, glued facets come from
-a local union-find over facet cuts of the folds, and orbit-space faces
-come from a plain fixed point over every (face, glued facet) pair with
-another local union-find; facet vertex sets are read off direct dot
-products.  Agreement between these and the package is the point of the
-dual-route tests.
+ends, face lattices come from every subset of the facets, smoothness
+solves integer systems directly, glued facets come from a local
+union-find over facet cuts of the folds, and orbit-space faces come from
+a plain fixed point over every (face, glued facet) pair with another
+local union-find; facet vertex sets are read off direct dot products.
+Agreement between these and the package is the point of the dual-route
+tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -159,6 +161,31 @@ def oracle_edges_at(polytope, v):
         if oracle_rank(normals, n) == n - 1:
             out.append(tuple(sorted((v, w))))
     return sorted(out)
+
+
+def oracle_faces(polytope):
+    """Every nonempty face as (dim, active, vertices), sorted by (dim, vertices).
+
+    By definition over all facet subsets S: the face of S is the nonempty
+    vertex set {v : S ⊆ tight(v)}, its `active` set the largest S giving
+    that set (the facets tight at all of its vertices), and its dimension
+    n − rank of the active normals.  Reads only `halfspaces` and `vertices`.
+    """
+    n = polytope.dimension
+    halves = polytope.halfspaces
+    tight = {v: frozenset(_oracle_tight(polytope, v)) for v in polytope.vertices}
+    found = set()
+    for size in range(len(halves) + 1):
+        for subset in itertools.combinations(range(len(halves)), size):
+            vs = tuple(v for v in polytope.vertices if tight[v].issuperset(subset))
+            if vs:
+                found.add(vs)
+    out = []
+    for vs in found:
+        active = frozenset.intersection(*(tight[v] for v in vs))
+        normals = [halves[i].normal for i in sorted(active)]
+        out.append((n - oracle_rank(normals, n), active, tuple(sorted(vs))))
+    return sorted(out, key=lambda f: (f[0], f[2]))
 
 
 def oracle_edge_directions(polytope, v):
@@ -508,6 +535,47 @@ def box_polytope(bounds):
         halves.append(HalfSpace(normal=minus, offset=-lo))
         halves.append(HalfSpace(normal=plus, offset=hi))
     return DelzantPolytope(n, halves)
+
+
+SQUARE_PYRAMID_HALFSPACES = (
+    HalfSpace(normal=(0, 0, -1), offset=0),
+    HalfSpace(normal=(-1, 0, 1), offset=0),
+    HalfSpace(normal=(1, 0, 1), offset=1),
+    HalfSpace(normal=(0, -1, 1), offset=0),
+    HalfSpace(normal=(0, 1, 1), offset=1),
+)
+
+
+def twisted_box_halfspaces(rng, n):
+    """The halfspaces of a random box in dimension n under a random GL_n(Z) map and shift."""
+    bounds = []
+    for _ in range(n):
+        lo = rng.randint(-3, 2)
+        bounds.append((lo, lo + rng.randint(1, 3)))
+    box = box_polytope(bounds)
+    if n:
+        shift = tuple(rng.randint(-2, 2) for _ in range(n))
+        box = apply_unimodular(box, random_unimodular(rng, n), shift)
+    return box.halfspaces
+
+
+def dropped_halfspace_inputs(seeds):
+    """(label, dimension, halfspaces) with one halfspace dropped in turn.
+
+    From a twisted box for each n = 0..4 and seed (n = 0 has nothing to
+    drop) and from the square pyramid, whose apex lies on four facets.
+    """
+    bases = [
+        (f"box:n{n}:s{seed}", n, twisted_box_halfspaces(random.Random(100 * n + seed), n))
+        for n in range(5)
+        for seed in seeds
+    ]
+    bases.append(("pyramid", 3, SQUARE_PYRAMID_HALFSPACES))
+    return [
+        (f"{label}:drop{i}", n, halves[:i] + halves[i + 1 :])
+        for label, n, halves in bases
+        for i in range(len(halves))
+    ]
 
 
 def box_path_template(rng, n=None, length=None, twist=True):

@@ -1,11 +1,14 @@
 """Frozen outputs: the face-poset DOT, the moment-graph DOT and the face
-facts the DOT leaves out, byte for byte.
+facts the DOT leaves out, byte for byte, and each polytope's faces and
+facet vertex sets.
 
 Each case's first two SHA-256 digests were recorded from the code before
 the orbit space and the moment graph were glued by one rule, the third
 from the code before the face poset was glued in one pass; a refusal is
-recorded by its exception class name.  A change that keeps behaviour
-keeps every digest.
+recorded by its exception class name.  The polytope digests and the
+digest of the refusal texts were recorded from the code before polytope
+facts were read off the vertex-facet incidence.  A change that keeps
+behaviour keeps every digest.
 """
 
 import hashlib
@@ -16,10 +19,12 @@ import pytest
 from helpers import (
     box_even_cycle_template,
     box_path_template,
+    dropped_halfspace_inputs,
     hexagon_cycle_template,
     hexagon_tree_template,
+    twisted_box_halfspaces,
 )
-from toric_origami import load_corpus
+from toric_origami import DelzantPolytope, load_corpus
 from toric_origami.exceptions import OrigamiError
 from toric_origami.fileformat import corpus_names, face_poset_dot
 from toric_origami.gkm import export_dot, moment_graph
@@ -252,3 +257,92 @@ CASES = _cases()
 @pytest.mark.parametrize("name, build", CASES, ids=[name for name, _ in CASES])
 def test_outputs_are_frozen(name, build):
     assert outputs(build()) == FROZEN[name]
+
+
+def _polytope_facts(polytopes):
+    """Per polytope: its faces as (dim, sorted active, vertices) in `faces()`
+    order, then each facet's sorted vertex set in halfspace order."""
+    lines = []
+    for p in polytopes:
+        lines += [repr((f.dim, sorted(f.active), f.vertices)) for f in p.faces()]
+        lines.append(repr([sorted(fs) for fs in p.facet_vertex_sets]))
+    return "\n".join(lines)
+
+
+def _refusal_texts():
+    """Each dropped-halfspace input's refusal, one "label: class: text" line each."""
+    lines = []
+    for label, n, halves in dropped_halfspace_inputs(range(6)):
+        try:
+            DelzantPolytope(n, halves)
+            lines.append(f"{label}: built")
+        except OrigamiError as exc:
+            lines.append(f"{label}: {type(exc).__name__}: {exc}")
+    return "\n".join(lines)
+
+
+POLYTOPE_CASES = [
+    (name, lambda build=build: build().distinct_polytopes()) for name, build in CASES
+] + [
+    (
+        f"twisted-boxes:n{n}",
+        lambda n=n: [
+            DelzantPolytope(n, twisted_box_halfspaces(random.Random(100 * n + seed), n))
+            for seed in range(6)
+        ],
+    )
+    for n in range(5)
+]
+
+POLYTOPE_FROZEN = {
+    "corpus:chain3": "bf467c1c2b9e08045e12622abf5f1d73f66842a28098ce801e1dd7461dbf60aa",
+    "corpus:cp2": "47c4570aabdee80f47f9316b9f0086a30b39a4de6614ca6e547fdcde70ef497f",
+    "corpus:hirzebruch": "e23cee8f4b3436bdfad33a3c3387d9752197134275763974ca2a1ee5eeba69d7",
+    "corpus:oddcycle3": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "corpus:rp2": "b2930ce442f4e811ace3fc45b75adba74156a91e079ca944fcb6ea28dccd9e45",
+    "corpus:s2": "b2930ce442f4e811ace3fc45b75adba74156a91e079ca944fcb6ea28dccd9e45",
+    "corpus:s4": "47c4570aabdee80f47f9316b9f0086a30b39a4de6614ca6e547fdcde70ef497f",
+    "corpus:s6": "d26789665c160c4e1cd9a452e84a3c34255a1da33e5eeb4b02d53b2e628551a3",
+    "corpus:torus": "b2930ce442f4e811ace3fc45b75adba74156a91e079ca944fcb6ea28dccd9e45",
+    "box:0": "21b4b10d816945067c645836119f97acbb20fd949b3a7b2fe4eb56f50fb564ff",
+    "box:1": "1d002b3d368e9b8b1c43dfd6682d5045fc11d7719559eb710c8e6e58605715d0",
+    "box:2": "52990218645ee2bb76b0cf5b3db3d89dc7c3d129dd2b68f7cade20cc052f8a54",
+    "box:3": "a1ad9b31c705722e36f6babe8b1e717722b4116918a857a9e2e92d7a39eb5226",
+    "box:4": "fd07dd4e39b59c5a088a1547f49fe08d978458a1695cca6b14e467f5dbbc9ac6",
+    "box:5": "680154ff369ce5cf261aa7d6c973edeb194d7bd6712981c2f88b17d165ed7277",
+    "box:6": "59074299a201a011e2f7fa92d1718007d8918179c0d39b0b92e906e1c73e8d27",
+    "box:7": "2bf123fadb6ed243fcf16f7e301047e59f1fe488cbb7b6bf2e4c392f63be5498",
+    "box:8": "1d35b8eefe9cc1124c1cc6b6ed7f418df112fe929fc9ccf03584ea9adc7a9a26",
+    "box:9": "e121fe1da4af468ed1366f237097182a82ef396b1d93fc2e850d1133a97fb238",
+    "box:10": "78db6b86e2815e45e6067eede9e6081a6e0644121cf78c247a3a24eb54d28846",
+    "box:11": "224da144e96f67bfa4d963a8df13288ac25a463290625a1d91db4b6422d71d26",
+    "box:n5:0": "50ee0603bdb7464ca54ca99d7279bc8ac0cc7e19e65392bd90a9bcea2afd6785",
+    "box:n5:1": "caced003eca234bc55a71106070ce6578c1c32037d572b7d406c6865e22f2ff6",
+    "hex:0": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:1": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:2": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:3": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:4": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:5": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:6": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "hex:7": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "cycle:3": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "cycle:4": "2ff47346bd6331ed74369c506b381522e9de427367b2587d55bc71127bb31c21",
+    "box4cycle": "0167712d0c039666d41f27434c2d1116195b9dfaf171682213afa13617235282",
+    "twisted-boxes:n0": "0a99835f086acf3e47af8e776e5a53c60177d5449f101d48a792434bc6830c9d",
+    "twisted-boxes:n1": "b17a1621d576e08c115acab1275cafc8f289cc1efcea2322e07928a03e90454b",
+    "twisted-boxes:n2": "885f8043f0e27040c7d19194cc0cb1968042e4683a32898a1c1d48331cdc4219",
+    "twisted-boxes:n3": "05e760f78e2039054837a48c6b4759e43e500d0a2a076ce20e863c745e85f086",
+    "twisted-boxes:n4": "41055b02304d0f6687370f6526619603a0d7b687304a9d1224a890a95dc6eb9c",
+}
+
+REFUSALS_FROZEN = "9c561c8adf7cd419926f233c046e9386b34e050993cdd631d00af7497500d306"
+
+
+@pytest.mark.parametrize("name, build", POLYTOPE_CASES, ids=[name for name, _ in POLYTOPE_CASES])
+def test_polytope_faces_are_frozen(name, build):
+    assert _digest(lambda: _polytope_facts(build())) == POLYTOPE_FROZEN[name]
+
+
+def test_refusal_texts_are_frozen():
+    assert _digest(_refusal_texts) == REFUSALS_FROZEN

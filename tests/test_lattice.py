@@ -69,6 +69,14 @@ def test_determinant_rejects_fractional_entries():
         lattice_determinant([[Fraction(1, 2)]])
 
 
+def test_determinant_reads_int_and_integral_fraction_entries():
+    assert lattice_determinant([[2, 1], [7, 4]]) == 1
+    assert lattice_determinant([[Fraction(2), 1], [Fraction(14, 2), Fraction(4)]]) == 1
+    assert lattice_determinant([[0, 3], [-5, Fraction(-1)]]) == 15
+    with pytest.raises(DegenerateInput, match="non-integer entry 1/2"):
+        lattice_determinant([[1, 0], [Fraction(1, 2), 1]])
+
+
 def test_rank_and_kernel_match_plain_gauss():
     rng = random.Random(99)
     for _ in range(60):

@@ -1,22 +1,27 @@
 """Delzant polytopes: construction gates, faces, smoothness, fold agreement."""
 
+import ast
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    SQUARE_PYRAMID_HALFSPACES,
     apply_unimodular,
     box_path_template,
     box_polytope,
+    dropped_halfspace_inputs,
     hexagon_polytope,
     hexagon_tree_template,
     oracle_edge_directions,
     oracle_edges_at,
+    oracle_faces,
     random_lattice_polygon,
     random_unimodular,
 )
 from toric_origami import load_corpus
+from toric_origami import polytope as polytope_module
 from toric_origami.exceptions import (
     DegenerateInput,
     DimensionError,
@@ -327,3 +332,142 @@ def test_polytope_equality_ignores_halfspace_order():
     assert a == b
     assert hash(a) == hash(b)
     assert a != triangle()
+
+
+def _face_lattice_samples():
+    """Corpus polytopes, seeded boxes for n = 2..5 (twisted too), the hexagon,
+    random lattice polygons, the square pyramid and simple-but-not-smooth shapes."""
+    samples = [hexagon_polytope(), triangle(), DelzantPolytope(0, [])]
+    for name in corpus_names():
+        samples.extend(load_corpus(name).distinct_polytopes())
+    for seed in range(8):
+        rng = random.Random(70 + seed)
+        n = 2 + seed % 4
+        boxes = box_path_template(rng, n=n, length=2).distinct_polytopes()
+        samples.extend(boxes)
+        shift = tuple(rng.randint(-2, 2) for _ in range(n))
+        samples.append(apply_unimodular(boxes[0], random_unimodular(rng, n), shift))
+        samples.append(random_lattice_polygon(rng)[1])
+    samples.append(apply_unimodular(hexagon_polytope(), [[1, 1], [0, 1]], (2, -1)))
+    samples.append(DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES))
+    samples.append(
+        DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0), HalfSpace((1, 2), 2)])
+    )
+    samples.append(
+        DelzantPolytope(
+            3,
+            [
+                HalfSpace((-1, 0, 0), 0),
+                HalfSpace((0, -1, 0), 0),
+                HalfSpace((0, 0, -1), 0),
+                HalfSpace((1, 1, 2), 2),
+            ],
+        )
+    )
+    return samples
+
+
+def test_faces_match_the_face_lattice_oracle():
+    for poly in _face_lattice_samples():
+        expected = oracle_faces(poly)
+        faces = poly.faces()
+        assert [(f.dim, f.active, f.vertices) for f in faces] == expected
+        for f in faces:
+            assert f.vertex_set == frozenset(f.vertices) and f.owner is poly
+            assert poly.face_with_vertices(reversed(f.vertices)) is f
+
+
+# recorded from the code before boundedness was read off the vertex-facet incidence
+REFUSALS = {
+    "box:n1:s0:drop0": "polytope is unbounded in direction (1,)",
+    "box:n1:s0:drop1": "polytope is unbounded in direction (-1,)",
+    "box:n1:s1:drop0": "polytope is unbounded in direction (-1,)",
+    "box:n1:s1:drop1": "polytope is unbounded in direction (1,)",
+    "box:n2:s0:drop0": "polytope is unbounded in direction (0, 1)",
+    "box:n2:s0:drop1": "polytope is unbounded in direction (0, -1)",
+    "box:n2:s0:drop2": "polytope is unbounded in direction (-1, 0)",
+    "box:n2:s0:drop3": "polytope is unbounded in direction (1, 0)",
+    "box:n2:s1:drop0": "polytope is unbounded in direction (-1, -1)",
+    "box:n2:s1:drop1": "polytope is unbounded in direction (1, 1)",
+    "box:n2:s1:drop2": "polytope is unbounded in direction (-1, 0)",
+    "box:n2:s1:drop3": "polytope is unbounded in direction (1, 0)",
+    "box:n3:s0:drop0": "polytope is unbounded in direction (-1, 0, 0)",
+    "box:n3:s0:drop1": "polytope is unbounded in direction (1, 0, 0)",
+    "box:n3:s0:drop2": "polytope is unbounded in direction (-4, -1, 2)",
+    "box:n3:s0:drop3": "polytope is unbounded in direction (4, 1, -2)",
+    "box:n3:s0:drop4": "polytope is unbounded in direction (2, 0, -1)",
+    "box:n3:s0:drop5": "polytope is unbounded in direction (-2, 0, 1)",
+    "box:n3:s1:drop0": "polytope is unbounded in direction (-1, 0, -2)",
+    "box:n3:s1:drop1": "polytope is unbounded in direction (1, 0, 2)",
+    "box:n3:s1:drop2": "polytope is unbounded in direction (0, 0, -1)",
+    "box:n3:s1:drop3": "polytope is unbounded in direction (0, 0, 1)",
+    "box:n3:s1:drop4": "polytope is unbounded in direction (0, -1, 0)",
+    "box:n3:s1:drop5": "polytope is unbounded in direction (0, 1, 0)",
+    "box:n4:s0:drop0": "polytope is unbounded in direction (-1, 1, 0, -2)",
+    "box:n4:s0:drop1": "polytope is unbounded in direction (1, -1, 0, 2)",
+    "box:n4:s0:drop2": "polytope is unbounded in direction (-3, 2, 0, -6)",
+    "box:n4:s0:drop3": "polytope is unbounded in direction (3, -2, 0, 6)",
+    "box:n4:s0:drop4": "polytope is unbounded in direction (0, 0, -1, 0)",
+    "box:n4:s0:drop5": "polytope is unbounded in direction (0, 0, 1, 0)",
+    "box:n4:s0:drop6": "polytope is unbounded in direction (0, 0, 0, -1)",
+    "box:n4:s0:drop7": "polytope is unbounded in direction (0, 0, 0, 1)",
+    "box:n4:s1:drop0": "polytope is unbounded in direction (0, 0, -1, 0)",
+    "box:n4:s1:drop1": "polytope is unbounded in direction (0, 0, 1, 0)",
+    "box:n4:s1:drop2": "polytope is unbounded in direction (0, -1, 0, 0)",
+    "box:n4:s1:drop3": "polytope is unbounded in direction (0, 1, 0, 0)",
+    "box:n4:s1:drop4": "polytope is unbounded in direction (1, 0, 0, 0)",
+    "box:n4:s1:drop5": "polytope is unbounded in direction (-1, 0, 0, 0)",
+    "box:n4:s1:drop6": "polytope is unbounded in direction (0, 0, 0, -1)",
+    "box:n4:s1:drop7": "polytope is unbounded in direction (0, 0, 0, 1)",
+    "pyramid:drop0": "polytope is unbounded in direction (-1, -1, -1)",
+    "pyramid:drop1": "polytope is unbounded in direction (-1, 0, 0)",
+    "pyramid:drop2": "polytope is unbounded in direction (1, 0, 0)",
+    "pyramid:drop3": "polytope is unbounded in direction (0, -1, 0)",
+    "pyramid:drop4": "polytope is unbounded in direction (0, 1, 0)",
+}
+
+
+def test_dropped_halfspaces_are_refused_with_a_named_ray():
+    inputs = dropped_halfspace_inputs(range(2))
+    assert sorted(label for label, _, _ in inputs) == sorted(REFUSALS)
+    for label, n, halves in inputs:
+        with pytest.raises(NotDelzant) as info:
+            DelzantPolytope(n, halves)
+        text = str(info.value)
+        assert text == REFUSALS[label], label
+        ray = ast.literal_eval(text.removeprefix("polytope is unbounded in direction "))
+        assert any(ray), label
+        for h in halves:
+            assert sum(a * d for a, d in zip(h.normal, ray)) <= 0, (label, h)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(polytope_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polytope_module, name, counted)
+    return calls
+
+
+def test_simple_polytopes_make_no_recession_or_rank_call(monkeypatch):
+    """Boundedness and face dimensions of a simple polytope come from its
+    vertex-facet incidence; a degenerate vertex still takes the kernel route."""
+    rays = _counting(monkeypatch, "recession_direction")
+    ranks = _counting(monkeypatch, "rank")
+    polys = [box_polytope(((0, 1), (0, 2), (-1, 1), (0, 3))), hexagon_polytope()]
+    for seed in range(4):
+        for n in (2, 3, 4):  # the box shapes of the ingest benchmark, twisted or not
+            polys.extend(box_path_template(random.Random(seed), n=n, length=3).distinct_polytopes())
+    for poly in polys:
+        poly.faces()
+        facet_as_polytope(poly, 0)[0].faces()
+    assert (rays, ranks) == ([], [])
+    DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES).faces()  # the apex lies on four facets
+    assert len(rays) == 1 and ranks == []
+    octahedron = [HalfSpace((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    DelzantPolytope(3, octahedron).faces()  # every vertex lies on four facets
+    assert len(rays) == 2 and ranks
