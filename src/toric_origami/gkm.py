@@ -9,6 +9,11 @@ a chain of collinear 1-faces between two fixed points that retraces its
 line at each fold it crosses; chains that cross a fold are the folded
 edges.  There is no chain tracing.
 
+Fold-freeness is read off each polytope's facet bitmasks, and piece ends,
+links, the chain walk and the edge order are keyed by vertex number within
+each polytope (numbers sort as the sorted vertices do).  Coordinates serve
+only the weights, each distinct 1-face's computed once, and the output.
+
 Edges are defined for valid, coorientable, acyclic templates with at
 least one fixed point; everything else is refused with a typed error.
 """
@@ -92,7 +97,9 @@ def fixed_points(t: OrigamiTemplate) -> tuple:
     """All (template vertex, polytope vertex) pairs avoiding every incident fold.
 
     Deterministic order: template vertices in graph order, polytope
-    vertices lexicographically.  Defined for valid coorientable templates.
+    vertices lexicographically.  A key is "vid:k", k the vertex's number
+    (its index in the polytope's sorted `vertices`).  Defined for valid
+    coorientable templates.
     """
     t.require_valid()
     if not t.is_coorientable():
@@ -100,10 +107,14 @@ def fixed_points(t: OrigamiTemplate) -> tuple:
     out = []
     for vid in t.graph.vertices:
         p = t.polytope(vid)
-        fold_sets = [p.facet_vertex_sets[f] for f in t.fold_facet_indices(vid)]
-        for idx, w in enumerate(p.vertices):
-            if not any(w in s for s in fold_sets):
-                out.append(FixedPoint(vertex_id=vid, point=w, key=f"{vid}:{idx}"))
+        on_fold = 0  # the vertices on a fold facet, as a mask over vertex numbers
+        for f in t.fold_facet_indices(vid):
+            on_fold |= p._facet_masks[f]
+        out += (
+            FixedPoint(vertex_id=vid, point=w, key=f"{vid}:{k}")
+            for k, w in enumerate(p.vertices)
+            if not on_fold >> k & 1
+        )
     return tuple(out)
 
 
@@ -121,7 +132,9 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
 
     Each edge is a glued class of 1-pieces, a path of collinear 1-faces
     walked from its end at the earlier fixed point in `fixed_points`
-    order to its end at the other.
+    order to its end at the other.  Piece ends are keyed by vertex number
+    within their polytope, and each distinct 1-face's weight is computed
+    once.
 
     Raises NoFixedPoints when there is nothing to anchor the graph
     (checked first, so a free torus action is reported as such), and
@@ -133,23 +146,30 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
         raise NoFixedPoints("template has no fixed points")
     if not t.is_acyclic():
         raise Unsupported("moment graph extraction needs an acyclic template")
-    by_location = {(fp.vertex_id, fp.point): k for k, fp in enumerate(fps)}
+    by_key = {fp.key: k for k, fp in enumerate(fps)}
     pieces, links = _glue(t, (1,))
-    across = {}  # (piece index, fold vertex) -> the piece linked to it there
-    for i, j, _, (w,) in links:
-        for end, other in ((i, j), (j, i)):
-            if across.setdefault((end, w), other) != other:
+    across = {}  # (piece, vertex number) -> (linked piece, its number for the same point)
+    for i, j, eid, _ in links:
+        # a 1-piece outside the fold meets it in one end, the one on the fold facet
+        ki, kj = (
+            next(k for k in f.numbers if f.owner._facet_masks[facet] >> k & 1)
+            for (_, f), facet in zip((pieces[i], pieces[j]), t.edge_facets(eid))
+        )
+        for end, k, other in ((i, ki, (j, kj)), (j, kj, (i, ki))):
+            if across.setdefault((end, k), other) != other:
+                w = pieces[end][1].owner.vertices[k]
                 raise InternalConsistency(
                     f"chain piece {_name([pieces[end]])} has two links at {format_point(w)}"
                 )
+    weights = {}  # 1-face -> its sign-normalized primitive direction
     edges = []
     for cls in _classes(len(pieces), links):
-        # (fixed point index, or -1 for none; piece index; vertex) per unlinked piece end
+        # (fixed point index, or -1 for none; piece index; vertex number) per unlinked piece end
         ends = sorted(
-            (by_location.get((pieces[i][0], w), -1), i, w)
+            (by_key.get(f"{pieces[i][0]}:{k}", -1), i, k)
             for i in cls
-            for w in pieces[i][1].vertices
-            if (i, w) not in across
+            for k in pieces[i][1].numbers
+            if (i, k) not in across
         )
         if len(ends) != 2 or ends[0][0] < 0 or ends[0][0] == ends[1][0]:
             raise InternalConsistency(
@@ -160,19 +180,22 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
         # piece end is a path, so the walk passes each piece once
         chain = [pieces[i]]
         while True:
-            a, b = pieces[i][1].vertices
+            a, b = pieces[i][1].numbers
             at = b if a == at else a
             if (i, at) not in across:
                 break
-            i = across[(i, at)]
+            i, at = across[(i, at)]
             chain.append(pieces[i])
-        weights = {lex_positive(_direction(*f.vertices)) for _, f in chain}
-        if len(weights) != 1:
+        for _, f in chain:
+            if f not in weights:
+                weights[f] = lex_positive(_direction(*f.vertices))
+        directions = {weights[f] for _, f in chain}
+        if len(directions) != 1:
             raise InternalConsistency(f"chain {_name(chain)} changes direction")
         edges.append(
             GkmEdge(
                 endpoints=(fps[first], fps[last]),
-                weight=weights.pop(),
+                weight=directions.pop(),
                 chain=tuple(chain),
                 folded=len(chain) > 1,
             )
@@ -184,7 +207,8 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
                 e.endpoints[0].key,
                 e.endpoints[1].key,
                 e.weight,
-                tuple((vid, f.vertices) for vid, f in e.chain),
+                # within one polytope, vertex numbers sort as the vertices do
+                tuple((vid, f.numbers) for vid, f in e.chain),
             ),
         )
     )

@@ -8,7 +8,12 @@ simplicity and smoothness stay queryable predicates so that candidate
 polytopes can be inspected and rejected with a reason.
 
 Polytope facts come from one vertex–facet incidence, the halfspaces tight
-at each vertex, recorded while the vertices are enumerated.  A face has
+at each vertex, recorded while the vertices are enumerated.  Enumeration
+is a depth-first walk over facet subsets that drops a subset as soon as
+its normals are linearly dependent (an exact fraction-free echelon over
+the integers), so only nonsingular n × n systems are solved; past
+VERTEX_WALK_LIMIT independent subsets the input is refused with
+Unsupported instead of left to run.  A face has
 dimension n − rank(normals of the facets containing it), since its affine
 hull is cut out by the inequalities tight on all of it; at a vertex on
 exactly n facets those normals are a basis, so the rank is a count.  If
@@ -38,6 +43,7 @@ from .exceptions import (
     FaceMismatch,
     NotDelzant,
     NotSimple,
+    Unsupported,
 )
 from .lattice import (
     dot,
@@ -102,8 +108,9 @@ class Face:
     `active` is maximal (every facet index whose facet contains the face)
     and `vertices` is sorted, so within one polytope equal Face values
     describe equal subsets of the ambient space.  `vertex_set` holds the
-    same vertices as a frozenset.  `owner` and `vertex_set` are excluded
-    from comparison; see the module docstring.
+    same vertices as a frozenset, and `numbers` their indices into
+    `owner.vertices`, in the same order.  `owner`, `vertex_set` and
+    `numbers` are excluded from comparison; see the module docstring.
     """
 
     active: frozenset
@@ -111,6 +118,7 @@ class Face:
     dim: int
     owner: "DelzantPolytope" = field(compare=False, repr=False)
     vertex_set: frozenset = field(compare=False, repr=False)
+    numbers: tuple = field(compare=False, repr=False)
 
     def __hash__(self):
         # equal faces have equal vertex sets, and a frozenset caches its hash
@@ -120,23 +128,73 @@ class Face:
         return f"Face(dim={self.dim}, active={sorted(self.active)}, vertices={list(self.vertices)})"
 
 
-def _vertex_incidence(normals, offsets, n) -> dict:
-    """{vertex: indices of the halfspaces tight at it}, sorted, from every n-subset solve.
+# The most independent facet-subset prefixes one vertex walk may visit.  An
+# 11-cube visits 31 412 and builds.  A 12-cube would visit 76 685, and 40
+# halfspaces in general position in dimension 8 at least C(40, 8) ≈ 7.7·10^7,
+# so both are refused, in about a second, instead of left to run.
+VERTEX_WALK_LIMIT = 50_000
 
-    Offsets are scaled to integers, and a solution is held as integers X
-    over a common denominator d, so the slacks d·b − <a, X> are ints.
+
+def _independent_subsets(normals, n) -> list:
+    """Every n-subset of row indices whose normals are linearly independent, in
+    lexicographic order.
+
+    A depth-first walk over increasing prefixes keeps a fraction-free
+    echelon of the prefix's normals and drops a prefix as soon as a new
+    normal reduces to zero against it, since every subset holding a
+    dependent prefix is singular.  The test is exact over the integers.
+    Raises Unsupported once the walk has visited more than
+    VERTEX_WALK_LIMIT independent prefixes, before any system is solved.
+    """
+    m = len(normals)
+    found = []
+    visited = 0
+    stack = [((), ())]  # (prefix, echelon rows as (pivot column, row)), to extend
+    while stack:
+        subset, echelon = stack.pop()
+        if len(subset) == n:
+            found.append(subset)
+            continue
+        # pushed last to first, so the stack extends the first index first
+        for i in reversed(range(subset[-1] + 1 if subset else 0, m - n + len(subset) + 1)):
+            row = normals[i]
+            for c, e in echelon:  # each echelon row is zero on the pivots before its own
+                x = row[c]
+                if x:
+                    row = [e[c] * a - x * b for a, b in zip(row, e)]
+            g = math.gcd(*row)
+            if not g:  # normals[i] lies in the span of the prefix
+                continue
+            visited += 1
+            if visited > VERTEX_WALK_LIMIT:
+                raise Unsupported(
+                    f"vertex enumeration in dimension {n} over {m} halfspaces visits more "
+                    f"than {VERTEX_WALK_LIMIT} independent facet subsets"
+                )
+            row = [a // g for a in row]
+            pivot = next(c for c, a in enumerate(row) if a)
+            stack.append((subset + (i,), echelon + ((pivot, row),)))
+    return found
+
+
+def _vertex_incidence(normals, offsets, n) -> dict:
+    """{vertex: indices of the halfspaces tight at it}, sorted.
+
+    Only the n-subsets with independent normals (`_independent_subsets`)
+    are solved; every other subset is singular.  Offsets are scaled to
+    integers, and a solution is held as integers X over a common
+    denominator d, so the slacks d·b − <a, X> are ints.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
     incidence = {}  # (X, d) -> tight indices
-    for subset in combinations(range(len(normals)), n):
+    for subset in _independent_subsets(normals, n):
         sol = solve_square([normals[i] for i in subset], [rhs[i] for i in subset])
-        if sol is not None:
-            d = math.lcm(*(x.denominator for x in sol))
-            point = tuple(x.numerator * (d // x.denominator) for x in sol)
-            slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
-            if min(slacks, default=0) >= 0:
-                incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
+        d = math.lcm(*(x.denominator for x in sol))
+        point = tuple(x.numerator * (d // x.denominator) for x in sol)
+        slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
+        if min(slacks, default=0) >= 0:
+            incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
     vertices = ((tuple(Fraction(x, d * scale) for x in X), t) for (X, d), t in incidence.items())
     return dict(sorted(vertices))
 
@@ -169,7 +227,9 @@ class DelzantPolytope:
 
     Raises NotDelzant at construction when the data is empty, unbounded,
     lower-dimensional (a halfspace tight at every vertex), duplicated, or
-    contains a halfspace whose facet has dimension below n − 1.  From the
+    contains a halfspace whose facet has dimension below n − 1, and
+    Unsupported when enumerating its vertices would visit more than
+    VERTEX_WALK_LIMIT independent facet subsets.  From the
     tight sets, `is_simple` counts n at every vertex and `is_smooth` asks
     |det| = 1 of the tight normals; `is_delzant` is their conjunction.
     Boundedness and face dimensions are read off the tight sets as well;
@@ -203,12 +263,15 @@ class DelzantPolytope:
             ray = recession_direction(normals, dimension)
             if ray is not None:
                 raise NotDelzant(f"polytope is unbounded in direction {ray}")
+        # each point is hashed once, into its singleton; set unions reuse that hash
+        singletons = [frozenset((v,)) for v in self._vertices]
         self._facet_vertex_sets = tuple(
-            frozenset(v for v, tight in self._tight.items() if i in tight) for i in range(len(hs))
+            frozenset().union(*(s for s, t in zip(singletons, self._tight.values()) if i in t))
+            for i in range(len(hs))
         )
         if any(len(fs) == len(self._vertices) for fs in self._facet_vertex_sets):
             raise NotDelzant("polytope is not full-dimensional")
-        self._vertex_set = frozenset(self._vertices)
+        self._vertex_set = frozenset().union(*singletons)
         tights = list(self._tight.values())  # vertex k is bit k of a vertex mask
         self._facet_masks = [
             sum(1 << k for k, t in enumerate(tights) if i in t) for i in range(len(hs))
@@ -344,7 +407,7 @@ class DelzantPolytope:
             vertices = tuple(self._vertices[k] for k in numbers)
             # set intersections reuse the points' stored hashes
             vset = self._vertex_set.intersection(*(self._facet_vertex_sets[i] for i in active))
-            face = Face(active, vertices, dim, owner=self, vertex_set=vset)
+            face = Face(active, vertices, dim, owner=self, vertex_set=vset, numbers=numbers)
             keyed.append(((dim, numbers), face))
         keyed.sort(key=lambda kf: kf[0])
         self._sorted_faces = tuple(f for _, f in keyed)

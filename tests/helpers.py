@@ -144,6 +144,21 @@ def _oracle_tight(polytope, v):
     ]
 
 
+def oracle_vertex_incidence(normals, offsets, n):
+    """{vertex: indices of the halfspaces tight at it}, sorted, from a solve of
+    every n-subset of the rows (singular ones included) and direct dot
+    products.  Rows may be zero."""
+    found = {}
+    for subset in itertools.combinations(range(len(normals)), n):
+        x = oracle_solve_square([normals[i] for i in subset], [offsets[i] for i in subset])
+        if x is None:
+            continue
+        values = [sum(a * c for a, c in zip(row, x)) for row in normals]
+        if all(v <= b for v, b in zip(values, offsets)):
+            found[x] = tuple(i for i, (v, b) in enumerate(zip(values, offsets)) if v == b)
+    return dict(sorted(found.items()))
+
+
 def oracle_edges_at(polytope, v):
     """Vertex pairs of the edges through v, sorted.
 
@@ -543,6 +558,21 @@ SQUARE_PYRAMID_HALFSPACES = (
     HalfSpace(normal=(1, 0, 1), offset=1),
     HalfSpace(normal=(0, -1, 1), offset=0),
     HalfSpace(normal=(0, 1, 1), offset=1),
+)
+
+# the triangle x, y >= 0, x + y <= 1 times 0 <= z <= 1: its three side
+# normals are coplanar, with no two of them parallel
+TRIANGULAR_PRISM_HALFSPACES = (
+    HalfSpace(normal=(-1, 0, 0), offset=0),
+    HalfSpace(normal=(0, -1, 0), offset=0),
+    HalfSpace(normal=(1, 1, 0), offset=1),
+    HalfSpace(normal=(0, 0, -1), offset=0),
+    HalfSpace(normal=(0, 0, 1), offset=1),
+)
+
+# |x| + |y| + |z| <= 1: every vertex lies on four facets
+OCTAHEDRON_HALFSPACES = tuple(
+    HalfSpace(normal=(a, b, c), offset=1) for a in (1, -1) for b in (1, -1) for c in (1, -1)
 )
 
 

@@ -1,13 +1,14 @@
 """End-to-end command line behavior: exit codes and printed output."""
 
 import json
+import random
 
 import pytest
 
 from helpers import build_template
 from toric_origami.cli import run
 from toric_origami.fileformat import corpus_path, parse, serialize
-from toric_origami.polytope import DelzantPolytope, HalfSpace
+from toric_origami.polytope import VERTEX_WALK_LIMIT, DelzantPolytope, HalfSpace
 
 
 def corpus(name):
@@ -181,6 +182,27 @@ def test_unsupported_inputs_exit_two(capsys):
     assert run(["cut", corpus("chain3"), "--leaf", "v2", "--out-dir", "/tmp/x"]) == 2
     err = capsys.readouterr().err
     assert "unsupported" in err
+
+
+def test_an_oversize_vertex_walk_exits_two(tmp_path, capsys):
+    """40 halfspaces in general position in dimension 8: the vertex walk is refused."""
+    rng = random.Random(8)
+    halfspaces = [
+        {"normal": [rng.randint(-9, 9) or 1 for _ in range(8)], "offset": 1} for _ in range(40)
+    ]
+    document = {
+        "dimension": 8,
+        "polytopes": [{"id": "big", "halfspaces": halfspaces}],
+        "vertices": [{"id": "v1", "polytope": "big"}],
+        "edges": [],
+    }
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps(document), encoding="utf-8")
+    assert run(["validate", str(target)]) == 2
+    assert capsys.readouterr().err == (
+        "unsupported: vertex enumeration in dimension 8 over 40 halfspaces visits more than "
+        f"{VERTEX_WALK_LIMIT} independent facet subsets\n"
+    )
 
 
 def test_render_refuses_other_dimensions(tmp_path, capsys):

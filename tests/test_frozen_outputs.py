@@ -7,8 +7,11 @@ the orbit space and the moment graph were glued by one rule, the third
 from the code before the face poset was glued in one pass; a refusal is
 recorded by its exception class name.  The polytope digests and the
 digest of the refusal texts were recorded from the code before polytope
-facts were read off the vertex-facet incidence.  A change that keeps
-behaviour keeps every digest.
+facts were read off the vertex-facet incidence.  The fixed-point and
+moment-graph edge digests were recorded from the code before the vertex
+scan solved only independent facet subsets and fixed points and chains
+were keyed by vertex number.  A change that keeps behaviour keeps every
+digest.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ from helpers import (
 from toric_origami import DelzantPolytope, load_corpus
 from toric_origami.exceptions import OrigamiError
 from toric_origami.fileformat import corpus_names, face_poset_dot
-from toric_origami.gkm import export_dot, moment_graph
+from toric_origami.gkm import export_dot, fixed_points, moment_graph
 from toric_origami.orbit_space import face_poset
 
 
@@ -346,3 +349,64 @@ def test_polytope_faces_are_frozen(name, build):
 
 def test_refusal_texts_are_frozen():
     assert _digest(_refusal_texts) == REFUSALS_FROZEN
+
+
+def _gkm_facts(t):
+    """Each fixed point as (vertex_id, point, key), then each moment-graph edge
+    as (endpoint keys, weight, folded, chain as (vid, face vertices) pairs);
+    a refused part as its exception class name."""
+    lines = []
+    try:
+        lines += [repr((fp.vertex_id, fp.point, fp.key)) for fp in fixed_points(t)]
+        edges = moment_graph(t).edges
+    except OrigamiError as exc:
+        edges = ()
+        lines.append(type(exc).__name__)
+    for e in edges:
+        a, b = e.endpoints
+        chain = tuple((vid, f.vertices) for vid, f in e.chain)
+        lines.append(repr((a.key, b.key, e.weight, e.folded, chain)))
+    return "\n".join(lines)
+
+
+GKM_FROZEN = {
+    "corpus:chain3": "787e4cfb97e2f11908abdc3b08ff07672a97152efb26e8a6d07ec99baa6ee766",
+    "corpus:cp2": "2e1ee91309c85d52572697e0c0cb9a6ad570ae6e63cfb95e0bc99cb75c6e06cb",
+    "corpus:hirzebruch": "7bba0b3c0bd38f7fed091df21312f492600b43b3d32c36c54d337b00d8b33c33",
+    "corpus:oddcycle3": "0d057e3ef1632043129df6308438082f09a1de1ee4ce82c86633f250475a6053",
+    "corpus:rp2": "54324658e2eba91c826cb01a802414559c8b8b713b28b4df68cd5075611cf1b5",
+    "corpus:s2": "0c9fc25f2a127b6230881b9be3cb05cf4e0ef211f0f074ef479921d45509f790",
+    "corpus:s4": "a4d8d158fc1a009fa3f6962e771ed0be34b281790e6f5c8c8bd34c0eb334c426",
+    "corpus:s6": "2b58f43d120ce6790690eb4500591cabf4c4a40cb574079e9642062a43e73bd9",
+    "corpus:torus": "e1b37ce1ee73c4e8f1c47a9ebf01a67791e5e379704df8fd9927ad6fed48c083",
+    "box:0": "e32f0386cf277527efeb48f5ed7ee89173ab7188b9b34b5c9e33731fda669d85",
+    "box:1": "89b9db20bb2dc0fdb7e4fcae65fce6e965e76f5f20b939881d3c78e4946aee12",
+    "box:2": "87989d40de682cc304930ba687c241e09f3e670ab79faaffc12625516df7b325",
+    "box:3": "1c97646fdf48305996f58bcc1f9208fcaeedb353c92ba5c051bfecbf48fb1b62",
+    "box:4": "acccb43d424d998d139e711b16a0d3fb5332ec828751768f740a5efd5a733b5d",
+    "box:5": "0756865f14c199db3f7f21301137e109d754c30abaca9841f9c16bc7674f4020",
+    "box:6": "d66ea66d87ed40efb2437ca733d52243dd34772e8045d2c05a1df4542af9d69c",
+    "box:7": "abd6b8ffae32fef6f4d3af2c32730ca3ae57e9c77312855f8ef573f0064d06ab",
+    "box:8": "5ce6e5e438be4ee0d2d1c5e127f1ca806b7bc78e693e512cbb241fd4992bb689",
+    "box:9": "e075b27c9e36afc168c0e2602d6ee6767716d8468d7270b718a772a7c099eb39",
+    "box:10": "87f75f2762f41e90fb56991e0de71a13b60606becc8f54c7e34cbd986e260422",
+    "box:11": "83b0bde963f6098ca14a2658778a5dfdf7bcabd471ef6c2724f7555e774a3326",
+    "box:n5:0": "a1d5fb28446dc239f0eeaa04a835851e76fa30629bc8021c55b3f204a0d131ac",
+    "box:n5:1": "f03c0f34cfefdead2196b02735f561b85650c83659ddab4ddb6f28396d028545",
+    "hex:0": "f3c26325581dab90d2f0d5de8953f9c7748afc6062d7abbbc37b918135bf5d27",
+    "hex:1": "f238de538a25478d78375e3c238004d9e0ae1072dcd545bc88e69abb8b280797",
+    "hex:2": "00092432044fdc806eaaf1c53b72cafc3bebede7f84ce66eafddbabb1cc365c5",
+    "hex:3": "d75a96880c4e09f2a8d622748f431e1325ab08a24d69aafe14e36132c2d6c211",
+    "hex:4": "abdd8bc6906cfaf10770a0afe5d31857d99b830d4f9cb9d720ecc425da125a68",
+    "hex:5": "14430947f7dae76c417f672d086574e1374add0a4b7d9294e4ac104633c2abdc",
+    "hex:6": "381f5a5e8f95fb514301371720b6895aef9a031c021278d7ab00ddd6d7ac08f9",
+    "hex:7": "c4d9b1cde08002ca6823b72a79ffe9f1b8b653fa60894b366ca271fd2c7e08e7",
+    "cycle:3": "27ecfacfd9745021d2f6b1837de4152df21376f364b0b351eecc9def5698b5b8",
+    "cycle:4": "02a146b8a0c3c149149c18202f2fd8c9b101b68da33caa8cf37d4f79550c8164",
+    "box4cycle": "e1b37ce1ee73c4e8f1c47a9ebf01a67791e5e379704df8fd9927ad6fed48c083",
+}
+
+
+@pytest.mark.parametrize("name, build", CASES, ids=[name for name, _ in CASES])
+def test_fixed_points_and_edges_are_frozen(name, build):
+    assert _digest(lambda: _gkm_facts(build())) == GKM_FROZEN[name]

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    OCTAHEDRON_HALFSPACES,
     SQUARE_PYRAMID_HALFSPACES,
+    TRIANGULAR_PRISM_HALFSPACES,
     apply_unimodular,
     box_path_template,
     box_polytope,
@@ -16,9 +18,13 @@ from helpers import (
     hexagon_tree_template,
     oracle_edge_directions,
     oracle_edges_at,
+    oracle_det,
     oracle_faces,
+    oracle_vertex_incidence,
     random_lattice_polygon,
     random_unimodular,
+    stopwatch,
+    twisted_box_halfspaces,
 )
 from toric_origami import load_corpus
 from toric_origami import polytope as polytope_module
@@ -28,9 +34,10 @@ from toric_origami.exceptions import (
     FaceMismatch,
     NotDelzant,
     NotSimple,
+    Unsupported,
 )
 from toric_origami.fileformat import corpus_names
-from toric_origami.lattice import lattice_determinant
+from toric_origami.lattice import lattice_determinant, pivot_columns
 from toric_origami.polytope import (
     DelzantPolytope,
     HalfSpace,
@@ -468,6 +475,94 @@ def test_simple_polytopes_make_no_recession_or_rank_call(monkeypatch):
     assert (rays, ranks) == ([], [])
     DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES).faces()  # the apex lies on four facets
     assert len(rays) == 1 and ranks == []
-    octahedron = [HalfSpace((a, b, c), 1) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    DelzantPolytope(3, octahedron).faces()  # every vertex lies on four facets
+    DelzantPolytope(3, OCTAHEDRON_HALFSPACES).faces()  # every vertex lies on four facets
     assert len(rays) == 2 and ranks
+
+
+STRIP_HALFSPACES = (HalfSpace((-1, 0), 0), HalfSpace((1, 0), 1))  # 0 <= x <= 1 in the plane
+SLAB_HALFSPACES = (HalfSpace((0, 0, -1), 0), HalfSpace((0, 0, 1), 1), HalfSpace((1, 1, 0), 2))
+
+# singular n-subsets with no parallel pair: the prism's three side normals,
+# and the pyramid's base normal with two opposite apex normals; the pyramid's
+# apex and every octahedron vertex lie on four facets
+WALK_POLYTOPES = {
+    "prism": (3, TRIANGULAR_PRISM_HALFSPACES),
+    "pyramid": (3, SQUARE_PYRAMID_HALFSPACES),
+    "octahedron": (3, OCTAHEDRON_HALFSPACES),
+}
+
+# recorded from the code that solved every n-subset
+WALK_REFUSALS = {
+    "strip": (2, STRIP_HALFSPACES, "polytope is unbounded in direction (0, 1)"),
+    "slab": (3, SLAB_HALFSPACES, "polytope is unbounded in direction (-1, 1, 0)"),
+}
+
+
+def _walk_inputs():
+    """(normals, offsets, n): the samples above, the rank-deficient strip and
+    slab and their images on pivot columns, and rows with a zero row."""
+    out = []
+    for n, halves in [*WALK_POLYTOPES.values(), *((n, h) for n, h, _ in WALK_REFUSALS.values())]:
+        normals = [h.normal for h in halves]
+        offsets = [h.offset for h in halves]
+        out.append((normals, offsets, n))
+        pivots = pivot_columns(normals, n)
+        out.append(([[a[j] for j in pivots] for a in normals], offsets, len(pivots)))
+    out.append(([(0, 0), (-1, 0), (0, -1), (1, 1), (0, 0)], [1, 0, 0, 2, 0], 2))
+    return out
+
+
+def test_the_independent_subset_walk_finds_what_the_full_scan_finds():
+    for normals, offsets, n in _walk_inputs():
+        expected = oracle_vertex_incidence(normals, [Fraction(b) for b in offsets], n)
+        found = polytope_module._vertex_incidence(normals, [Fraction(b) for b in offsets], n)
+        assert found == expected and list(found) == list(expected), (normals, n)
+    for name, (n, halves) in WALK_POLYTOPES.items():
+        poly = DelzantPolytope(n, halves)
+        expected = oracle_vertex_incidence([h.normal for h in halves], [h.offset for h in halves], n)
+        assert poly.vertices == tuple(expected), name
+        assert [(f.dim, f.active, f.vertices) for f in poly.faces()] == oracle_faces(poly), name
+        tight = {f.vertices[0]: tuple(sorted(f.active)) for f in poly.faces() if f.dim == 0}
+        assert tight == expected, name
+    for name, (n, halves, text) in WALK_REFUSALS.items():
+        with pytest.raises(NotDelzant) as info:
+            DelzantPolytope(n, halves)
+        assert str(info.value) == text, name
+        assert polytope_module._is_nonempty_without_vertex(
+            [h.normal for h in halves], [h.offset for h in halves], n
+        ), name
+
+
+def test_only_independent_subsets_are_solved(monkeypatch):
+    """Every system handed to `solve_square` is nonsingular, so a 4-cube makes
+    one call per vertex, where all C(8, 4) = 70 subsets were once solved."""
+    solved = _counting(monkeypatch, "solve_square")
+    cube = box_polytope(((0, 1), (0, 2), (-1, 1), (0, 3)))
+    assert len(solved) == 16 == len(cube.vertices)
+    hexagon_polytope()
+    for n, halves in WALK_POLYTOPES.values():
+        DelzantPolytope(n, halves)
+    for n in (2, 3, 4):
+        DelzantPolytope(n, twisted_box_halfspaces(random.Random(n), n))
+    assert all(oracle_det(rows) != 0 for rows, _ in solved)
+    for normals, offsets, n in _walk_inputs():
+        del solved[:]
+        polytope_module._vertex_incidence(normals, [Fraction(b) for b in offsets], n)
+        assert all(oracle_det(rows) != 0 for rows, _ in solved), (normals, n)
+
+
+def test_an_oversize_vertex_walk_is_refused_at_once(monkeypatch):
+    """Past VERTEX_WALK_LIMIT independent prefixes the walk stops with a typed
+    refusal, before any system is solved; a 10-cube still builds."""
+    rng = random.Random(8)
+    halves = [HalfSpace(tuple(rng.randint(-9, 9) or 1 for _ in range(8)), 1) for _ in range(40)]
+    solved = _counting(monkeypatch, "solve_square")
+    with stopwatch(5), pytest.raises(Unsupported) as info:
+        DelzantPolytope(8, halves)
+    assert str(info.value) == (
+        "vertex enumeration in dimension 8 over 40 halfspaces visits more than "
+        f"{polytope_module.VERTEX_WALK_LIMIT} independent facet subsets"
+    )
+    assert solved == []
+    cube = box_polytope(((0, 1),) * 10)
+    assert len(cube.vertices) == len(solved) == 1024 and cube.is_delzant()
