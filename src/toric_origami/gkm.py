@@ -11,8 +11,12 @@ edges.  There is no chain tracing.
 
 Fold-freeness is read off each polytope's facet bitmasks, and piece ends,
 links, the chain walk and the edge order are keyed by vertex number within
-each polytope (numbers sort as the sorted vertices do).  Coordinates serve
-only the weights, each distinct 1-face's computed once, and the output.
+each polytope (numbers sort as the sorted vertices do).  A link's two end
+numbers are read off its trace: the one fold-local number it holds is an
+index into the fold facet's vertex numbers at either end.  Coordinates
+serve only the weights, each distinct 1-face's computed once (keyed by
+polytope and vertex numbers, in int arithmetic over a common
+denominator), and the output.
 
 Edges are defined for valid, coorientable, acyclic templates with at
 least one fixed point; everything else is refused with a typed error.
@@ -20,10 +24,11 @@ least one fixed point; everything else is refused with a typed error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exceptions import InternalConsistency, NoFixedPoints, Unsupported
-from .lattice import rational_to_primitive
+from .lattice import primitive
 from .orbit_space import _classes, _glue
 from .template import OrigamiTemplate
 
@@ -119,7 +124,10 @@ def fixed_points(t: OrigamiTemplate) -> tuple:
 
 
 def _direction(a, b) -> tuple:
-    return rational_to_primitive(tuple(y - x for x, y in zip(a, b)))
+    # over one common denominator the difference is an int vector: no Fraction is built
+    den = math.lcm(*(c.denominator for c in (*a, *b)))
+    x, y = ([c.numerator * (den // c.denominator) for c in point] for point in (a, b))
+    return primitive(tuple(q - p for p, q in zip(x, y)))
 
 
 def _name(chain) -> str:
@@ -133,8 +141,8 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
     Each edge is a glued class of 1-pieces, a path of collinear 1-faces
     walked from its end at the earlier fixed point in `fixed_points`
     order to its end at the other.  Piece ends are keyed by vertex number
-    within their polytope, and each distinct 1-face's weight is computed
-    once.
+    within their polytope, a link's ends are read off its fold-local
+    trace, and each distinct 1-face's weight is computed once.
 
     Raises NoFixedPoints when there is nothing to anchor the graph
     (checked first, so a free torus action is reported as such), and
@@ -149,19 +157,21 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
     by_key = {fp.key: k for k, fp in enumerate(fps)}
     pieces, links = _glue(t, (1,))
     across = {}  # (piece, vertex number) -> (linked piece, its number for the same point)
-    for i, j, eid, _ in links:
-        # a 1-piece outside the fold meets it in one end, the one on the fold facet
+    for i, j, eid, trace in links:
+        # a 1-piece outside the fold meets it in one end: bit `local` of the
+        # trace, the local-th vertex number on the fold facet at either end
+        local = trace.bit_length() - 1
         ki, kj = (
-            next(k for k in f.numbers if f.owner._facet_masks[facet] >> k & 1)
-            for (_, f), facet in zip((pieces[i], pieces[j]), t.edge_facets(eid))
+            t.polytope(w)._facet_numbers[facet][local]
+            for w, facet in zip(t.graph.ends(eid), t.edge_facets(eid))
         )
         for end, k, other in ((i, ki, (j, kj)), (j, kj, (i, ki))):
             if across.setdefault((end, k), other) != other:
-                w = pieces[end][1].owner.vertices[k]
+                w = t.polytope(pieces[end][0]).vertices[k]
                 raise InternalConsistency(
                     f"chain piece {_name([pieces[end]])} has two links at {format_point(w)}"
                 )
-    weights = {}  # 1-face -> its sign-normalized primitive direction
+    weights = {}  # (polytope, 1-face vertex numbers) -> sign-normalized primitive direction
     edges = []
     for cls in _classes(len(pieces), links):
         # (fixed point index, or -1 for none; piece index; vertex number) per unlinked piece end
@@ -186,10 +196,12 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
                 break
             i, at = across[(i, at)]
             chain.append(pieces[i])
-        for _, f in chain:
-            if f not in weights:
-                weights[f] = lex_positive(_direction(*f.vertices))
-        directions = {weights[f] for _, f in chain}
+        directions = set()
+        for vid, f in chain:
+            key = (id(t.polytope(vid)), f.numbers)  # the template holds every polytope
+            if key not in weights:
+                weights[key] = lex_positive(_direction(*f.vertices))
+            directions.add(weights[key])
         if len(directions) != 1:
             raise InternalConsistency(f"chain {_name(chain)} changes direction")
         edges.append(

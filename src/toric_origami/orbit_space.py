@@ -7,11 +7,17 @@ polytope face) pairs, glued by one rule.  The d-pieces are the d-faces of
 the polytopes that lie in no fold facet of their own polytope; two
 d-pieces, one at each end of a template edge, are glued when they cut
 the edge's fold facet in the same nonempty vertex set, since the two
-polytopes coincide near the fold.  The faces of Q are the classes of one
+polytopes coincide near the fold.  That set, a piece's trace, is an int
+mask over fold-local vertex numbers: by condition (1) both copies of the
+fold facet are one point set, so the j-th vertex number on it at one end
+names the same point as the j-th at the other, and no coordinate is
+compared.  The faces of Q are the classes of one
 union-find over these links (`_glue`, `_classes`), every dimension in one
 pass: the whole space at d = n, the glued facets at d = n - 1, and the
-moment-graph edges of `gkm` at d = 1.  A face's template subgraph is read
-off its class: the vertices of its pieces and the edges of its links.  Q is
+moment-graph edges of `gkm` at d = 1, whose pieces come from each
+polytope's edge record alone.  A face's template subgraph is read
+off its class: the vertices of its pieces and the edges of its links,
+kept as id tuples and built into a `TemplateGraph` on first access.  Q is
 a manifold with corners, so a face covers exactly the faces one
 dimension lower that it contains (`FacePoset.covers`); a face lies in
 every glued facet holding a face above it, so only faces whose
@@ -21,6 +27,8 @@ every glued facet holding a face above it, so only faces whose
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 from .exceptions import FaceMismatch, InternalConsistency
 from .template import OrigamiTemplate, TemplateGraph
@@ -54,12 +62,23 @@ class OrbitFace:
     is the induced template subgraph of the face (vertices whose polytope
     meets it, edges whose fold meets it), read off the face's class: the
     vertices of its pieces and the edges of its links, so it is connected.
+    The class keeps those vertex and edge ids (`vertex_ids`, `edge_ids`,
+    both in graph order) and `subgraph` is built from them, over the
+    template graph `graph`, on first access.
     """
 
     members: frozenset
     dimension: int
     defining: frozenset
-    subgraph: TemplateGraph = field(compare=False)
+    vertex_ids: tuple = field(compare=False, repr=False)
+    edge_ids: tuple = field(compare=False, repr=False)
+    graph: TemplateGraph = field(compare=False, repr=False)
+
+    @cached_property
+    def subgraph(self) -> TemplateGraph:
+        return TemplateGraph(
+            self.vertex_ids, self.edge_ids, {e: self.graph.ends(e) for e in self.edge_ids}
+        )
 
     def member_vertices(self) -> tuple:
         return tuple(sorted({vid for vid, _ in self.members}))
@@ -121,10 +140,13 @@ def _glue(t: OrigamiTemplate, dims) -> tuple:
 
     `pieces` holds (vid, Face) for each d-face of each polytope that lies
     in no fold facet of its own polytope: template vertices in graph
-    order, faces in `faces()` order.  `links` holds (i, j, eid, trace) for
-    each template edge `eid`, in graph order, and each piece i at its first
-    end and piece j at its second end (i = j on a loop) whose vertex sets
-    meet the fold facet (first-end copy) in the same nonempty set `trace`.
+    order, faces in `faces()` order (at d = 1 alone, from `one_faces()`,
+    which builds no other face).  `links` holds (i, j, eid, trace) for each
+    template edge `eid`, in graph order, and each piece i at its first end
+    and piece j at its second end (i = j on a loop) that meet the fold
+    facet in the same nonempty vertex set, compared as `trace`: an int
+    mask whose bit j is the j-th vertex number on the fold facet, ascending
+    (`_facet_numbers`), the same point at either end (module docstring).
     In a simple polytope a d-face outside a facet meets it in a (d - 1)-face,
     and that face lies in only one d-face outside the facet, so a trace
     names at most one piece per end, whatever the dimensions.
@@ -134,25 +156,30 @@ def _glue(t: OrigamiTemplate, dims) -> tuple:
     at = {}  # vid -> indices of its pieces
     for vid in graph.vertices:
         folds = t.fold_facet_indices(vid)
+        p = t.polytope(vid)
+        faces = p.one_faces() if tuple(dims) == (1,) else (f for f in p.faces() if f.dim in dims)
         start = len(pieces)
-        pieces += [
-            (vid, f) for f in t.polytope(vid).faces() if f.dim in dims and f.active.isdisjoint(folds)
-        ]
+        pieces += [(vid, f) for f in faces if f.active.isdisjoint(folds)]
         at[vid] = range(start, len(pieces))
     links = []
     for eid in graph.edges:
-        u, v = graph.ends(eid)
-        fold = t.fold_vertex_set(eid)
-        first_end = {}  # trace -> piece at u
-        for i in at[u]:
-            trace = pieces[i][1].vertex_set & fold
-            if trace:
-                first_end[trace] = i
-        for j in at[v]:
-            trace = pieces[j][1].vertex_set & fold
+        (u, v), (fu, fv) = graph.ends(eid), t.edge_facets(eid)
+        first_end = {trace: i for i, trace in _traces(pieces, at[u], t.polytope(u), fu)}
+        for j, trace in _traces(pieces, at[v], t.polytope(v), fv):
             if trace in first_end:
                 links.append((first_end[trace], j, eid, trace))
     return pieces, links
+
+
+def _traces(pieces, indices, p, facet):
+    """(piece index, trace) for each of `pieces[indices]` that meets facet
+    `facet` of `p`: its vertex numbers on the facet as an int mask over
+    fold-local numbers (bit j for the j-th vertex number on the facet)."""
+    local = {k: 1 << j for j, k in enumerate(p._facet_numbers[facet])}
+    for i in indices:
+        trace = sum(map(local.get, pieces[i][1].numbers, repeat(0)))  # distinct bits: a union
+        if trace:
+            yield i, trace
 
 
 def _classes(count: int, links) -> list:
@@ -227,15 +254,15 @@ def face_poset(t: OrigamiTemplate) -> FacePoset:
             members=members,
             dimension=f.dim,
             defining=frozenset(glued[(vid, fi)] for fi in f.active),
-            subgraph=TemplateGraph(  # pieces are in graph order of their vertices
-                tuple(dict.fromkeys(pieces[i][0] for i in cls)),
-                tuple(eids),
-                {e: graph.ends(e) for e in eids},
-            ),
+            vertex_ids=tuple(dict.fromkeys(pieces[i][0] for i in cls)),  # pieces are in graph order
+            edge_ids=tuple(eids),
+            graph=graph,
         )
         if any(frozenset(glued[(w, fi)] for fi in g.active) != face.defining for w, g in members):
             raise InternalConsistency(f"the pieces of {face!r} lie in different glued facets")
-        keyed.append(((f.dim, tuple(sorted((pieces[i][0], i) for i in cls))), face))
+        # a list sorts as a tuple would; tuples of every length would linger in
+        # the interpreter's per-length free lists and raise peak memory
+        keyed.append(((f.dim, sorted((pieces[i][0], i) for i in cls)), face))
     keyed.sort(key=lambda kf: kf[0])
     return FacePoset(faces=tuple(face for _, face in keyed), top=keyed[-1][1])
 

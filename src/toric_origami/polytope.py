@@ -20,19 +20,25 @@ exactly n facets those normals are a basis, so the rank is a count.  If
 every vertex is on exactly n facets, the polytope is bounded when each
 edge has two end vertices.  So on simple input no elimination runs after
 the scan: `recession_direction` and `rank` serve only inputs with no
-vertex or one on more than n facets.  Faces are closed and ordered over
+vertex or one on more than n facets.  That check records the two end
+vertices of each edge, keyed by the n − 1 facets they share, and the
+instance keeps the record: those pairs are the 1-faces (`one_faces`), so
+asking for edges builds no other face.  Faces are closed and ordered over
 bitmasks of the sorted vertices.
 
 All vertex coordinates are exact (`fractions.Fraction`).  A face is
 identified by its vertex set, which determines it uniquely within its
 polytope; two structurally identical polytopes produce equal faces, so
 code that mixes several polytopes must key faces by (polytope id, face).
+A face holds its polytope through a weak reference (`Face.owner`), so a
+polytope and the faces it caches form no reference cycle, and a polytope
+nothing else holds is freed by reference count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -72,7 +78,7 @@ class HalfSpace:
     def __post_init__(self):
         entries = []
         for c in self.normal:
-            as_frac = Fraction(c)
+            as_frac = c if type(c) is int else Fraction(c)
             if as_frac.denominator != 1:
                 raise DegenerateInput(
                     f"halfspace normal must have integer entries, got {self.normal}"
@@ -80,9 +86,10 @@ class HalfSpace:
             entries.append(int(as_frac))
         if not entries or all(c == 0 for c in entries):
             raise DegenerateInput("halfspace normal must be a nonzero integer vector")
-        g = math.gcd(*(abs(c) for c in entries))
+        g = math.gcd(*entries)
+        offset = Fraction(self.offset)
         object.__setattr__(self, "normal", tuple(c // g for c in entries))
-        object.__setattr__(self, "offset", Fraction(self.offset) / g)
+        object.__setattr__(self, "offset", offset / g if g > 1 else offset)  # no Fraction division
 
     def contains(self, point) -> bool:
         return dot(self.normal, point) <= self.offset
@@ -109,16 +116,22 @@ class Face:
     and `vertices` is sorted, so within one polytope equal Face values
     describe equal subsets of the ambient space.  `vertex_set` holds the
     same vertices as a frozenset, and `numbers` their indices into
-    `owner.vertices`, in the same order.  `owner`, `vertex_set` and
-    `numbers` are excluded from comparison; see the module docstring.
+    `owner.vertices`, in the same order.  A face holds its polytope
+    weakly (`owner_ref`), so `owner` is the polytope while it lives and
+    None after.  `owner_ref`, `vertex_set` and `numbers` are excluded from
+    comparison; see the module docstring.
     """
 
     active: frozenset
     vertices: tuple
     dim: int
-    owner: "DelzantPolytope" = field(compare=False, repr=False)
+    owner_ref: weakref.ref = field(compare=False, repr=False)
     vertex_set: frozenset = field(compare=False, repr=False)
     numbers: tuple = field(compare=False, repr=False)
+
+    @property
+    def owner(self) -> "DelzantPolytope | None":
+        return self.owner_ref()
 
     def __hash__(self):
         # equal faces have equal vertex sets, and a frozenset caches its hash
@@ -183,7 +196,8 @@ def _vertex_incidence(normals, offsets, n) -> dict:
     Only the n-subsets with independent normals (`_independent_subsets`)
     are solved; every other subset is singular.  Offsets are scaled to
     integers, and a solution is held as integers X over a common
-    denominator d, so the slacks d·b − <a, X> are ints.
+    denominator d, so the slacks d·b − <a, X> are ints, and the vertices
+    are sorted as ints too.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
@@ -195,18 +209,31 @@ def _vertex_incidence(normals, offsets, n) -> dict:
         slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
         if min(slacks, default=0) >= 0:
             incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
-    vertices = ((tuple(Fraction(x, d * scale) for x in X), t) for (X, d), t in incidence.items())
-    return dict(sorted(vertices))
+    # over one common denominator the points sort as int tuples, with no Fraction compared
+    common = math.lcm(*(d for _, d in incidence))
+    order = sorted(incidence, key=lambda Xd: [x * (common // Xd[1]) for x in Xd[0]])
+    return {tuple(Fraction(x, d * scale) for x in X): incidence[X, d] for X, d in order}
 
 
-def _bounded_by_edges(tight_sets, n) -> bool:
-    """True when there is a vertex, each lies on exactly n facets and each n − 1
-    of those are shared by exactly two vertices: then every edge has two ends,
-    and a pointed polyhedron with no unbounded edge is bounded."""
+def _edge_pairs(tight_sets, n) -> tuple | None:
+    """The edges of a bounded simple polytope as sorted (vertex number, vertex
+    number) pairs, or None.
+
+    When there is a vertex, each lies on exactly n facets and each n − 1 of
+    those are shared by exactly two vertices, every edge has two ends, and a
+    pointed polyhedron with no unbounded edge is bounded.  Those two
+    vertices are then the ends of an edge, and the n − 1 facets its active
+    set.  None otherwise.
+    """
     if not tight_sets or n == 0 or any(len(t) != n for t in tight_sets):
-        return False
-    edges = Counter(s for t in tight_sets for s in combinations(t, n - 1))
-    return all(c == 2 for c in edges.values())
+        return None
+    ends = {}
+    for k, t in enumerate(tight_sets):
+        for s in combinations(t, n - 1):
+            ends.setdefault(s, []).append(k)
+    if any(len(e) != 2 for e in ends.values()):
+        return None
+    return tuple(sorted(map(tuple, ends.values())))
 
 
 def _is_nonempty_without_vertex(normals, offsets, n) -> bool:
@@ -257,9 +284,11 @@ class DelzantPolytope:
         offsets = [h.offset for h in hs]
         self._tight = _vertex_incidence(normals, offsets, dimension)
         self._vertices = tuple(self._tight)
+        tights = list(self._tight.values())  # vertex k is bit k of a vertex mask
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
-        if not _bounded_by_edges(self._tight.values(), dimension):
+        self._edge_pairs = _edge_pairs(tights, dimension)
+        if self._edge_pairs is None:
             ray = recession_direction(normals, dimension)
             if ray is not None:
                 raise NotDelzant(f"polytope is unbounded in direction {ray}")
@@ -272,17 +301,20 @@ class DelzantPolytope:
         if any(len(fs) == len(self._vertices) for fs in self._facet_vertex_sets):
             raise NotDelzant("polytope is not full-dimensional")
         self._vertex_set = frozenset().union(*singletons)
-        tights = list(self._tight.values())  # vertex k is bit k of a vertex mask
-        self._facet_masks = [
-            sum(1 << k for k, t in enumerate(tights) if i in t) for i in range(len(hs))
+        # per facet: its vertex numbers, ascending, and the same as a mask
+        self._facet_numbers = [
+            tuple(k for k, t in enumerate(tights) if i in t) for i in range(len(hs))
         ]
+        self._facet_masks = [sum(1 << k for k in ks) for ks in self._facet_numbers]
         self._simple_mask = sum(1 << k for k, t in enumerate(tights) if len(t) == dimension)
         for i, mask in enumerate(self._facet_masks):
             if not mask or self._active_and_dimension(mask)[1] != dimension - 1:
                 raise NotDelzant(f"halfspace {hs[i]!r} is redundant (does not support a facet)")
         self._simple = self._simple_mask == (1 << len(self._vertices)) - 1
+        self._ref = weakref.ref(self)  # shared by the faces, so they make no cycle
         self._face_map = None
         self._sorted_faces = None
+        self._one_faces = None
         self._edges_at = None
         self._smooth = None
 
@@ -382,6 +414,12 @@ class DelzantPolytope:
 
     # -- face structure -----------------------------------------------------
 
+    def _face(self, active, numbers, dim) -> Face:
+        vertices = tuple(self._vertices[k] for k in numbers)
+        # set intersections reuse the points' stored hashes
+        vset = self._vertex_set.intersection(*(self._facet_vertex_sets[i] for i in active))
+        return Face(active, vertices, dim, self._ref, vset, numbers)
+
     def faces(self) -> tuple:
         """All nonempty faces, the polytope itself included, sorted by (dim, vertices).
 
@@ -404,15 +442,34 @@ class DelzantPolytope:
         for mask in seen:
             active, dim = self._active_and_dimension(mask)
             numbers = tuple(k for k in range(len(self._vertices)) if mask >> k & 1)
-            vertices = tuple(self._vertices[k] for k in numbers)
-            # set intersections reuse the points' stored hashes
-            vset = self._vertex_set.intersection(*(self._facet_vertex_sets[i] for i in active))
-            face = Face(active, vertices, dim, owner=self, vertex_set=vset, numbers=numbers)
-            keyed.append(((dim, numbers), face))
-        keyed.sort(key=lambda kf: kf[0])
-        self._sorted_faces = tuple(f for _, f in keyed)
+            keyed.append(((dim, numbers), active))
+        keyed.sort(key=lambda ka: ka[0])
+        made = {f.numbers: f for f in self._one_faces or ()}  # edges built first are kept
+        self._sorted_faces = tuple(
+            made.get(numbers) or self._face(a, numbers, dim) for (dim, numbers), a in keyed
+        )
         self._face_map = {f.vertex_set: f for f in self._sorted_faces}
         return self._sorted_faces
+
+    def one_faces(self) -> tuple:
+        """The 1-faces (edges), in `faces()` order.
+
+        On a bounded simple polytope they come from the edge record kept
+        from the boundedness check: each pair of vertices sharing n − 1
+        facets, those facets its active set, so no other face is built.
+        Otherwise, or once `faces()` is built, they are read off it; either
+        way `faces()` and `one_faces()` share their 1-face objects.
+        """
+        if self._one_faces is None:
+            if self._edge_pairs is None or self._sorted_faces is not None:
+                self._one_faces = tuple(f for f in self.faces() if f.dim == 1)
+            else:
+                tights = tuple(self._tight.values())
+                self._one_faces = tuple(
+                    self._face(frozenset(tights[a]).intersection(tights[b]), (a, b), 1)
+                    for a, b in self._edge_pairs
+                )
+        return self._one_faces
 
     def face_with_vertices(self, vertex_set) -> Face:
         """The face whose vertex set is exactly `vertex_set`; FaceMismatch if absent."""
@@ -437,12 +494,11 @@ class DelzantPolytope:
 
     def one_faces_at(self, vertex) -> tuple:
         """The edges (1-faces) through a vertex, in `faces()` order; () for a non-vertex."""
-        if self._edges_at is None:  # built on demand: `face_poset` never asks for edges
+        if self._edges_at is None:
             self._edges_at = {v: () for v in self._vertices}
-            for f in self.faces():
-                if f.dim == 1:
-                    for v in f.vertices:
-                        self._edges_at[v] += (f,)
+            for f in self.one_faces():
+                for v in f.vertices:
+                    self._edges_at[v] += (f,)
         return self._edges_at.get(vertex, ())
 
     # -- equality -------------------------------------------------------------
@@ -476,6 +532,8 @@ def agree_near_facet(p1: DelzantPolytope, f1: int, p2: DelzantPolytope, f2: int)
         raise DimensionError(
             f"cannot compare facets across dimensions {p1.dimension} and {p2.dimension}"
         )
+    if p1 is p2 and f1 == f2:  # a facet agrees with itself
+        return True
     set1 = p1.facet_vertex_sets[f1]
     set2 = p2.facet_vertex_sets[f2]
     if set1 != set2:

@@ -247,6 +247,12 @@ class OrigamiTemplate:
         self._psi_e = psi_e
         self._polytope_ids = dict(polytope_ids) if polytope_ids else {}
         self._report = None
+        entries = {vid: [] for vid in graph.vertices}  # the fold facets, indexed once
+        for eid in graph.edges:
+            for end, f in zip(graph.ends(eid), psi_e[eid]):
+                if (eid, f) not in entries[end]:
+                    entries[end].append((eid, f))
+        self._fold_entries = {vid: tuple(e) for vid, e in entries.items()}
 
     # -- accessors -----------------------------------------------------------
 
@@ -284,18 +290,11 @@ class OrigamiTemplate:
             raise MalformedTemplate(f"unknown template edge {eid!r}") from None
 
     def fold_entries(self, vid: str) -> tuple:
-        """All (edge id, facet index) pairs of fold facets at a vertex.
+        """All (edge id, facet index) pairs of fold facets at a vertex, in edge order.
 
         A loop edge contributes each distinct facet reference once.
         """
-        entries = []
-        for eid in self._graph.incident_edges(vid):
-            u, v = self._graph.ends(eid)
-            facets = self._psi_e[eid]
-            for end, f in zip((u, v), facets):
-                if end == vid and (eid, f) not in entries:
-                    entries.append((eid, f))
-        return tuple(entries)
+        return self._fold_entries.get(vid, ())
 
     def fold_facet_indices(self, vid: str) -> frozenset:
         return frozenset(f for _, f in self.fold_entries(vid))

@@ -6,7 +6,8 @@ reduction, determinants use permutation expansion, hulls use a monotone
 chain, polytope edges are read off the rank of the normals tight at both
 ends, face lattices come from every subset of the facets, smoothness
 solves integer systems directly, glued facets come from a local
-union-find over facet cuts of the folds, and orbit-space faces come from
+union-find over facet cuts of the folds, the links of the gluing rule
+come from point-set cuts of the folds, and orbit-space faces come from
 a plain fixed point over every (face, glued facet) pair with another
 local union-find; facet vertex sets are read off direct dot products.
 Agreement between these and the package is the point of the dual-route
@@ -281,6 +282,45 @@ def oracle_glued_facets(t):
     for node in facets:
         classes.setdefault(find(node), []).append(node)
     return sorted(tuple(sorted(c)) for c in classes.values())
+
+
+def oracle_glue(t, d):
+    """The d-pieces of the orbit space and the folds linking them, by coordinates.
+
+    The gluing rule as the `orbit_space` docstring states it.  Pieces are
+    (vid, vertices) for each d-face of each polytope (`oracle_faces`) that
+    lies in no fold facet of its own polytope, in graph order, then in
+    `oracle_faces` order.  Links are (eid, piece at the first end, piece at
+    the second end) for each template edge and each pair of pieces there
+    that cut the fold facet, each end's own copy read by direct dot
+    products, in the same nonempty point set; sorted.
+    """
+    graph = t.graph
+    folds = {vid: set() for vid in graph.vertices}
+    for eid in graph.edges:
+        for w, fi in zip(graph.incidence[eid], t.edge_facets(eid)):
+            folds[w].add(fi)
+    lattices = {}  # polytope id -> its oracle faces; trees of hexagons share one polytope
+    pieces = {}
+    for vid in graph.vertices:
+        poly = t.polytope(vid)
+        if id(poly) not in lattices:
+            lattices[id(poly)] = oracle_faces(poly)
+        pieces[vid] = [
+            vs for dim, active, vs in lattices[id(poly)] if dim == d and not active & folds[vid]
+        ]
+    links = []
+    for eid in graph.edges:
+        ends = graph.incidence[eid]
+        cuts = []  # per end: (piece, its cut with that end's copy of the fold)
+        for w, fi in zip(ends, t.edge_facets(eid)):
+            fold = _oracle_facet(t.polytope(w), fi)
+            cuts.append([(vs, frozenset(vs) & fold) for vs in pieces[w]])
+        for a, cut_a in cuts[0]:
+            for b, cut_b in cuts[1]:
+                if cut_a and cut_a == cut_b:
+                    links.append((eid, (ends[0], a), (ends[1], b)))
+    return [(vid, vs) for vid in graph.vertices for vs in pieces[vid]], sorted(links)
 
 
 def oracle_face_subgraph(t, face):

@@ -1,6 +1,8 @@
 """Moment graphs: fixed points, fold-crossing chains, primitive weights."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from helpers import box_path_template, box_polytope, build_template, hexagon_tree_template
 from toric_origami import betti_numbers, gkm, load_corpus
 from toric_origami.exceptions import InternalConsistency, NoFixedPoints, Unsupported
-from toric_origami.fileformat import corpus_names
+from toric_origami.fileformat import corpus_names, parse, serialize
 from toric_origami.gkm import (
     FixedPoint,
     export_dot,
@@ -268,6 +270,54 @@ def test_a_broken_chain_is_named(monkeypatch):
         InternalConsistency, match=r"chain v1:\(0\)-\(1\) does not end at two distinct fixed points"
     ):
         moment_graph(load_corpus("s2"))
+
+
+def _ingest_texts():
+    """The corpus templates with a moment graph, 4 box paths and 4 hexagon
+    trees, as file text."""
+    rng = random.Random(47)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng, n=rng.randint(2, 4)) for _ in range(4)]
+    templates += [hexagon_tree_template(rng, rng.randint(2, 12)) for _ in range(4)]
+    return [
+        serialize(t)
+        for t in templates
+        if t.is_acyclic() and t.is_coorientable() and fixed_points(t)
+    ]
+
+
+def test_moment_graph_builds_no_face_lattice(monkeypatch):
+    calls = []
+    real = DelzantPolytope.faces
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DelzantPolytope, "faces", counted)
+    texts = _ingest_texts()
+    assert len(texts) == 14 and calls == []
+    for text in texts:
+        assert moment_graph(parse(text)).edges
+    assert calls == []
+
+
+def test_a_request_frees_its_polytopes_by_reference_count():
+    texts = _ingest_texts()
+    gc.disable()  # so that only reference counting can free them
+    try:
+        for text in texts:
+            t = parse(text)
+            refs = [weakref.ref(p) for p in t.psi_v.values()]
+            g, poset = moment_graph(t), face_poset(t)
+            assert all(face.subgraph.is_connected() for face in poset)
+            (vid, piece), *_ = g.edges[0].chain
+            assert piece.owner is t.polytope(vid)
+            del t, g, poset
+            assert [r() for r in refs] == [None] * len(refs), text
+            assert piece.owner is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from helpers import (
     oracle_covers,
     oracle_face_members,
     oracle_face_subgraph,
+    oracle_glue,
     oracle_glued_facets,
     random_unimodular,
     stopwatch,
@@ -275,6 +276,54 @@ def test_face_poset_glues_in_one_pass(monkeypatch):
     face_poset(t)
     assert len(calls) == 2
     assert [(within, tuple(dims)) for within, dims in calls] == [(True, (2,)), (False, (0, 1, 2, 3))]
+
+
+def _named(pieces, links):
+    """`_glue` output as the oracle's: (vid, vertices) pieces and sorted
+    (eid, first-end piece, second-end piece) links."""
+    named = [(vid, f.vertices) for vid, f in pieces]
+    return named, sorted((eid, named[i], named[j]) for i, j, eid, _ in links)
+
+
+def test_glue_links_match_the_point_set_oracle():
+    """The links read off fold-local int traces are those of point-set cuts,
+    at every dimension alone (d = 1 from the polytopes' edge records) and
+    all at once, as `face_poset` asks."""
+    rng = random.Random(44)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng) for _ in range(20)]
+    templates += [hexagon_tree_template(rng) for _ in range(20)]
+    for t in templates:
+        assert t.validate().valid
+        n = t.dimension
+        every = ([], [])
+        for d in range(n + 1):
+            expected = oracle_glue(t, d)
+            assert _named(*orbit_space._glue(t, (d,))) == expected, (t, d)
+            for whole, part in zip(every, expected):
+                whole += part
+        pieces, links = _named(*orbit_space._glue(t, range(n + 1)))
+        assert (sorted(pieces), links) == (sorted(every[0]), sorted(every[1])), t
+
+
+def test_face_subgraphs_are_built_on_first_access(monkeypatch):
+    built = []
+    real = TemplateGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    t = box_path_template(random.Random(45), n=3, length=3)
+    monkeypatch.setattr(TemplateGraph, "__post_init__", counted)
+    face_poset_dot(t)
+    poset = face_poset(t)
+    assert built == []
+    face = poset.faces[0]
+    assert face.subgraph is face.subgraph and len(built) == 1
+    built.clear()
+    assert is_face_acyclic(t)
+    assert len(built) == len(poset)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Delzant polytopes: construction gates, faces, smoothness, fold agreement."""
 
 import ast
+import gc
 import random
 from fractions import Fraction
 
@@ -382,6 +383,50 @@ def test_faces_match_the_face_lattice_oracle():
         for f in faces:
             assert f.vertex_set == frozenset(f.vertices) and f.owner is poly
             assert poly.face_with_vertices(reversed(f.vertices)) is f
+
+
+def test_the_edge_record_is_the_one_skeleton_of_faces(monkeypatch):
+    """`one_faces` equals the 1-faces of `faces()`, vertex numbers and sets
+    included; on a simple polytope it is read off the edge record of the
+    boundedness check, with no face lattice built."""
+    samples = _face_lattice_samples()
+    rng = random.Random(46)
+    for _ in range(6):
+        samples.extend(box_path_template(rng, n=rng.randint(1, 4)).distinct_polytopes())
+        samples.extend(hexagon_tree_template(rng).distinct_polytopes())
+    recorded = 0
+    for poly in samples:
+        fresh = DelzantPolytope(poly.dimension, poly.halfspaces)
+        with monkeypatch.context() as m:
+            if fresh.is_simple() and fresh.dimension:
+                m.setattr(fresh, "faces", lambda: pytest.fail("faces() built for the edges"))
+                recorded += 1
+            edges = fresh.one_faces()
+        expected = [f for f in poly.faces() if f.dim == 1]
+        assert [(f.dim, f.active, f.vertices, f.numbers, f.vertex_set) for f in edges] == [
+            (f.dim, f.active, f.vertices, f.numbers, f.vertex_set) for f in expected
+        ], poly
+        assert all(f.owner is fresh for f in edges)
+        # one object per 1-face, whichever of the two is built first
+        assert all(a is b for a, b in zip(edges, (f for f in fresh.faces() if f.dim == 1)))
+        assert all(a is b for a, b in zip(poly.one_faces(), expected))
+    assert recorded == len(samples) - 2  # the point and the square pyramid
+    pyramid = DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES)
+    for v in pyramid.vertices:
+        assert [f.vertices for f in pyramid.one_faces_at(v)] == oracle_edges_at(pyramid, v)
+
+
+def test_a_face_holds_its_polytope_weakly():
+    gc.disable()  # so that only reference counting can free the polytope
+    try:
+        poly = box_polytope(((0, 1), (0, 2)))
+        face = poly.one_faces()[0]
+        assert face.owner is poly and poly.faces()[0].owner is poly
+        del poly
+        assert face.owner is None
+        assert face.vertices == ((0, 0), (0, 2))
+    finally:
+        gc.enable()
 
 
 # recorded from the code before boundedness was read off the vertex-facet incidence
