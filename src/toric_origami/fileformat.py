@@ -198,13 +198,12 @@ def serialize(t: OrigamiTemplate) -> str:
     reused, so parse/serialize round-trips are the identity on ids.
     """
     hints = t.polytope_ids
-    psi_v = t.psi_v  # a copy: read it once
     assigned = {}
     used = set()
     defs = []
     counter = 0
     for vid in t.graph.vertices:
-        p = psi_v[vid]
+        p = t.psi_v[vid]
         if p in assigned:
             continue
         name = hints.get(vid)
@@ -220,7 +219,7 @@ def serialize(t: OrigamiTemplate) -> str:
         "dimension": t.dimension,
         "polytopes": defs,
         "vertices": [
-            {"id": vid, "polytope": assigned[psi_v[vid]]}
+            {"id": vid, "polytope": assigned[t.psi_v[vid]]}
             for vid in t.graph.vertices
         ],
         "edges": [

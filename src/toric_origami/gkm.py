@@ -15,8 +15,7 @@ each polytope (numbers sort as the sorted vertices do).  A link's two end
 numbers are read off its trace: the one fold-local number it holds is an
 index into the fold facet's vertex numbers at either end.  Coordinates
 serve only the weights, each distinct 1-face's computed once (keyed by
-polytope and vertex numbers, in int arithmetic over a common
-denominator), and the output.
+polytope and vertex numbers), and the output.
 
 Edges are defined for valid, coorientable, acyclic templates with at
 least one fixed point; everything else is refused with a typed error.
@@ -24,11 +23,10 @@ least one fixed point; everything else is refused with a typed error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .exceptions import InternalConsistency, NoFixedPoints, Unsupported
-from .lattice import primitive
+from .lattice import rational_to_primitive
 from .orbit_space import _classes, _glue
 from .template import OrigamiTemplate
 
@@ -124,10 +122,7 @@ def fixed_points(t: OrigamiTemplate) -> tuple:
 
 
 def _direction(a, b) -> tuple:
-    # over one common denominator the difference is an int vector: no Fraction is built
-    den = math.lcm(*(c.denominator for c in (*a, *b)))
-    x, y = ([c.numerator * (den // c.denominator) for c in point] for point in (a, b))
-    return primitive(tuple(q - p for p, q in zip(x, y)))
+    return rational_to_primitive(tuple(y - x for x, y in zip(a, b)))
 
 
 def _name(chain) -> str:

@@ -260,9 +260,7 @@ def face_poset(t: OrigamiTemplate) -> FacePoset:
         )
         if any(frozenset(glued[(w, fi)] for fi in g.active) != face.defining for w, g in members):
             raise InternalConsistency(f"the pieces of {face!r} lie in different glued facets")
-        # a list sorts as a tuple would; tuples of every length would linger in
-        # the interpreter's per-length free lists and raise peak memory
-        keyed.append(((f.dim, sorted((pieces[i][0], i) for i in cls)), face))
+        keyed.append(((f.dim, tuple(sorted((pieces[i][0], i) for i in cls))), face))
     keyed.sort(key=lambda kf: kf[0])
     return FacePoset(faces=tuple(face for _, face in keyed), top=keyed[-1][1])
 

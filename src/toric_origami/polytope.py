@@ -78,7 +78,7 @@ class HalfSpace:
     def __post_init__(self):
         entries = []
         for c in self.normal:
-            as_frac = c if type(c) is int else Fraction(c)
+            as_frac = Fraction(c)
             if as_frac.denominator != 1:
                 raise DegenerateInput(
                     f"halfspace normal must have integer entries, got {self.normal}"
@@ -86,10 +86,9 @@ class HalfSpace:
             entries.append(int(as_frac))
         if not entries or all(c == 0 for c in entries):
             raise DegenerateInput("halfspace normal must be a nonzero integer vector")
-        g = math.gcd(*entries)
-        offset = Fraction(self.offset)
+        g = math.gcd(*(abs(c) for c in entries))
         object.__setattr__(self, "normal", tuple(c // g for c in entries))
-        object.__setattr__(self, "offset", offset / g if g > 1 else offset)  # no Fraction division
+        object.__setattr__(self, "offset", Fraction(self.offset) / g)
 
     def contains(self, point) -> bool:
         return dot(self.normal, point) <= self.offset
@@ -196,8 +195,7 @@ def _vertex_incidence(normals, offsets, n) -> dict:
     Only the n-subsets with independent normals (`_independent_subsets`)
     are solved; every other subset is singular.  Offsets are scaled to
     integers, and a solution is held as integers X over a common
-    denominator d, so the slacks d·b − <a, X> are ints, and the vertices
-    are sorted as ints too.
+    denominator d, so the slacks d·b − <a, X> are ints.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
@@ -209,10 +207,8 @@ def _vertex_incidence(normals, offsets, n) -> dict:
         slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
         if min(slacks, default=0) >= 0:
             incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
-    # over one common denominator the points sort as int tuples, with no Fraction compared
-    common = math.lcm(*(d for _, d in incidence))
-    order = sorted(incidence, key=lambda Xd: [x * (common // Xd[1]) for x in Xd[0]])
-    return {tuple(Fraction(x, d * scale) for x in X): incidence[X, d] for X, d in order}
+    vertices = ((tuple(Fraction(x, d * scale) for x in X), t) for (X, d), t in incidence.items())
+    return dict(sorted(vertices))
 
 
 def _edge_pairs(tight_sets, n) -> tuple | None:
@@ -311,7 +307,6 @@ class DelzantPolytope:
             if not mask or self._active_and_dimension(mask)[1] != dimension - 1:
                 raise NotDelzant(f"halfspace {hs[i]!r} is redundant (does not support a facet)")
         self._simple = self._simple_mask == (1 << len(self._vertices)) - 1
-        self._ref = weakref.ref(self)  # shared by the faces, so they make no cycle
         self._face_map = None
         self._sorted_faces = None
         self._one_faces = None
@@ -418,7 +413,7 @@ class DelzantPolytope:
         vertices = tuple(self._vertices[k] for k in numbers)
         # set intersections reuse the points' stored hashes
         vset = self._vertex_set.intersection(*(self._facet_vertex_sets[i] for i in active))
-        return Face(active, vertices, dim, self._ref, vset, numbers)
+        return Face(active, vertices, dim, weakref.ref(self), vset, numbers)
 
     def faces(self) -> tuple:
         """All nonempty faces, the polytope itself included, sorted by (dim, vertices).
@@ -444,9 +439,10 @@ class DelzantPolytope:
             numbers = tuple(k for k in range(len(self._vertices)) if mask >> k & 1)
             keyed.append(((dim, numbers), active))
         keyed.sort(key=lambda ka: ka[0])
-        made = {f.numbers: f for f in self._one_faces or ()}  # edges built first are kept
+        # on a simple polytope the 1-faces are the edge record's objects
+        edges = {f.numbers: f for f in self.one_faces()} if self._edge_pairs is not None else {}
         self._sorted_faces = tuple(
-            made.get(numbers) or self._face(a, numbers, dim) for (dim, numbers), a in keyed
+            edges.get(numbers) or self._face(a, numbers, dim) for (dim, numbers), a in keyed
         )
         self._face_map = {f.vertex_set: f for f in self._sorted_faces}
         return self._sorted_faces
@@ -456,12 +452,12 @@ class DelzantPolytope:
 
         On a bounded simple polytope they come from the edge record kept
         from the boundedness check: each pair of vertices sharing n − 1
-        facets, those facets its active set, so no other face is built.
-        Otherwise, or once `faces()` is built, they are read off it; either
-        way `faces()` and `one_faces()` share their 1-face objects.
+        facets, those facets its active set, so no other face is built, and
+        `faces()` takes its 1-faces from here.  Otherwise they are read off
+        `faces()`.
         """
         if self._one_faces is None:
-            if self._edge_pairs is None or self._sorted_faces is not None:
+            if self._edge_pairs is None:
                 self._one_faces = tuple(f for f in self.faces() if f.dim == 1)
             else:
                 tights = tuple(self._tight.values())
@@ -511,6 +507,11 @@ class DelzantPolytope:
     def __hash__(self):
         return hash((self._dim, self._halfspace_set))
 
+    def __reduce__(self):
+        # rebuilt from its description: a copy's faces hold the copy, and
+        # the cached faces, which hold their polytope weakly, are not pickled
+        return DelzantPolytope, (self._dim, self._halfspaces)
+
     def __repr__(self):
         return (
             f"DelzantPolytope(dim={self._dim}, facets={len(self._halfspaces)}, "
@@ -532,8 +533,6 @@ def agree_near_facet(p1: DelzantPolytope, f1: int, p2: DelzantPolytope, f2: int)
         raise DimensionError(
             f"cannot compare facets across dimensions {p1.dimension} and {p2.dimension}"
         )
-    if p1 is p2 and f1 == f2:  # a facet agrees with itself
-        return True
     set1 = p1.facet_vertex_sets[f1]
     set2 = p2.facet_vertex_sets[f2]
     if set1 != set2:

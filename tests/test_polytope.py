@@ -1,8 +1,11 @@
 """Delzant polytopes: construction gates, faces, smoothness, fold agreement."""
 
 import ast
+import copy
 import gc
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,9 +38,11 @@ from toric_origami.exceptions import (
     FaceMismatch,
     NotDelzant,
     NotSimple,
+    OrigamiError,
     Unsupported,
 )
-from toric_origami.fileformat import corpus_names
+from toric_origami.fileformat import corpus_names, serialize
+from toric_origami.gkm import export_dot, moment_graph
 from toric_origami.lattice import lattice_determinant, pivot_columns
 from toric_origami.polytope import (
     DelzantPolytope,
@@ -45,6 +50,7 @@ from toric_origami.polytope import (
     agree_near_facet,
     facet_as_polytope,
 )
+from toric_origami.orbit_space import face_poset
 
 
 def triangle():
@@ -427,6 +433,35 @@ def test_a_face_holds_its_polytope_weakly():
         assert face.vertices == ((0, 0), (0, 2))
     finally:
         gc.enable()
+
+
+def test_copies_are_rebuilt_from_the_description():
+    """A pickled or deep-copied polytope is rebuilt from its halfspaces, so
+    its faces hold the copy; cached faces do not stop a template's copy."""
+    poly = box_polytope(((0, 1), (0, 2)))
+    poly.faces()
+    for copied in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly)):
+        assert copied == poly and copied is not poly
+        assert copied.faces() == poly.faces()
+        assert all(f.owner is copied for f in copied.faces())
+        edge = copied.one_faces()[0]
+        assert copied.faces_meeting(edge) == poly.faces_meeting(poly.one_faces()[0])
+    for name in corpus_names():
+        t = load_corpus(name)
+        for build in (face_poset, moment_graph):
+            try:
+                build(t)
+            except OrigamiError:
+                pass
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert serialize(copied) == serialize(t), name
+            try:
+                expected = export_dot(moment_graph(t))
+            except OrigamiError as e:
+                with pytest.raises(type(e), match=re.escape(str(e))):
+                    moment_graph(copied)
+            else:
+                assert export_dot(moment_graph(copied)) == expected, name
 
 
 # recorded from the code before boundedness was read off the vertex-facet incidence
