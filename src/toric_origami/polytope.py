@@ -32,7 +32,8 @@ polytope; two structurally identical polytopes produce equal faces, so
 code that mixes several polytopes must key faces by (polytope id, face).
 A face holds its polytope through a weak reference (`Face.owner`), so a
 polytope and the faces it caches form no reference cycle, and a polytope
-nothing else holds is freed by reference count.
+nothing else holds is freed by reference count.  A polytope pickles and
+deep-copies as its description: the copy is rebuilt from its halfspaces.
 """
 
 from __future__ import annotations
