@@ -15,15 +15,19 @@ f_v = f_r + sum alpha_e g_e over the forest edges on the root path of v.
 A nonzero linear form alpha_e is not a zero divisor, so each g_e is fixed
 by the class and this map onto the class space is an isomorphism.  Forest
 edges hold by construction, so only the E - V + c edges off the forest
-(E edges, V fixed points, c components) add constraint rows; a request
-over several degrees builds the forest once.  The rows
+(E edges, V fixed points, c components) add constraint rows.  The rows
 are ints: divisibility by an edge weight is read as vanishing on its
-hyperplane.  Multiplying by a variable commutes with the map, so products
-are taken block by block.  Class vectors are exact `fractions.Fraction`
-values.  Ranks and kernels come from `lattice`, which eliminates modulo a
-large prime and certifies every answer by an exact check over the
-integers, falling back to `Fraction` elimination when a check fails.
-Membership tests are exact polynomial division, never numerical.
+hyperplane, through an integer basis of it and the images of monomials
+there.  A request over several degrees builds the forest once, and the
+forest holds each off-forest weight's hyperplane basis and monomial
+images, so every degree shares them and degree d + 1 extends the images
+of degree d; nothing outlives the request.  Multiplying by a variable
+commutes with the map, so products are taken block by block.  Class
+vectors are exact `fractions.Fraction` values.  Ranks and kernels come
+from `lattice`, which eliminates modulo a large prime and certifies every
+answer by an exact check over the integers (on the row side for a wide
+matrix's rank), falling back to `Fraction` elimination when a check
+fails.  Membership tests are exact polynomial division, never numerical.
 """
 
 from __future__ import annotations
@@ -236,11 +240,15 @@ class _Forest(NamedTuple):
     alpha_e g_e.  `cycles` holds, per other edge (p, q), its weight and the
     (block, sign) pairs of the forest edges on exactly one of the root
     paths of p and q, + on p's side: f_p - f_q = sum sign * alpha_e g_e.
+    `planes` maps each cycle weight to its hyperplane basis and monomial
+    images (the `_restriction` memo), filled by `_constraint_rows` as
+    degrees are solved over the forest and shared by them.
     """
 
     blocks: tuple
     up: tuple
     cycles: tuple
+    planes: dict
 
 
 def _spanning_forest(g: MomentGraph) -> _Forest:
@@ -285,7 +293,7 @@ def _spanning_forest(g: MomentGraph) -> _Forest:
                 path.append((b, -1))
         if path:  # a loop constrains nothing
             cycles.append((e.weight, tuple(path)))
-    return _Forest(tuple(blocks), tuple(up), tuple(cycles))
+    return _Forest(tuple(blocks), tuple(up), tuple(cycles), {})
 
 
 def _block_bases(n, degree):
@@ -311,7 +319,9 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     of B = `integer_kernel_basis(alpha)` span alpha^perp.  The coefficient
     of g_e[m] there is sum_i alpha_e[i] times the image of x^(m + e_i).
     Each row, a list of ints, is one y-coefficient of that.  `forest` is
-    `_spanning_forest(g)`, built here when it is not passed in.
+    `_spanning_forest(g)`, built here when it is not passed in; B and the
+    monomial images are kept in `forest.planes`, so the degrees solved over
+    one forest build each weight's B once and share its images.
     """
     n = g.dimension
     basis, lower = _block_bases(n, degree)
@@ -324,12 +334,11 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     if not lower:  # degree 0: f is constant on each component
         return rows, ncols
     ys = {y: i for i, y in enumerate(monomial_basis(n - 1, degree))}
-    planes = {}  # weight -> (hyperplane basis, monomial images)
     terms = {}  # (cycle weight, forest weight) -> per m in lower, {row: coefficient}
     for weight, path in forest.cycles:
-        if weight not in planes:
-            planes[weight] = (integer_kernel_basis(weight), {})
-        plane, images = planes[weight]
+        if weight not in forest.planes:
+            forest.planes[weight] = (integer_kernel_basis(weight), {})
+        plane, images = forest.planes[weight]
         cycle_rows = [[0] * ncols for _ in ys]
         for b, sign in path:
             alpha = forest.blocks[b]

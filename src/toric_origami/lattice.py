@@ -17,6 +17,14 @@ mod p never exceeds the rational rank.  The lifted basis is then the
 rational reduced echelon basis itself.  When reconstruction or the check
 fails the next prime is tried, and past the last one the matrix is reduced
 over `Fraction` instead.
+
+A wide matrix (more columns than rows) has its rank certified on the row
+side: `rank`, and with it `kernel_dimension` (ncols - rank), eliminates the
+transpose, whose rank is the same, so the certificate lifts one vector per
+dependent row instead of one per free column.  Its fallback reduces the
+original rows.  `pivot_columns`, `kernel_basis` and `solve_square` always
+eliminate the rows.  A row of ints is taken as it is, with no per-entry
+work in Python; only a row holding another type is scaled to integers.
 """
 
 from __future__ import annotations
@@ -123,12 +131,15 @@ def _integer_rows(rows, ncols):
     for row in rows:
         if len(row) != ncols:
             raise DimensionError(f"row of length {len(row)} in a {ncols}-column matrix")
-        entries = [
-            (c, x if isinstance(x, (int, Fraction)) else Fraction(x))
-            for c, x in zip(compress(range(ncols), row), compress(row, row))
-        ]
-        scale = math.lcm(*(x.denominator for _, x in entries))
-        out.append({c: x.numerator * (scale // x.denominator) for c, x in entries})
+        entries = dict(compress(enumerate(row), row))
+        if not {int}.issuperset(map(type, entries.values())):  # a row of ints needs no scaling
+            entries = {
+                c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                for c, x in entries.items()
+            }
+            scale = math.lcm(*(x.denominator for x in entries.values()))
+            entries = {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+        out.append(entries)
     return out
 
 
@@ -254,10 +265,27 @@ def pivot_columns(rows, ncols):
 
 
 def rank(rows, ncols=None):
-    """Rank of a rational matrix (exact)."""
+    """Rank of a rational matrix (exact).
+
+    A wide matrix is eliminated by its columns, whose rank is the same, so
+    the certificate lifts one vector per dependent row, not one per free
+    column.
+    """
     if not rows:
         return 0
-    return len(_solve(rows, _column_count(rows, ncols))[0])
+    ncols = _column_count(rows, ncols)
+    if ncols <= len(rows):
+        return len(_solve(rows, ncols)[0])
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(_integer_rows(rows, ncols)):
+        for c, a in row.items():
+            columns[c][i] = a
+    columns = [column for column in columns if column]  # zero columns add no rank
+    for p in _PRIMES:
+        found = _modular_kernel(columns, len(rows), p)
+        if found is not None:
+            return len(found[0])
+    return len(_reduced_echelon(rows, ncols)[1])
 
 
 def kernel_dimension(rows, ncols=None):

@@ -577,4 +577,7 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
             placed.discard(v2)
         return False
 
-    return place(0)
+    try:
+        return place(0)
+    finally:
+        del place  # it holds itself through this cell: free it by reference count

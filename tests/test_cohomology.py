@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from helpers import (
+    box_path_template,
     linear_poly,
     oracle_generator_degrees,
     oracle_gkm_dimension,
@@ -33,7 +34,7 @@ from toric_origami.cohomology import (
 )
 from toric_origami.exceptions import FreenessViolation, ShapeError
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph, moment_graph
-from toric_origami.lattice import kernel_basis
+from toric_origami.lattice import integer_kernel_basis, kernel_basis
 
 
 def two_point_graph(weights, n):
@@ -223,6 +224,33 @@ def test_each_request_builds_one_forest(monkeypatch):
         built.clear()
         query(g)
         assert built == [g]
+
+
+def test_each_request_builds_each_weight_plane_once(monkeypatch):
+    # the hyperplane basis of an off-forest edge's weight, and its monomial
+    # images, are built once per request and shared by every degree
+    built = []
+
+    def counted(weight):
+        built.append(tuple(weight))
+        return integer_kernel_basis(weight)
+
+    monkeypatch.setattr(cohomology, "integer_kernel_basis", counted)
+    for g in (
+        moment_graph(load_corpus("chain3")),
+        moment_graph(box_path_template(random.Random(5), 3, 3)),
+    ):
+        cycles = _spanning_forest(g).cycles
+        weights = sorted({weight for weight, _ in cycles})
+        assert weights
+        for query in (
+            betti_numbers,
+            lambda g: hilbert_function(g, 4),
+            lambda g: generator_degrees(g, 4),
+        ):
+            built.clear()
+            query(g)
+            assert sorted(built) == weights
 
 
 def test_degree_zero_counts_graph_components():

@@ -16,7 +16,7 @@ from helpers import (
     oracle_solve_square,
 )
 from toric_origami import lattice
-from toric_origami.exceptions import DegenerateInput
+from toric_origami.exceptions import DegenerateInput, DimensionError
 from toric_origami.lattice import (
     dot,
     hermite_basis,
@@ -197,12 +197,41 @@ def test_multiple_of_the_first_prime_retries_the_second(monkeypatch):
 
 def test_unreconstructible_kernel_falls_back_to_fractions(monkeypatch):
     log = _record_routes(monkeypatch)
+    every_prime_then_fractions = [(p, False) for p in lattice._PRIMES] + ["fraction"]
     # the kernel holds -P, beyond rational reconstruction at every prime
-    rows = [[Fraction(1, P), 1]]
-    assert rank(rows, 2) == 1
-    assert kernel_basis(rows, 2) == [(Fraction(-P), Fraction(1))]
-    assert log[: len(lattice._PRIMES)] == [(p, False) for p in lattice._PRIMES]
-    assert log[len(lattice._PRIMES)] == "fraction"
+    assert kernel_basis([[Fraction(1, P), 1]], 2) == [(Fraction(-P), Fraction(1))]
+    assert log == every_prime_then_fractions
+    # a wide matrix is eliminated by its columns: the kernel of the
+    # transpose holds (-P, 1), so the row-side route falls back too
+    log.clear()
+    assert rank([[1, 0, 0], [P, 0, 0]], 3) == 1
+    assert log == every_prime_then_fractions
+
+
+def test_row_side_rank_matches_the_oracle_on_every_shape():
+    # wide matrices are eliminated by their columns, square and tall ones by their rows
+    rng = random.Random(71)
+    shapes = {"wide": 0, "square": 0, "tall": 0}
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        shapes["wide" if n > m else "square" if n == m else "tall"] += 1
+        rows = [[_mixed_entry(rng) for _ in range(n)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:  # a dependent row lowers the rank
+            i, j = rng.sample(range(m), 2)
+            rows[i] = list(rows[j])
+        expected = oracle_rank(rows, n)
+        assert rank(rows, n) == expected, rows
+        assert kernel_dimension(rows, n) == n - expected, rows
+    assert min(shapes.values()) > 30
+
+
+def test_ragged_rows_are_refused_on_either_side():
+    for rows, ncols in (([[1, 2, 3], [1, 2]], 3), ([[1, 2], [3, 4], [5]], 2)):
+        with pytest.raises(DimensionError, match="row of length"):
+            rank(rows, ncols)
+        with pytest.raises(DimensionError, match="row of length"):
+            kernel_dimension(rows, ncols)
 
 
 def test_solve_square_unique_and_singular():

@@ -1,5 +1,6 @@
 """Template graphs, validation, classification flags, cut and blow-up."""
 
+import gc
 import random
 
 import pytest
@@ -307,3 +308,14 @@ def test_isomorphic_respects_polytope_geometry():
         ],
     )
     assert not isomorphic(t, shifted)
+
+
+def test_isomorphic_leaves_no_reference_cycle():
+    t = hexagon_tree_template(random.Random(3), 10)
+    gc.collect()
+    gc.disable()  # so that only reference counting can free the search
+    try:
+        assert isomorphic(t, t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
