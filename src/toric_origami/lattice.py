@@ -6,9 +6,9 @@ tuples of ints, rational points are tuples of Fractions, and matrices are
 sequences of row tuples.  All functions are pure and their outputs are
 deterministic (pivots are always the first nonzero entry in column order).
 
-`rank`, `kernel_dimension`, `kernel_basis` and `solve_square` share one
-certified modular kernel.  Each row is scaled to integers and the matrix is
-brought to reduced row echelon form modulo a large prime p; every kernel
+`rank`, `kernel_dimension` and `kernel_basis` share one certified modular
+kernel.  Each row is scaled to integers and the matrix is brought to
+reduced row echelon form modulo a large prime p; every kernel
 vector read off the free columns is lifted to the rationals by rational
 reconstruction and checked exactly against every row.  A passing check is
 a proof: the lifted vectors are independent (the identity sits on the free
@@ -22,9 +22,8 @@ A wide matrix (more columns than rows) has its rank certified on the row
 side: `rank`, and with it `kernel_dimension` (ncols - rank), eliminates the
 transpose, whose rank is the same, so the certificate lifts one vector per
 dependent row instead of one per free column.  Its fallback reduces the
-original rows.  `pivot_columns`, `kernel_basis` and `solve_square` always
-eliminate the rows.  A row of ints is taken as it is, with no per-entry
-work in Python; only a row holding another type is scaled to integers.
+original rows.  A row of ints is taken as it is, with no per-entry work in
+Python; only a row holding another type is scaled to integers.
 """
 
 from __future__ import annotations
@@ -56,44 +55,6 @@ def primitive(v):
     if g == 0:
         raise DegenerateInput("zero vector has no primitive representative")
     return tuple(c // g for c in ints)
-
-
-def lattice_determinant(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
-
-    The empty 0x0 matrix has determinant 1.  Raises DimensionError unless
-    exactly n vectors of length n are supplied.  int entries are read as
-    they are; any other entry must be an integral Fraction() value.
-    """
-    n = len(rows)
-    mat = []
-    for r in rows:
-        row = []
-        for c in r:
-            q = c if isinstance(c, int) else Fraction(c)
-            if q.denominator != 1:
-                raise DegenerateInput(f"integer determinant got non-integer entry {c}")
-            row.append(q.numerator)
-        mat.append(row)
-    if any(len(r) != n for r in mat):
-        raise DimensionError(f"determinant needs {n} vectors of length {n}")
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division is exact by construction
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
 
 
 def _reduced_echelon(rows, ncols):
@@ -309,22 +270,6 @@ def kernel_basis(rows, ncols):
             dense[c] = Fraction(n, d)
         basis.append(tuple(dense))
     return basis
-
-
-def solve_square(rows, rhs):
-    """Solve the square rational system rows * x = rhs; None if singular.
-
-    x is the kernel vector of [rows | -rhs] that is 1 on the last column,
-    unique exactly when the pivots are 0..n-1, so the verdict is exact.
-    """
-    n = len(rows)
-    aug = [(*row, -b) for row, b in zip(rows, rhs, strict=True)]
-    if any(len(r) != n + 1 for r in aug):
-        raise DimensionError("solve_square needs an n x n matrix")
-    pivots, vectors = _solve(aug, n + 1)
-    if pivots != list(range(n)):
-        return None
-    return tuple(Fraction(*vectors[0].get(c, (0, 1))) for c in range(n))
 
 
 def rational_to_primitive(vec):

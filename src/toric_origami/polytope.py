@@ -9,12 +9,15 @@ polytopes can be inspected and rejected with a reason.
 
 Polytope facts come from one vertex–facet incidence, the halfspaces tight
 at each vertex, recorded while the vertices are enumerated.  Enumeration
-is a depth-first walk over facet subsets that drops a subset as soon as
-its normals are linearly dependent (an exact fraction-free echelon over
-the integers), so only nonsingular n × n systems are solved; past
-VERTEX_WALK_LIMIT independent subsets the input is refused with
-Unsupported instead of left to run.  A face has
-dimension n − rank(normals of the facets containing it), since its affine
+is a depth-first walk over facet subsets that reduces the integer rows
+[a | b] of each prefix by Bareiss's fraction-free elimination and drops a
+subset as soon as its normals are linearly dependent.  That is the only
+elimination for vertices: each nonsingular n-subset is back-substituted
+from its echelon, and its last pivot is ±det of its normals, so
+smoothness (|det| = 1 at every simple vertex) is recorded by the walk
+too.  Past VERTEX_WALK_LIMIT independent subsets the input is refused
+with Unsupported instead of left to run.  A face has dimension
+n − rank(normals of the facets containing it), since its affine
 hull is cut out by the inequalities tight on all of it; at a vertex on
 exactly n facets those normals are a basis, so the rank is a count.  If
 every vertex is on exactly n facets, the polytope is bounded when each
@@ -55,12 +58,10 @@ from .exceptions import (
 from .lattice import (
     dot,
     integer_kernel_basis,
-    lattice_determinant,
     pivot_columns,
     rank,
     rational_to_primitive,
     recession_direction,
-    solve_square,
 )
 
 
@@ -148,35 +149,39 @@ class Face:
 VERTEX_WALK_LIMIT = 50_000
 
 
-def _independent_subsets(normals, n) -> list:
-    """Every n-subset of row indices whose normals are linearly independent, in
-    lexicographic order.
+def _independent_subsets(rows, n) -> list:
+    """The Bareiss echelon of every n-subset of the rows [a_i | b_i] whose
+    normals a_i are linearly independent, in lexicographic subset order.
 
-    A depth-first walk over increasing prefixes keeps a fraction-free
-    echelon of the prefix's normals and drops a prefix as soon as a new
-    normal reduces to zero against it, since every subset holding a
-    dependent prefix is singular.  The test is exact over the integers.
-    Raises Unsupported once the walk has visited more than
+    An echelon is a tuple of (row index, pivot column, reduced row).  A
+    depth-first walk over increasing prefixes reduces each new row against
+    the prefix's echelon by Bareiss's fraction-free step, which divides
+    exactly by the previous pivot (Bareiss, Math. Comp. 1968), and drops
+    the prefix as soon as the normal part reduces to zero, since every
+    subset holding a dependent prefix is singular.  Every entry is then a
+    minor of the integer matrix [A | b], and the last pivot of an n-subset
+    S is ±det A_S.  Raises Unsupported once the walk has visited more than
     VERTEX_WALK_LIMIT independent prefixes, before any system is solved.
     """
-    m = len(normals)
+    m = len(rows)
     found = []
     visited = 0
-    stack = [((), ())]  # (prefix, echelon rows as (pivot column, row)), to extend
+    stack = [()]  # echelons of the prefixes to extend
     while stack:
-        subset, echelon = stack.pop()
-        if len(subset) == n:
-            found.append(subset)
+        echelon = stack.pop()
+        if len(echelon) == n:
+            found.append(echelon)
             continue
         # pushed last to first, so the stack extends the first index first
-        for i in reversed(range(subset[-1] + 1 if subset else 0, m - n + len(subset) + 1)):
-            row = normals[i]
-            for c, e in echelon:  # each echelon row is zero on the pivots before its own
-                x = row[c]
-                if x:
-                    row = [e[c] * a - x * b for a, b in zip(row, e)]
-            g = math.gcd(*row)
-            if not g:  # normals[i] lies in the span of the prefix
+        for i in reversed(range(echelon[-1][0] + 1 if echelon else 0, m - n + len(echelon) + 1)):
+            row = rows[i]
+            prev = 1
+            for _, c, e in echelon:  # each echelon row is zero on the pivots before its own
+                p, x = e[c], row[c]
+                row = [(p * a - x * b) // prev for a, b in zip(row, e)]
+                prev = p
+            pivot = next((c for c in range(n) if row[c]), None)
+            if pivot is None:  # the normal lies in the span of the prefix
                 continue
             visited += 1
             if visited > VERTEX_WALK_LIMIT:
@@ -184,32 +189,49 @@ def _independent_subsets(normals, n) -> list:
                     f"vertex enumeration in dimension {n} over {m} halfspaces visits more "
                     f"than {VERTEX_WALK_LIMIT} independent facet subsets"
                 )
-            row = [a // g for a in row]
-            pivot = next(c for c, a in enumerate(row) if a)
-            stack.append((subset + (i,), echelon + ((pivot, row),)))
+            stack.append(echelon + ((i, pivot, row),))
     return found
 
 
-def _vertex_incidence(normals, offsets, n) -> dict:
-    """{vertex: indices of the halfspaces tight at it}, sorted.
+def solve_square(echelon, n) -> tuple:
+    """(X, d) with A_S·X = d·b_S, from the Bareiss echelon of an n-subset S.
+
+    d is the last pivot, ±det A_S (1 for n = 0), and X is back-substituted
+    in integers (Cramer's rule): row by row from the last, each division by
+    the row's pivot is exact.
+    """
+    d = echelon[-1][2][echelon[-1][1]] if echelon else 1
+    X = [0] * n
+    for _, c, row in reversed(echelon):  # X is 0 on the pivots still unsolved
+        X[c] = (d * row[n] - sum(a * x for a, x in zip(row, X))) // row[c]
+    return X, d
+
+
+def _vertex_incidence(normals, offsets, n) -> tuple:
+    """({vertex: indices of the halfspaces tight at it}, sorted; whether every
+    subset solved to a vertex has |det| = 1).
 
     Only the n-subsets with independent normals (`_independent_subsets`)
     are solved; every other subset is singular.  Offsets are scaled to
     integers, and a solution is held as integers X over a common
-    denominator d, so the slacks d·b − <a, X> are ints.
+    denominator d > 0 with gcd(X, d) = 1, so the slacks d·b − <a, X> are
+    ints.  When every vertex is simple, its tight set is the one subset
+    solved to it, so the record is smoothness.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
     incidence = {}  # (X, d) -> tight indices
-    for subset in _independent_subsets(normals, n):
-        sol = solve_square([normals[i] for i in subset], [rhs[i] for i in subset])
-        d = math.lcm(*(x.denominator for x in sol))
-        point = tuple(x.numerator * (d // x.denominator) for x in sol)
+    smooth = True
+    for echelon in _independent_subsets([(*a, b) for a, b in zip(normals, rhs)], n):
+        X, det = solve_square(echelon, n)
+        g = math.gcd(det, *X) if det > 0 else -math.gcd(det, *X)
+        point, d = tuple(x // g for x in X), det // g
         slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
         if min(slacks, default=0) >= 0:
             incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
+            smooth = smooth and abs(det) == 1
     vertices = ((tuple(Fraction(x, d * scale) for x in X), t) for (X, d), t in incidence.items())
-    return dict(sorted(vertices))
+    return dict(sorted(vertices)), smooth
 
 
 def _edge_pairs(tight_sets, n) -> tuple | None:
@@ -243,7 +265,8 @@ def _is_nonempty_without_vertex(normals, offsets, n) -> bool:
     pivots = pivot_columns(normals, n)
     if len(pivots) == n:
         return False
-    return bool(_vertex_incidence([[a[j] for j in pivots] for a in normals], offsets, len(pivots)))
+    image = [[a[j] for j in pivots] for a in normals]
+    return bool(_vertex_incidence(image, offsets, len(pivots))[0])
 
 
 class DelzantPolytope:
@@ -254,8 +277,10 @@ class DelzantPolytope:
     contains a halfspace whose facet has dimension below n − 1, and
     Unsupported when enumerating its vertices would visit more than
     VERTEX_WALK_LIMIT independent facet subsets.  From the
-    tight sets, `is_simple` counts n at every vertex and `is_smooth` asks
-    |det| = 1 of the tight normals; `is_delzant` is their conjunction.
+    tight sets, `is_simple` counts n at every vertex; `is_smooth` returns
+    the walk's record that |det A_S| = 1 for each facet subset S solved to
+    a vertex, on a simple polytope its tight set; `is_delzant` is their
+    conjunction.
     Boundedness and face dimensions are read off the tight sets as well;
     `recession_direction` runs only when some vertex is not simple, some
     edge has one end or there is no vertex, and `rank` only for a face
@@ -279,7 +304,7 @@ class DelzantPolytope:
         self._halfspaces = hs
         normals = [h.normal for h in hs]
         offsets = [h.offset for h in hs]
-        self._tight = _vertex_incidence(normals, offsets, dimension)
+        self._tight, self._smooth = _vertex_incidence(normals, offsets, dimension)
         self._vertices = tuple(self._tight)
         tights = list(self._tight.values())  # vertex k is bit k of a vertex mask
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
@@ -312,7 +337,6 @@ class DelzantPolytope:
         self._sorted_faces = None
         self._one_faces = None
         self._edges_at = None
-        self._smooth = None
 
     # -- construction checks ---------------------------------------------
 
@@ -392,17 +416,13 @@ class DelzantPolytope:
 
         At a simple vertex with primitive tight normals A these directions are
         the columns of −A⁻¹ made primitive, a basis exactly when |det A| = 1.
+        A is the facet subset the vertex walk solved to that vertex, so the
+        answer is the walk's |det| record and nothing is computed here.
         Raises NotSimple for non-simple polytopes, where the criterion does
         not apply.
         """
         if not self.is_simple():
             raise NotSimple("smoothness is only defined for simple polytopes")
-        if self._smooth is None:
-            hs = self._halfspaces
-            self._smooth = all(
-                abs(lattice_determinant([hs[i].normal for i in tight])) == 1
-                for tight in self._tight.values()
-            )
         return self._smooth
 
     def is_delzant(self) -> bool:

@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, echelon ranks, kernels, Hermite bases."""
+"""Exact linear algebra: echelon ranks, kernels, Hermite bases."""
 
 import itertools
 import math
@@ -13,7 +13,6 @@ from helpers import (
     oracle_kernel_basis,
     oracle_nullity,
     oracle_rank,
-    oracle_solve_square,
 )
 from toric_origami import lattice
 from toric_origami.exceptions import DegenerateInput, DimensionError
@@ -23,12 +22,10 @@ from toric_origami.lattice import (
     integer_kernel_basis,
     kernel_basis,
     kernel_dimension,
-    lattice_determinant,
     primitive,
     rank,
     rational_to_primitive,
     recession_direction,
-    solve_square,
 )
 
 
@@ -51,30 +48,6 @@ def test_rational_to_primitive_clears_denominators():
     assert rational_to_primitive((Fraction(2, 3), Fraction(-4, 9), 0)) == (3, -2, 0)
     with pytest.raises(DegenerateInput):
         rational_to_primitive((Fraction(0), 0))
-
-
-def test_determinant_matches_permutation_expansion():
-    rng = random.Random(2024)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert lattice_determinant(rows) == oracle_det(
-            [[Fraction(c) for c in row] for row in rows]
-        )
-    assert lattice_determinant([]) == 1
-
-
-def test_determinant_rejects_fractional_entries():
-    with pytest.raises(DegenerateInput):
-        lattice_determinant([[Fraction(1, 2)]])
-
-
-def test_determinant_reads_int_and_integral_fraction_entries():
-    assert lattice_determinant([[2, 1], [7, 4]]) == 1
-    assert lattice_determinant([[Fraction(2), 1], [Fraction(14, 2), Fraction(4)]]) == 1
-    assert lattice_determinant([[0, 3], [-5, Fraction(-1)]]) == 15
-    with pytest.raises(DegenerateInput, match="non-integer entry 1/2"):
-        lattice_determinant([[1, 0], [Fraction(1, 2), 1]])
 
 
 def test_rank_and_kernel_match_plain_gauss():
@@ -232,53 +205,6 @@ def test_ragged_rows_are_refused_on_either_side():
             rank(rows, ncols)
         with pytest.raises(DimensionError, match="row of length"):
             kernel_dimension(rows, ncols)
-
-
-def test_solve_square_unique_and_singular():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    x = solve_square(rows, (Fraction(3), Fraction(2)))
-    assert x == (Fraction(1), Fraction(1))
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_square(singular, (Fraction(1), Fraction(1))) is None
-
-
-def test_solve_square_matches_gauss_jordan_oracle():
-    rng = random.Random(83)
-    singular = 0
-    for _ in range(600):
-        n = rng.randint(0, 5)
-        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
-        if n >= 2 and rng.random() < 0.25:  # a row made dependent on another
-            i, j = rng.sample(range(n), 2)
-            scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            rows[i] = [scale * x for x in rows[j]]
-        rhs = [_random_entry(rng) for _ in range(n)]
-        x = solve_square(rows, rhs)
-        assert x == oracle_solve_square(rows, rhs), (rows, rhs)
-        if x is None:
-            singular += 1
-        else:
-            assert all(type(c) is Fraction for c in x)
-            assert all(dot(row, x) == b for row, b in zip(rows, rhs))
-    assert 50 < singular < 400  # both verdicts are exercised
-
-
-def test_solve_square_on_entries_at_the_modulus():
-    # P vanishes mod the first prime: the system is singular there, not over Q
-    rows = [[P, 1], [2 * P, 3]]
-    rhs = [Fraction(1, P), 2 * P]
-    assert solve_square(rows, rhs) == oracle_solve_square(rows, rhs)
-    assert solve_square([[P, 2 * P], [1, 2]], [1, 1]) is None
-
-
-def test_solve_square_fraction_fallback_matches_oracle(monkeypatch):
-    log = _record_routes(monkeypatch)
-    # x = (P, -P) is beyond rational reconstruction at every prime
-    rows = [[1, 1], [Fraction(1, P), 0]]
-    rhs = [0, 1]
-    assert solve_square(rows, rhs) == oracle_solve_square(rows, rhs) == (P, -P)
-    assert log[: len(lattice._PRIMES)] == [(p, False) for p in lattice._PRIMES]
-    assert log[len(lattice._PRIMES)] == "fraction"
 
 
 def test_hermite_basis_normal_form_shape():

@@ -3,6 +3,8 @@
 import ast
 import copy
 import gc
+import itertools
+import math
 import pickle
 import random
 import re
@@ -24,6 +26,7 @@ from helpers import (
     oracle_edges_at,
     oracle_det,
     oracle_faces,
+    oracle_solve_square,
     oracle_vertex_incidence,
     random_lattice_polygon,
     random_unimodular,
@@ -43,7 +46,7 @@ from toric_origami.exceptions import (
 )
 from toric_origami.fileformat import corpus_names, serialize
 from toric_origami.gkm import export_dot, moment_graph
-from toric_origami.lattice import lattice_determinant, pivot_columns
+from toric_origami.lattice import pivot_columns
 from toric_origami.polytope import (
     DelzantPolytope,
     HalfSpace,
@@ -89,7 +92,7 @@ def test_vertices_of_simple_shapes():
     interval = box_polytope(((-2, 5),))
     assert interval.vertices == ((-2,), (5,))
     point = DelzantPolytope(0, [])
-    assert point.vertices == ((),)
+    assert point.vertices == ((),) and point.is_delzant()  # the empty determinant is 1
 
 
 def test_construction_gates_reject_bad_input():
@@ -264,6 +267,9 @@ def test_smoothness_matches_the_edge_direction_definition():
         samples.extend(box_path_template(rng).psi_v.values())
         samples.extend(hexagon_tree_template(rng).psi_v.values())
         samples.append(random_lattice_polygon(rng)[1])
+    for n in (3, 4):
+        for seed in range(3):
+            samples.append(DelzantPolytope(n, twisted_box_halfspaces(random.Random(100 * n + seed), n)))
     simple_not_smooth = [
         DelzantPolytope(2, [HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0), HalfSpace((1, 2), 2)]),
         DelzantPolytope(
@@ -275,12 +281,17 @@ def test_smoothness_matches_the_edge_direction_definition():
                 HalfSpace((1, 1, 2), 2),
             ],
         ),
+        # a 4-simplex with det 2 at (0, 0, 0, 1)
+        DelzantPolytope(
+            4,
+            [HalfSpace(tuple(-int(i == j) for j in range(4)), 0) for i in range(4)]
+            + [HalfSpace((1, 1, 1, 2), 2)],
+        ),
     ]
     samples.extend(simple_not_smooth)
     for poly in samples:
         by_definition = all(
-            abs(lattice_determinant(poly.vertex_edge_directions(v))) == 1
-            for v in poly.vertices
+            abs(oracle_det(poly.vertex_edge_directions(v))) == 1 for v in poly.vertices
         )
         assert poly.is_smooth() == by_definition
     assert not any(p.is_smooth() for p in simple_not_smooth)
@@ -580,7 +591,8 @@ WALK_REFUSALS = {
 
 def _walk_inputs():
     """(normals, offsets, n): the samples above, the rank-deficient strip and
-    slab and their images on pivot columns, and rows with a zero row."""
+    slab and their images on pivot columns, rows with a zero row, rational
+    offsets and entries past a word."""
     out = []
     for n, halves in [*WALK_POLYTOPES.values(), *((n, h) for n, h, _ in WALK_REFUSALS.values())]:
         normals = [h.normal for h in halves]
@@ -589,13 +601,16 @@ def _walk_inputs():
         pivots = pivot_columns(normals, n)
         out.append(([[a[j] for j in pivots] for a in normals], offsets, len(pivots)))
     out.append(([(0, 0), (-1, 0), (0, -1), (1, 1), (0, 0)], [1, 0, 0, 2, 0], 2))
+    out.append(([(-1, 0), (0, -1), (1, 2)], [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)], 2))
+    big = 2**61 - 1  # entries at and past a word-sized modulus
+    out.append(([(-1, 0), (0, -1), (big, 1)], [0, 0, big], 2))
     return out
 
 
 def test_the_independent_subset_walk_finds_what_the_full_scan_finds():
     for normals, offsets, n in _walk_inputs():
         expected = oracle_vertex_incidence(normals, [Fraction(b) for b in offsets], n)
-        found = polytope_module._vertex_incidence(normals, [Fraction(b) for b in offsets], n)
+        found = polytope_module._vertex_incidence(normals, [Fraction(b) for b in offsets], n)[0]
         assert found == expected and list(found) == list(expected), (normals, n)
     for name, (n, halves) in WALK_POLYTOPES.items():
         poly = DelzantPolytope(n, halves)
@@ -614,21 +629,38 @@ def test_the_independent_subset_walk_finds_what_the_full_scan_finds():
 
 
 def test_only_independent_subsets_are_solved(monkeypatch):
-    """Every system handed to `solve_square` is nonsingular, so a 4-cube makes
-    one call per vertex, where all C(8, 4) = 70 subsets were once solved."""
+    """`solve_square` back-substitutes exactly the n-subsets with nonsingular
+    normals, in lexicographic order, so a 4-cube makes one call per vertex,
+    where all C(8, 4) = 70 subsets were once solved.  Each leaf's point is the
+    subset's solution and its last pivot is ±det of the subset's normals."""
+    solve = polytope_module.solve_square
     solved = _counting(monkeypatch, "solve_square")
     cube = box_polytope(((0, 1), (0, 2), (-1, 1), (0, 3)))
     assert len(solved) == 16 == len(cube.vertices)
-    hexagon_polytope()
-    for n, halves in WALK_POLYTOPES.values():
-        DelzantPolytope(n, halves)
+    inputs = _walk_inputs()
+    hexagon = hexagon_polytope().halfspaces
+    inputs.append(([h.normal for h in hexagon], [h.offset for h in hexagon], 2))
     for n in (2, 3, 4):
-        DelzantPolytope(n, twisted_box_halfspaces(random.Random(n), n))
-    assert all(oracle_det(rows) != 0 for rows, _ in solved)
-    for normals, offsets, n in _walk_inputs():
+        for seed in range(3):
+            halves = twisted_box_halfspaces(random.Random(100 * n + seed), n)
+            inputs.append(([h.normal for h in halves], [h.offset for h in halves], n))
+    for normals, offsets, n in inputs:
+        offsets = [Fraction(b) for b in offsets]
         del solved[:]
-        polytope_module._vertex_incidence(normals, [Fraction(b) for b in offsets], n)
-        assert all(oracle_det(rows) != 0 for rows, _ in solved), (normals, n)
+        polytope_module._vertex_incidence(normals, offsets, n)
+        nonsingular = [
+            s
+            for s in itertools.combinations(range(len(normals)), n)
+            if oracle_det([normals[i] for i in s]) != 0
+        ]
+        assert [tuple(i for i, _, _ in echelon) for echelon, _ in solved] == nonsingular
+        scale = math.lcm(*(b.denominator for b in offsets))
+        for echelon, _ in solved:
+            rows = [normals[i] for i, _, _ in echelon]
+            X, d = solve(echelon, n)
+            point = tuple(Fraction(x, d * scale) for x in X)
+            assert point == oracle_solve_square(rows, [offsets[i] for i, _, _ in echelon])
+            assert abs(d) == abs(oracle_det(rows)), (normals, n, rows)
 
 
 def test_an_oversize_vertex_walk_is_refused_at_once(monkeypatch):
