@@ -9,7 +9,9 @@ solves integer systems directly, glued facets come from a local
 union-find over facet cuts of the folds, the links of the gluing rule
 come from point-set cuts of the folds, and orbit-space faces come from
 a plain fixed point over every (face, glued facet) pair with another
-local union-find; facet vertex sets are read off direct dot products.
+local union-find; facet vertex sets are read off direct dot products;
+template-graph components come from a union-find, bipartiteness from a
+breadth-first parity colouring and acyclicity from E = V - c.
 Agreement between these and the package is the point of the dual-route
 tests.
 """
@@ -412,6 +414,94 @@ def oracle_face_members(t, glued):
         if found <= faces:
             return faces
         faces |= found
+
+
+# ---------------------------------------------------------------------------
+# independent multigraph queries (plain vertex lists and {edge: (u, v)} dicts)
+
+
+def oracle_components(vertices, incidence):
+    """Connected components by union-find, ordered by least id in str order."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in incidence.values():
+        parent[find(u)] = find(v)
+    classes = {}
+    for v in vertices:
+        classes.setdefault(find(v), set()).add(v)
+    return tuple(sorted((frozenset(c) for c in classes.values()), key=min))
+
+
+def oracle_has_odd_cycle(vertices, incidence):
+    """True iff a breadth-first parity colouring fails; a loop is an odd cycle."""
+    neighbours = {v: [] for v in vertices}
+    for u, v in incidence.values():
+        if u == v:
+            return True
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    parity = {}
+    for seed in vertices:
+        if seed in parity:
+            continue
+        parity[seed] = 0
+        queue = [seed]
+        for w in queue:
+            for x in neighbours[w]:
+                if x not in parity:
+                    parity[x] = 1 - parity[w]
+                    queue.append(x)
+                elif parity[x] == parity[w]:
+                    return True
+    return False
+
+
+def oracle_is_forest(vertices, incidence):
+    """A multigraph is a forest iff E = V - c (loops and parallel edges are cycles)."""
+    return len(incidence) == len(vertices) - len(oracle_components(vertices, incidence))
+
+
+def oracle_loops(edges, incidence):
+    """The loop edges, in edge order."""
+    return tuple(e for e in edges if incidence[e][0] == incidence[e][1])
+
+
+def oracle_degrees(vertices, incidence):
+    """Edge ends at each vertex; a loop counts twice."""
+    degree = dict.fromkeys(vertices, 0)
+    for ends in incidence.values():
+        for w in ends:
+            degree[w] += 1
+    return degree
+
+
+def random_multigraph(rng):
+    """(vertices, edges, incidence) with loops, parallel edges and isolated
+    vertices, ids v0.. so that str order differs from number order
+    ("v10" < "v2"), listed in shuffled order."""
+    count = rng.randint(1, 14)
+    vertices = [f"v{k}" for k in range(count)]
+    rng.shuffle(vertices)
+    # edges stay inside random clusters, so that several components are common
+    labels = {v: rng.randint(1, 3) for v in vertices}
+    clusters = [[v for v in vertices if labels[v] == k] for k in set(labels.values())]
+    incidence = {}
+    for j in range(rng.randint(0, 2 * count)):
+        cluster = rng.choice(clusters)
+        kind = rng.random()
+        u = rng.choice(cluster)
+        v = u if kind < 0.1 else rng.choice(cluster)
+        incidence[f"e{j}"] = (u, v)
+        if kind > 0.9:
+            incidence[f"e{j}p"] = (v, u)  # a parallel edge, ends reversed
+    edges = list(incidence)
+    rng.shuffle(edges)
+    return tuple(vertices), tuple(edges), incidence
 
 
 # ---------------------------------------------------------------------------

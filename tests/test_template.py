@@ -5,7 +5,18 @@ import random
 
 import pytest
 
-from helpers import box_path_template, build_template, hexagon_tree_template, stopwatch
+from helpers import (
+    box_path_template,
+    build_template,
+    hexagon_tree_template,
+    oracle_components,
+    oracle_degrees,
+    oracle_has_odd_cycle,
+    oracle_is_forest,
+    oracle_loops,
+    random_multigraph,
+    stopwatch,
+)
 from toric_origami import load_corpus, radial_blow_up
 from toric_origami.exceptions import (
     ConditionOneViolation,
@@ -85,6 +96,34 @@ def test_graph_queries():
     )
     assert not two_cycle.is_acyclic()
     assert two_cycle.is_bipartite()  # even cycle
+
+
+def test_graph_queries_match_independent_oracles():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(400):
+        vertices, edges, incidence = random_multigraph(rng)
+        g = TemplateGraph(vertices=vertices, edges=edges, incidence=incidence)
+        components = oracle_components(vertices, incidence)
+        assert g.connected_components() == components
+        assert g.is_connected() == (len(components) == 1)
+        assert g.is_acyclic() == oracle_is_forest(vertices, incidence)
+        assert g.is_bipartite() == (not oracle_has_odd_cycle(vertices, incidence))
+        assert g.loops() == oracle_loops(edges, incidence)
+        degrees = oracle_degrees(vertices, incidence)
+        assert {v: g.degree(v) for v in vertices} == degrees
+        seen.update(
+            name
+            for name, present in (
+                ("several components", len(components) > 1),
+                ("loop", g.loops()),
+                ("odd cycle without a loop", not g.loops() and not g.is_bipartite()),
+                ("even cycle", not g.is_acyclic() and g.is_bipartite()),
+                ("isolated vertex", len(vertices) > 1 and 0 in degrees.values()),
+            )
+            if present
+        )
+    assert len(seen) == 5
 
 
 # ---------------------------------------------------------------------------
