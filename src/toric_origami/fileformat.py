@@ -203,7 +203,7 @@ def serialize(t: OrigamiTemplate) -> str:
     defs = []
     counter = 0
     for vid in t.graph.vertices:
-        p = t.psi_v[vid]
+        p = t.polytope(vid)
         if p in assigned:
             continue
         name = hints.get(vid)
@@ -219,7 +219,7 @@ def serialize(t: OrigamiTemplate) -> str:
         "dimension": t.dimension,
         "polytopes": defs,
         "vertices": [
-            {"id": vid, "polytope": assigned[t.psi_v[vid]]}
+            {"id": vid, "polytope": assigned[t.polytope(vid)]}
             for vid in t.graph.vertices
         ],
         "edges": [

@@ -20,7 +20,7 @@ to coincide.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import (
     ConditionOneViolation,
@@ -42,7 +42,8 @@ class TemplateGraph:
     `incidence` maps each edge id to its ordered pair of end vertex ids;
     the pair order only matters for aligning per-end data (fold facet
     references), not for the graph structure.  Loops are pairs with equal
-    ends.
+    ends.  The graph is indexed once, at construction: one walk finds the
+    components and a 2-colouring, and the queries read what it stored.
     """
 
     vertices: tuple
@@ -60,6 +61,7 @@ class TemplateGraph:
             raise MalformedTemplate("incidence must give exactly one end pair per edge")
         inc = {}
         incident = {v: () for v in verts}  # incident edges in edge order, a loop once
+        degree = dict.fromkeys(verts, 0)  # edge ends, a loop twice
         for e in eids:
             ends = tuple(self.incidence[e])
             if len(ends) != 2:
@@ -70,10 +72,34 @@ class TemplateGraph:
             inc[e] = ends
             for w in set(ends):
                 incident[w] += (e,)
+            for w in ends:
+                degree[w] += 1
+        # seeds in sorted order, so components come out ordered by least id;
+        # the colouring fails on a loop (other == w) or an odd cycle
+        color, components, bipartite = {}, [], True
+        for seed in sorted(verts):
+            if seed in color:
+                continue
+            color[seed] = 0
+            comp = [seed]
+            for w in comp:  # grows as the walk reaches new vertices
+                for e in incident[w]:
+                    u, v = inc[e]
+                    other = v if w == u else u
+                    if other not in color:
+                        color[other] = 1 - color[w]
+                        comp.append(other)
+                    elif color[other] == color[w]:
+                        bipartite = False
+            components.append(frozenset(comp))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", eids)
         object.__setattr__(self, "incidence", inc)
         object.__setattr__(self, "_incident", incident)
+        object.__setattr__(self, "_degree", degree)
+        object.__setattr__(self, "_loops", tuple(e for e in eids if inc[e][0] == inc[e][1]))
+        object.__setattr__(self, "_components", tuple(components))
+        object.__setattr__(self, "_bipartite", bipartite)
 
     def ends(self, eid: str) -> tuple:
         return self.incidence[eid]
@@ -83,56 +109,23 @@ class TemplateGraph:
 
     def degree(self, vid: str) -> int:
         """Number of edge ends at the vertex; a loop counts twice."""
-        return sum(self.incidence[e].count(vid) for e in self.incident_edges(vid))
+        return self._degree.get(vid, 0)
 
     def loops(self) -> tuple:
-        return tuple(e for e, (u, v) in self.incidence.items() if u == v)
+        return self._loops
 
     def connected_components(self) -> tuple:
-        remaining = set(self.vertices)
-        components = []
-        while remaining:
-            seed = min(remaining)
-            stack, comp = [seed], set()
-            while stack:
-                w = stack.pop()
-                if w in comp:
-                    continue
-                comp.add(w)
-                stack.extend(
-                    x for e in self._incident[w] for x in self.incidence[e] if x not in comp
-                )
-            components.append(frozenset(comp))
-            remaining -= comp
-        return tuple(sorted(components, key=min))
+        return self._components
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        return len(self._components) <= 1
 
     def is_acyclic(self) -> bool:
         """True iff the multigraph is a forest (loops and multi-edges are cycles)."""
-        return len(self.edges) == len(self.vertices) - len(self.connected_components())
+        return len(self.edges) == len(self.vertices) - len(self._components)
 
     def is_bipartite(self) -> bool:
-        color = {}
-        for seed in self.vertices:
-            if seed in color:
-                continue
-            color[seed] = 0
-            stack = [seed]
-            while stack:
-                w = stack.pop()
-                for e in self._incident[w]:
-                    u, v = self.incidence[e]
-                    other = v if w == u else u
-                    if other == w:
-                        return False  # loop
-                    if other not in color:
-                        color[other] = 1 - color[w]
-                        stack.append(other)
-                    elif color[other] == color[w]:
-                        return False
-        return True
+        return self._bipartite
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ class OrigamiTemplate:
             if len(facets) != 2:
                 raise MalformedTemplate(f"edge {eid}: needs one facet index per end")
             for w, f in zip((u, v), facets):
-                if not isinstance(f, int) or not 0 <= f < len(psi_v[w].halfspaces):
+                if not _is_facet_index(f, psi_v[w]):
                     raise MalformedTemplate(
                         f"edge {eid}: facet index {f!r} out of range for vertex {w}"
                     )
@@ -253,6 +246,7 @@ class OrigamiTemplate:
                 if (eid, f) not in entries[end]:
                     entries[end].append((eid, f))
         self._fold_entries = {vid: tuple(e) for vid, e in entries.items()}
+        self._fold_facets = {vid: frozenset(f for _, f in e) for vid, e in entries.items()}
 
     # -- accessors -----------------------------------------------------------
 
@@ -297,7 +291,7 @@ class OrigamiTemplate:
         return self._fold_entries.get(vid, ())
 
     def fold_facet_indices(self, vid: str) -> frozenset:
-        return frozenset(f for _, f in self.fold_entries(vid))
+        return self._fold_facets.get(vid, frozenset())
 
     def fold_vertex_set(self, eid: str) -> frozenset:
         """The geometric vertex set of an edge's fold facet (first-end copy)."""
@@ -306,11 +300,7 @@ class OrigamiTemplate:
         return self._psi_v[u].facet_vertex_sets[fu]
 
     def distinct_polytopes(self) -> tuple:
-        out = []
-        for p in self._psi_v.values():
-            if p not in out:
-                out.append(p)
-        return tuple(out)
+        return tuple(dict.fromkeys(self._psi_v.values()))
 
     # -- validation -----------------------------------------------------------
 
@@ -458,6 +448,11 @@ class OrigamiTemplate:
         )
 
 
+def _is_facet_index(f, p: DelzantPolytope) -> bool:
+    """Is `f` an int (not a bool) naming one of the halfspaces of `p`?"""
+    return isinstance(f, int) and not isinstance(f, bool) and 0 <= f < len(p.halfspaces)
+
+
 def _fresh_id(prefix: str, taken) -> str:
     k = 0
     while f"{prefix}{k}" in taken:
@@ -483,10 +478,10 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
         raise DimensionError(
             f"cannot attach a {p.dimension}-dimensional polytope to a {t.dimension}-dimensional template"
         )
-    if not 0 <= f_t < len(host.halfspaces):
-        raise MalformedTemplate(f"facet index {f_t} out of range for vertex {vid}")
-    if not 0 <= f_p < len(p.halfspaces):
-        raise MalformedTemplate(f"facet index {f_p} out of range for the attached polytope")
+    if not _is_facet_index(f_t, host):
+        raise MalformedTemplate(f"facet index {f_t!r} out of range for vertex {vid}")
+    if not _is_facet_index(f_p, p):
+        raise MalformedTemplate(f"facet index {f_p!r} out of range for the attached polytope")
     if not agree_near_facet(host, f_t, p, f_p):
         raise ConditionOneViolation(
             f"attached polytope does not agree with the polytope at {vid} near facet {f_t}"

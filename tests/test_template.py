@@ -140,6 +140,9 @@ def test_template_structural_errors():
         build_template(1, {"a": sq}, [])
     with pytest.raises(MalformedTemplate):  # facet index out of range
         build_template(2, {"a": sq, "b": sq}, [("e", "a", "b", 9, 0)])
+    chain = load_corpus("chain3")
+    with pytest.raises(MalformedTemplate):  # a bool is no facet index
+        OrigamiTemplate(2, chain.graph, chain.psi_v, {"e1": (2, 2), "e2": (False, False)})
 
 
 def test_validation_report_on_good_template():
@@ -264,6 +267,16 @@ def test_radial_blow_up_condition_violations():
         radial_blow_up(chain, sq, "v1", 3, 3)
     with pytest.raises(MalformedTemplate):
         radial_blow_up(chain, sq, "missing", 0, 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, "1", True, -1, 4])
+def test_radial_blow_up_refuses_a_facet_that_is_no_index(bad):
+    t = load_corpus("cp2")
+    tri = t.polytope("v1")
+    with pytest.raises(MalformedTemplate, match="facet index"):
+        radial_blow_up(t, tri, "v1", bad, 2)
+    with pytest.raises(MalformedTemplate, match="facet index"):
+        radial_blow_up(t, tri, "v1", 2, bad)
 
 
 def test_blow_up_then_cut_returns_the_original():
