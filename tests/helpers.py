@@ -11,7 +11,8 @@ come from point-set cuts of the folds, and orbit-space faces come from
 a plain fixed point over every (face, glued facet) pair with another
 local union-find; facet vertex sets are read off direct dot products;
 template-graph components come from a union-find, bipartiteness from a
-breadth-first parity colouring and acyclicity from E = V - c.
+breadth-first parity colouring and acyclicity from E = V - c; file text
+comes from `json.dumps` over plain data read off template accessors.
 Agreement between these and the package is the point of the dual-route
 tests.
 """
@@ -19,6 +20,7 @@ tests.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -842,6 +844,29 @@ def hexagon_tree_template(rng, size=None):
     return build_template(2, vertex_polytopes, edge_list)
 
 
+def rescale_template(t, factor, shift):
+    """The template's image under x -> factor * x + shift, factor > 0.
+
+    A homothety and a translation carry folds to folds and keep every
+    polytope's normals, so validity and the moment graph's weights are
+    kept; rational factors and shifts give vertices of mixed denominators.
+    """
+    cache = {}
+    psi_v = {}
+    for vid in t.graph.vertices:
+        p = t.polytope(vid)
+        if p not in cache:
+            cache[p] = DelzantPolytope(
+                p.dimension,
+                [
+                    HalfSpace(h.normal, factor * h.offset + sum(a * s for a, s in zip(h.normal, shift)))
+                    for h in p.halfspaces
+                ],
+            )
+        psi_v[vid] = cache[p]
+    return OrigamiTemplate(t.dimension, t.graph, psi_v, t.psi_e, t.polytope_ids)
+
+
 def box_even_cycle_template():
     """A fixed 4-cycle of boxes sharing alternate bounds along axis 0."""
     ranges = ((0, 2), (1, 2), (1, 3), (0, 3))
@@ -855,6 +880,54 @@ def box_even_cycle_template():
         ("e3", "v3", "v0", 0, 0),
     ]
     return build_template(2, vertex_polytopes, edge_list)
+
+
+# ---------------------------------------------------------------------------
+# file text
+
+
+def oracle_serialize(t):
+    """The pinned file text of a template, from its accessors and `json.dumps`.
+
+    Polytopes are named in graph-vertex order: equal polytopes share the
+    first name, a vertex's recorded polytope id is kept unless it is empty
+    or taken, and otherwise the least unused "p<k>" is chosen.  Offsets are
+    ints or "p/q" strings.
+    """
+    names = {}
+    for vid in t.graph.vertices:
+        p = t.polytope(vid)
+        if p in names:
+            continue
+        hint = t.polytope_ids.get(vid)
+        taken = set(names.values())
+        if not hint or hint in taken:
+            hint = next(f"p{k}" for k in itertools.count() if f"p{k}" not in taken)
+        names[p] = hint
+    data = {
+        "dimension": t.dimension,
+        "polytopes": [
+            {
+                "id": name,
+                "halfspaces": [
+                    {
+                        "normal": list(h.normal),
+                        "offset": h.offset.numerator
+                        if h.offset.denominator == 1
+                        else f"{h.offset.numerator}/{h.offset.denominator}",
+                    }
+                    for h in p.halfspaces
+                ],
+            }
+            for p, name in names.items()
+        ],
+        "vertices": [{"id": vid, "polytope": names[t.polytope(vid)]} for vid in t.graph.vertices],
+        "edges": [
+            {"id": eid, "ends": list(t.graph.ends(eid)), "facets": list(t.edge_facets(eid))}
+            for eid in t.graph.edges
+        ],
+    }
+    return json.dumps(data, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

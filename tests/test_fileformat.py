@@ -3,10 +3,19 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from helpers import stopwatch
+from helpers import (
+    box_path_template,
+    box_polytope,
+    build_template,
+    hexagon_tree_template,
+    oracle_serialize,
+    rescale_template,
+    stopwatch,
+)
 from toric_origami.exceptions import NotDelzant, OrigamiError, ParseError
 from toric_origami.fileformat import (
     corpus_names,
@@ -17,6 +26,7 @@ from toric_origami.fileformat import (
     parse,
     serialize,
 )
+from toric_origami.template import OrigamiTemplate, TemplateGraph
 
 GOOD = """
 {
@@ -187,6 +197,53 @@ def test_serialize_shares_equal_polytopes_and_keeps_rationals():
     assert data["polytopes"][0]["id"] == "seg"
     assert data["polytopes"][0]["halfspaces"][1]["offset"] == "1/2"
     assert text.endswith("\n")
+
+
+def _renamed(t, vname, ename, hints):
+    """The template with vertices and edges renamed and polytope ids `hints`."""
+    return OrigamiTemplate(
+        t.dimension,
+        TemplateGraph(
+            tuple(vname[v] for v in t.graph.vertices),
+            tuple(ename[e] for e in t.graph.edges),
+            {ename[e]: tuple(vname[w] for w in t.graph.ends(e)) for e in t.graph.edges},
+        ),
+        {vname[v]: t.polytope(v) for v in t.graph.vertices},
+        {ename[e]: t.edge_facets(e) for e in t.graph.edges},
+        polytope_ids=hints,
+    )
+
+
+def _serialize_inputs():
+    """Corpus templates, seeded box paths and hexagon trees, "p/q" offsets,
+    ids that need escaping, colliding polytope-id hints and empty arrays."""
+    rng = random.Random(61)
+    out = [load_corpus(name) for name in corpus_names()]
+    out += [box_path_template(rng, n=rng.randint(1, 4)) for _ in range(8)]
+    out += [hexagon_tree_template(rng, rng.randint(1, 12)) for _ in range(4)]
+    out += [
+        rescale_template(box_path_template(rng, n=n), Fraction(1, 3), [Fraction(1, k + 2) for k in range(n)])
+        for n in (1, 2, 3)
+    ]
+    path = box_path_template(random.Random(62), n=2, length=4, twist=False)
+    odd = ['q"uote', "back\\slash", "tab\tnew\nline\x01\x1f", "caf\u00e9 \u2603 \U0001d54f"]
+    vname = dict(zip(path.graph.vertices, odd))
+    ename = dict(zip(path.graph.edges, ["e\x7f", "e/\\", "\u00ff"]))
+    out.append(_renamed(path, vname, ename, {odd[0]: odd[3], odd[1]: "\b\f", odd[2]: "\u0000"}))
+    # distinct boxes under one hint, hints that name the fallback, an empty hint
+    for hints in (
+        {"v0": "box", "v1": "box", "v2": "box", "v3": "p1"},
+        {"v0": "p0", "v1": "p0", "v2": "", "v3": "p2"},
+        {"v1": "p1", "v2": "p0"},
+    ):
+        out.append(_renamed(path, {v: v for v in vname}, {e: e for e in ename}, hints))
+    out.append(build_template(0, {"v": box_polytope(())}, []))  # "halfspaces": [], "edges": []
+    return out
+
+
+def test_serialize_writes_the_json_dumps_layout():
+    for t in _serialize_inputs():
+        assert serialize(t) == oracle_serialize(t), t
 
 
 def test_load_path(tmp_path):
