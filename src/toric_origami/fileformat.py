@@ -16,6 +16,9 @@ Normals are integer vectors; offsets are integers or exact "p/q"
 strings — floats are rejected, the toolkit never rounds.  Polytope
 definitions are shared by id, and `serialize` collapses equal polytopes
 back to one definition, so parse/serialize round-trips preserve ids.
+`serialize` writes the text itself, laid out exactly as
+`json.dumps(data, indent=2)` lays out the same data (one value a line,
+two spaces an indent level, `[]` for an empty array), plus a newline.
 
 Structural problems in the JSON raise ParseError with a breadcrumb
 location such as ``edges[0].facets``; geometric problems (a normal list
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from importlib import resources
 from pathlib import Path
 
@@ -180,22 +184,51 @@ def load_path(path) -> OrigamiTemplate:
         raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _offset_json(offset: Fraction):
-    return int(offset) if offset.denominator == 1 else f"{offset.numerator}/{offset.denominator}"
+# The fixed file shape, laid out as `json.dumps(indent=2)` lays it out: one
+# value a line, two spaces an indent level.  Polytopes, vertices and edges
+# are items of top-level arrays, halfspaces of a polytope's array.
+_HALFSPACE = '{\n          "normal": [\n            %s\n          ],\n          "offset": %s\n        }'
+_NORMAL_SEP = ",\n            "
+_POLYTOPE = '{\n      "id": %s,\n      "halfspaces": %s\n    }'
+_VERTEX = '{\n      "id": %s,\n      "polytope": %s\n    }'
+_EDGE = (
+    '{\n      "id": %s,\n      "ends": [\n        %s,\n        %s\n      ],\n'
+    '      "facets": [\n        %d,\n        %d\n      ]\n    }'
+)
+_TOP = '{\n  "dimension": %d,\n  "polytopes": %s,\n  "vertices": %s,\n  "edges": %s\n}\n'
 
 
-def _polytope_json(p: DelzantPolytope) -> list:
-    return [
-        {"normal": list(h.normal), "offset": _offset_json(h.offset)}
-        for h in p.halfspaces
-    ]
+def _array(items, indent) -> str:
+    """Written items as a JSON array whose items are indented by `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + (",\n" + indent).join(items) + "\n" + indent[2:] + "]"
+
+
+def _offset_text(offset: Fraction) -> str:
+    if offset.denominator == 1:
+        return str(offset.numerator)
+    return f'"{offset.numerator}/{offset.denominator}"'
+
+
+def _halfspaces_text(p: DelzantPolytope) -> str:
+    return _array(
+        [
+            _HALFSPACE % (_NORMAL_SEP.join(map(str, h.normal)), _offset_text(h.offset))
+            for h in p.halfspaces
+        ],
+        " " * 8,
+    )
 
 
 def serialize(t: OrigamiTemplate) -> str:
     """Render a template as stable, human-diffable JSON text.
 
     Equal polytopes share one definition; ids recorded at parse time are
-    reused, so parse/serialize round-trips are the identity on ids.
+    reused, so parse/serialize round-trips are the identity on ids.  The
+    fixed file shape is written directly, byte for byte as
+    `json.dumps(data, indent=2)` writes the same data, plus a newline:
+    strings go through the encoder's own escaper, ints through `%d`.
     """
     hints = t.polytope_ids
     assigned = {}
@@ -214,24 +247,15 @@ def serialize(t: OrigamiTemplate) -> str:
                 name = f"p{counter}"
         assigned[p] = name
         used.add(name)
-        defs.append({"id": name, "halfspaces": _polytope_json(p)})
-    data = {
-        "dimension": t.dimension,
-        "polytopes": defs,
-        "vertices": [
-            {"id": vid, "polytope": assigned[t.polytope(vid)]}
-            for vid in t.graph.vertices
-        ],
-        "edges": [
-            {
-                "id": eid,
-                "ends": list(t.graph.ends(eid)),
-                "facets": list(t.edge_facets(eid)),
-            }
-            for eid in t.graph.edges
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
+        defs.append(_POLYTOPE % (_string(name), _halfspaces_text(p)))
+    names = {vid: _string(assigned[t.polytope(vid)]) for vid in t.graph.vertices}
+    vertices = [_VERTEX % (_string(vid), names[vid]) for vid in t.graph.vertices]
+    edges = []
+    for eid in t.graph.edges:
+        u, v = t.graph.ends(eid)
+        edges.append(_EDGE % (_string(eid), _string(u), _string(v), *t.edge_facets(eid)))
+    pad = " " * 4
+    return _TOP % (t.dimension, _array(defs, pad), _array(vertices, pad), _array(edges, pad))
 
 
 def _corpus_entry(name: str):

@@ -13,9 +13,11 @@ Fold-freeness is read off each polytope's facet bitmasks, and piece ends,
 links, the chain walk and the edge order are keyed by vertex number within
 each polytope (numbers sort as the sorted vertices do).  A link's two end
 numbers are read off its trace: the one fold-local number it holds is an
-index into the fold facet's vertex numbers at either end.  Coordinates
-serve only the weights, each distinct 1-face's computed once (keyed by
-polytope and vertex numbers), and the output.
+index into the fold facet's vertex numbers at either end.  A weight is the
+primitive difference of a 1-face's two integer vertex keys (the vertices
+times one positive constant per polytope), computed once per distinct
+1-face (keyed by polytope and vertex numbers); `Fraction` coordinates
+serve only the output.
 
 Edges are defined for valid, coorientable, acyclic templates with at
 least one fixed point; everything else is refused with a typed error.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import InternalConsistency, NoFixedPoints, Unsupported
-from .lattice import rational_to_primitive
+from .lattice import primitive
 from .orbit_space import _classes, _glue
 from .template import OrigamiTemplate
 
@@ -121,10 +123,6 @@ def fixed_points(t: OrigamiTemplate) -> tuple:
     return tuple(out)
 
 
-def _direction(a, b) -> tuple:
-    return rational_to_primitive(tuple(y - x for x, y in zip(a, b)))
-
-
 def _name(chain) -> str:
     """A chain of (template vertex id, polytope 1-face) pieces as text."""
     return " ".join(f"{vid}:" + "-".join(format_point(w) for w in f.vertices) for vid, f in chain)
@@ -137,7 +135,8 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
     walked from its end at the earlier fixed point in `fixed_points`
     order to its end at the other.  Piece ends are keyed by vertex number
     within their polytope, a link's ends are read off its fold-local
-    trace, and each distinct 1-face's weight is computed once.
+    trace, and each distinct 1-face's weight is computed once, in
+    integers, from the polytope's vertex keys.
 
     Raises NoFixedPoints when there is nothing to anchor the graph
     (checked first, so a free torus action is reported as such), and
@@ -193,9 +192,11 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
             chain.append(pieces[i])
         directions = set()
         for vid, f in chain:
-            key = (id(t.polytope(vid)), f.numbers)  # the template holds every polytope
+            p = t.polytope(vid)
+            key = (id(p), f.numbers)  # the template holds every polytope
             if key not in weights:
-                weights[key] = lex_positive(_direction(*f.vertices))
+                a, b = (p._keys[k] for k in f.numbers)
+                weights[key] = lex_positive(primitive([y - x for x, y in zip(a, b)]))
             directions.add(weights[key])
         if len(directions) != 1:
             raise InternalConsistency(f"chain {_name(chain)} changes direction")

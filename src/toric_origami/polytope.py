@@ -29,7 +29,11 @@ instance keeps the record: those pairs are the 1-faces (`one_faces`), so
 asking for edges builds no other face.  Faces are closed and ordered over
 bitmasks of the sorted vertices.
 
-All vertex coordinates are exact (`fractions.Fraction`).  A face is
+All vertex coordinates are exact (`fractions.Fraction`).  Inside, each
+vertex number also keeps an integer key, the vertex times one positive
+common denominator: the vertices are sorted by these keys, and edge
+directions are read off their differences, so no `Fraction` is compared
+or subtracted for either.  A face is
 identified by its vertex set, which determines it uniquely within its
 polytope; two structurally identical polytopes produce equal faces, so
 code that mixes several polytopes must key faces by (polytope id, face).
@@ -43,9 +47,11 @@ from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .exceptions import (
     DegenerateInput,
@@ -59,8 +65,8 @@ from .lattice import (
     dot,
     integer_kernel_basis,
     pivot_columns,
+    primitive,
     rank,
-    rational_to_primitive,
     recession_direction,
 )
 
@@ -203,20 +209,23 @@ def solve_square(echelon, n) -> tuple:
     d = echelon[-1][2][echelon[-1][1]] if echelon else 1
     X = [0] * n
     for _, c, row in reversed(echelon):  # X is 0 on the pivots still unsolved
-        X[c] = (d * row[n] - sum(a * x for a, x in zip(row, X))) // row[c]
+        X[c] = (d * row[n] - sum(map(mul, row, X))) // row[c]
     return X, d
 
 
 def _vertex_incidence(normals, offsets, n) -> tuple:
-    """({vertex: indices of the halfspaces tight at it}, sorted; whether every
-    subset solved to a vertex has |det| = 1).
+    """(the vertices, sorted; the indices of the halfspaces tight at each; each
+    vertex's integer key; whether every subset solved to a vertex has
+    |det| = 1), the middle three indexed alike, by vertex number.
 
     Only the n-subsets with independent normals (`_independent_subsets`)
     are solved; every other subset is singular.  Offsets are scaled to
-    integers, and a solution is held as integers X over a common
-    denominator d > 0 with gcd(X, d) = 1, so the slacks d·b − <a, X> are
-    ints.  When every vertex is simple, its tight set is the one subset
-    solved to it, so the record is smoothness.
+    integers, and a solution is held as integers X over a denominator d > 0
+    with gcd(X, d) = 1, so the slacks d·b − <a, X> are ints.  A vertex's
+    key is X scaled to the lcm D of the d's: every key is the vertex times
+    one positive constant, so keys sort as the vertices do, and the
+    vertices are sorted by their keys.  When every vertex is simple, its
+    tight set is the one subset solved to it, so the record is smoothness.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
@@ -226,12 +235,16 @@ def _vertex_incidence(normals, offsets, n) -> tuple:
         X, det = solve_square(echelon, n)
         g = math.gcd(det, *X) if det > 0 else -math.gcd(det, *X)
         point, d = tuple(x // g for x in X), det // g
-        slacks = [b * d - dot(a, point) for a, b in zip(normals, rhs)]
+        slacks = [b * d - sum(map(mul, a, point)) for a, b in zip(normals, rhs)]
         if min(slacks, default=0) >= 0:
             incidence[point, d] = tuple(i for i, s in enumerate(slacks) if s == 0)
             smooth = smooth and abs(det) == 1
-    vertices = ((tuple(Fraction(x, d * scale) for x in X), t) for (X, d), t in incidence.items())
-    return dict(sorted(vertices)), smooth
+    D = math.lcm(*(d for _, d in incidence))
+    keyed = sorted((tuple(x * (D // d) for x in X), t) for (X, d), t in incidence.items())
+    keys = tuple(key for key, _ in keyed)
+    step = D * scale
+    vertices = tuple(tuple(Fraction(x, step) for x in key) for key in keys)
+    return vertices, tuple(t for _, t in keyed), keys, smooth
 
 
 def _edge_pairs(tight_sets, n) -> tuple | None:
@@ -289,7 +302,7 @@ class DelzantPolytope:
     """
 
     def __init__(self, dimension: int, halfspaces):
-        if not isinstance(dimension, int) or dimension < 0:
+        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 0:
             raise DimensionError(f"dimension must be a nonnegative int, got {dimension!r}")
         hs = tuple(_as_halfspace(h) for h in halfspaces)
         for h in hs:
@@ -304,9 +317,9 @@ class DelzantPolytope:
         self._halfspaces = hs
         normals = [h.normal for h in hs]
         offsets = [h.offset for h in hs]
-        self._tight, self._smooth = _vertex_incidence(normals, offsets, dimension)
-        self._vertices = tuple(self._tight)
-        tights = list(self._tight.values())  # vertex k is bit k of a vertex mask
+        # vertex k is bit k of a vertex mask
+        self._vertices, tights, self._keys, self._smooth = _vertex_incidence(normals, offsets, dimension)
+        self._tights = tights
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
         self._edge_pairs = _edge_pairs(tights, dimension)
@@ -317,7 +330,7 @@ class DelzantPolytope:
         # each point is hashed once, into its singleton; set unions reuse that hash
         singletons = [frozenset((v,)) for v in self._vertices]
         self._facet_vertex_sets = tuple(
-            frozenset().union(*(s for s, t in zip(singletons, self._tight.values()) if i in t))
+            frozenset().union(*(s for s, t in zip(singletons, tights) if i in t))
             for i in range(len(hs))
         )
         if any(len(fs) == len(self._vertices) for fs in self._facet_vertex_sets):
@@ -400,15 +413,17 @@ class DelzantPolytope:
         """
         if not self.is_simple():
             raise NotSimple("edge directions at a vertex need a simple polytope")
-        tight = self._tight.get(vertex)
-        if tight is None:
+        k = bisect_left(self._vertices, tuple(vertex))  # vertices are sorted
+        if k == len(self._vertices) or self._vertices[k] != tuple(vertex):
             raise FaceMismatch(f"{vertex} is not a vertex of this polytope")
+        tight = self._tights[k]
         dirs = {}
+        keys = self._keys
         for edge in self.one_faces_at(vertex):
             (leave,) = set(tight) - edge.active  # an edge lies on all but one facet of the vertex
-            a, b = edge.vertices
-            other = b if a == vertex else a
-            dirs[leave] = rational_to_primitive(tuple(y - x for x, y in zip(vertex, other)))
+            a, b = edge.numbers
+            other = b if a == k else a
+            dirs[leave] = primitive([y - x for x, y in zip(keys[k], keys[other])])
         return tuple(dirs[i] for i in tight)
 
     def is_smooth(self) -> bool:
@@ -481,7 +496,7 @@ class DelzantPolytope:
             if self._edge_pairs is None:
                 self._one_faces = tuple(f for f in self.faces() if f.dim == 1)
             else:
-                tights = tuple(self._tight.values())
+                tights = self._tights
                 self._one_faces = tuple(
                     self._face(frozenset(tights[a]).intersection(tights[b]), (a, b), 1)
                     for a, b in self._edge_pairs

@@ -42,8 +42,10 @@ class TemplateGraph:
     `incidence` maps each edge id to its ordered pair of end vertex ids;
     the pair order only matters for aligning per-end data (fold facet
     references), not for the graph structure.  Loops are pairs with equal
-    ends.  The graph is indexed once, at construction: one walk finds the
-    components and a 2-colouring, and the queries read what it stored.
+    ends.  Every vertex, edge and end id must be a str, or the graph is
+    refused with MalformedTemplate naming the id.  The graph is indexed
+    once, at construction: one walk finds the components and a
+    2-colouring, and the queries read what it stored.
     """
 
     vertices: tuple
@@ -51,8 +53,11 @@ class TemplateGraph:
     incidence: dict
 
     def __post_init__(self):
-        verts = tuple(str(v) for v in self.vertices)
-        eids = tuple(str(e) for e in self.edges)
+        verts, eids = tuple(self.vertices), tuple(self.edges)
+        for kind, ids in (("vertex", verts), ("edge", eids)):
+            for i in ids:
+                if not isinstance(i, str):
+                    raise MalformedTemplate(f"{kind} id {i!r} is not a string")
         if len(set(verts)) != len(verts):
             raise MalformedTemplate("duplicate vertex identifiers")
         if len(set(eids)) != len(eids):
@@ -67,6 +72,8 @@ class TemplateGraph:
             if len(ends) != 2:
                 raise MalformedTemplate(f"edge {e}: incidence needs exactly two ends")
             for w in ends:
+                if not isinstance(w, str):
+                    raise MalformedTemplate(f"edge {e}: end vertex id {w!r} is not a string")
                 if w not in incident:
                     raise MalformedTemplate(f"edge {e}: unknown end vertex {w!r}")
             inc[e] = ends
@@ -200,10 +207,14 @@ class OrigamiTemplate:
     otherwise; the geometric gluing conditions are evaluated by
     `validate()`, so that invalid-but-well-formed templates can be
     inspected and reported.  `polytope_ids` optionally remembers the file
-    identifiers polytopes were defined under, to keep serialization stable.
+    identifiers polytopes were defined under, to keep serialization stable;
+    they must be strs.  The dimension must be an int (not a bool), or
+    DimensionError is raised, as for a polytope.
     """
 
     def __init__(self, dimension, graph, psi_v, psi_e, polytope_ids=None):
+        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 0:
+            raise DimensionError(f"dimension must be a nonnegative int, got {dimension!r}")
         if not isinstance(graph, TemplateGraph):
             graph = TemplateGraph(*graph)
         if not graph.vertices:
@@ -239,6 +250,9 @@ class OrigamiTemplate:
         self._psi_v = psi_v
         self._psi_e = psi_e
         self._polytope_ids = dict(polytope_ids) if polytope_ids else {}
+        for vid, pid in self._polytope_ids.items():
+            if not isinstance(pid, str):
+                raise MalformedTemplate(f"vertex {vid}: polytope id {pid!r} is not a string")
         self._report = None
         entries = {vid: [] for vid in graph.vertices}  # the fold facets, indexed once
         for eid in graph.edges:

@@ -1,5 +1,6 @@
 """JSON template files: parsing, breadcrumb errors, stable serialization."""
 
+import gc
 import json
 import random
 import re
@@ -244,6 +245,20 @@ def _serialize_inputs():
 def test_serialize_writes_the_json_dumps_layout():
     for t in _serialize_inputs():
         assert serialize(t) == oracle_serialize(t), t
+
+
+def test_serialize_leaves_no_reference_cycle():
+    """`json.dumps` with an indent ran the pure-Python encoder, whose nested
+    closures left 33 cyclic objects per call on cp2."""
+    for name in ("cp2", "chain3"):
+        t = load_corpus(name)
+        gc.collect()
+        gc.disable()  # so that only reference counting can free what serialize makes
+        try:
+            serialize(t)
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 def test_load_path(tmp_path):

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import box_path_template, box_polytope, build_template, hexagon_tree_template
+from helpers import (
+    _oracle_primitive,
+    box_path_template,
+    box_polytope,
+    build_template,
+    hexagon_tree_template,
+    rescale_template,
+)
 from toric_origami import betti_numbers, gkm, load_corpus
 from toric_origami.exceptions import InternalConsistency, NoFixedPoints, Unsupported
 from toric_origami.fileformat import corpus_names, parse, serialize
@@ -201,6 +208,33 @@ def test_weights_are_primitive_and_sign_normalized():
                 assert nonzero[0] > 0
                 assert gcd(*(abs(c) for c in e.weight)) == 1 if len(e.weight) > 1 else abs(e.weight[0]) == 1
                 assert e.folded == (len(e.chain) > 1)
+
+
+def test_weights_are_the_primitive_fraction_differences():
+    """Every 1-face of an edge's chain has the edge's weight as its direction,
+    made primitive and sign-normalized here from the `Fraction` vertices, on
+    box paths and hexagon trees scaled by 1/3 and shifted by halves, thirds,
+    fifths and sevenths, and on a polygon with vertices of denominators 1 and 2."""
+    rng = random.Random(71)
+    templates = [
+        rescale_template(make(rng), Fraction(1, 3), [Fraction((-1) ** k, (2, 3, 5, 7)[k]) for k in range(n)])
+        for n, make in [(n, lambda r, n=n: box_path_template(r, n=n)) for n in (1, 2, 2, 3, 3, 4)]
+        + [(2, lambda r: hexagon_tree_template(r, 6))]
+    ]
+    polygon = DelzantPolytope(
+        2, [HalfSpace((0, -1), 0), HalfSpace((-1, 3), 0), HalfSpace((1, 0), 2), HalfSpace((0, 1), Fraction(1, 2))]
+    )
+    templates.append(build_template(2, {"v1": polygon}, []))
+    denominators = set()
+    for t in templates:
+        for e in moment_graph(t).edges:
+            for vid, f in e.chain:
+                a, b = f.vertices
+                denominators.update(c.denominator for c in a + b)
+                w = _oracle_primitive([y - x for x, y in zip(a, b)])
+                first = next(c for c in w if c)
+                assert e.weight == (w if first > 0 else tuple(-c for c in w)), (t, e)
+    assert {2, 3, 5, 6} <= denominators
 
 
 def test_chain_segments_are_collinear_and_connected():

@@ -602,6 +602,9 @@ def _walk_inputs():
         out.append(([[a[j] for j in pivots] for a in normals], offsets, len(pivots)))
     out.append(([(0, 0), (-1, 0), (0, -1), (1, 1), (0, 0)], [1, 0, 0, 2, 0], 2))
     out.append(([(-1, 0), (0, -1), (1, 2)], [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)], 2))
+    # vertices (-7/3, -3), (-8/9, 4/3) and (-1/6, 1/4): their numerators over
+    # their own denominators 3, 9 and 12 sort in another order
+    out.append(([(-3, 1), (3, 2), (3, -2)], [4, 0, -1], 2))
     big = 2**61 - 1  # entries at and past a word-sized modulus
     out.append(([(-1, 0), (0, -1), (big, 1)], [0, 0, big], 2))
     return out
@@ -610,8 +613,18 @@ def _walk_inputs():
 def test_the_independent_subset_walk_finds_what_the_full_scan_finds():
     for normals, offsets, n in _walk_inputs():
         expected = oracle_vertex_incidence(normals, [Fraction(b) for b in offsets], n)
-        found = polytope_module._vertex_incidence(normals, [Fraction(b) for b in offsets], n)[0]
+        vertices, tights, keys, _ = polytope_module._vertex_incidence(
+            normals, [Fraction(b) for b in offsets], n
+        )
+        found = dict(zip(vertices, tights))
         assert found == expected and list(found) == list(expected), (normals, n)
+        # each integer key is its vertex times one positive constant
+        assert len(keys) == len(found)
+        ratios = set()
+        for key, v in zip(keys, vertices):
+            assert [x == 0 for x in key] == [y == 0 for y in v], (normals, n)
+            ratios.update(Fraction(x) / y for x, y in zip(key, v) if y)
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios), (normals, n)
     for name, (n, halves) in WALK_POLYTOPES.items():
         poly = DelzantPolytope(n, halves)
         expected = oracle_vertex_incidence([h.normal for h in halves], [h.offset for h in halves], n)

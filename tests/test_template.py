@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,17 @@ def test_graph_structure_checks():
         TemplateGraph(vertices=("a",), edges=("e",), incidence={})
     with pytest.raises(MalformedTemplate):
         TemplateGraph(vertices=("a",), edges=("e",), incidence={"e": ("a", "b")})
+
+
+def test_graph_ids_that_are_not_strings_are_refused_by_name():
+    with pytest.raises(MalformedTemplate, match=r"^vertex id 1 is not a string$"):
+        TemplateGraph((1, 2), ("e",), {"e": (1, 2)})
+    with pytest.raises(MalformedTemplate, match=r"^edge id 5 is not a string$"):
+        TemplateGraph(("1", "2"), (5,), {5: ("1", "2")})
+    with pytest.raises(MalformedTemplate, match=r"^edge e: end vertex id 2 is not a string$"):
+        TemplateGraph(("1", "2"), ("e",), {"e": ("1", 2)})
+    with pytest.raises(MalformedTemplate, match=r"^vertex id None is not a string$"):
+        TemplateGraph(("a", None), (), {})
 
 
 def test_graph_queries():
@@ -143,6 +155,25 @@ def test_template_structural_errors():
     chain = load_corpus("chain3")
     with pytest.raises(MalformedTemplate):  # a bool is no facet index
         OrigamiTemplate(2, chain.graph, chain.psi_v, {"e1": (2, 2), "e2": (False, False)})
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, -1, "2"])
+def test_a_dimension_that_is_no_int_is_refused(bad):
+    """A bool dimension once built and was written as `"dimension": true`,
+    which `parse` refuses; a polytope and a template now refuse it alike."""
+    with pytest.raises(DimensionError, match="dimension must be a nonnegative int"):
+        DelzantPolytope(bad, [HalfSpace((-1,), 0), HalfSpace((1,), 1)])
+    segment = DelzantPolytope(1, [HalfSpace((-1,), 0), HalfSpace((1,), 1)])
+    with pytest.raises(DimensionError, match="dimension must be a nonnegative int"):
+        build_template(bad, {"a": segment}, [])
+
+
+@pytest.mark.parametrize("bad", [5, None, b"p", ("p",)])
+def test_a_polytope_id_that_is_no_string_is_refused(bad):
+    """A polytope id of 5 was once written as `"id": 5`, which `parse` refuses."""
+    chain = load_corpus("chain3")
+    with pytest.raises(MalformedTemplate, match=rf"^vertex v2: polytope id {re.escape(repr(bad))} is not a string$"):
+        OrigamiTemplate(2, chain.graph, chain.psi_v, chain.psi_e, polytope_ids={"v1": "sq", "v2": bad})
 
 
 def test_validation_report_on_good_template():
