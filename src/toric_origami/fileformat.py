@@ -30,8 +30,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _string
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .exceptions import ParseError
@@ -187,7 +187,9 @@ def load_path(path) -> OrigamiTemplate:
 # The fixed file shape, laid out as `json.dumps(indent=2)` lays it out: one
 # value a line, two spaces an indent level.  Polytopes, vertices and edges
 # are items of top-level arrays, halfspaces of a polytope's array.
-_HALFSPACE = '{\n          "normal": [\n            %s\n          ],\n          "offset": %s\n        }'
+_HALFSPACE = (
+    '{\n          "normal": [\n            %s\n          ],\n          "offset": %s\n        }'
+)
 _NORMAL_SEP = ",\n            "
 _POLYTOPE = '{\n      "id": %s,\n      "halfspaces": %s\n    }'
 _VERTEX = '{\n      "id": %s,\n      "polytope": %s\n    }'
@@ -199,7 +201,8 @@ _TOP = '{\n  "dimension": %d,\n  "polytopes": %s,\n  "vertices": %s,\n  "edges":
 
 
 def _array(items, indent) -> str:
-    """Written items as a JSON array whose items are indented by `indent`."""
+    """Written items as a JSON array: each item on a line indented by
+    `indent`, the closing bracket one level less, `[]` when empty."""
     if not items:
         return "[]"
     return "[\n" + indent + (",\n" + indent).join(items) + "\n" + indent[2:] + "]"
@@ -248,12 +251,13 @@ def serialize(t: OrigamiTemplate) -> str:
         assigned[p] = name
         used.add(name)
         defs.append(_POLYTOPE % (_string(name), _halfspaces_text(p)))
-    names = {vid: _string(assigned[t.polytope(vid)]) for vid in t.graph.vertices}
-    vertices = [_VERTEX % (_string(vid), names[vid]) for vid in t.graph.vertices]
-    edges = []
-    for eid in t.graph.edges:
-        u, v = t.graph.ends(eid)
-        edges.append(_EDGE % (_string(eid), _string(u), _string(v), *t.edge_facets(eid)))
+    vertices = [
+        _VERTEX % (_string(vid), _string(assigned[t.polytope(vid)])) for vid in t.graph.vertices
+    ]
+    edges = [
+        _EDGE % (_string(eid), *map(_string, t.graph.ends(eid)), *t.edge_facets(eid))
+        for eid in t.graph.edges
+    ]
     pad = " " * 4
     return _TOP % (t.dimension, _array(defs, pad), _array(vertices, pad), _array(edges, pad))
 

@@ -317,9 +317,9 @@ class DelzantPolytope:
         self._halfspaces = hs
         normals = [h.normal for h in hs]
         offsets = [h.offset for h in hs]
-        # vertex k is bit k of a vertex mask
-        self._vertices, tights, self._keys, self._smooth = _vertex_incidence(normals, offsets, dimension)
-        self._tights = tights
+        incidence = _vertex_incidence(normals, offsets, dimension)
+        self._vertices, self._tights, self._keys, self._smooth = incidence
+        tights = self._tights  # vertex k is bit k of a vertex mask
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
         self._edge_pairs = _edge_pairs(tights, dimension)

@@ -24,6 +24,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 from toric_origami import DelzantPolytope, HalfSpace, OrigamiTemplate, TemplateGraph
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph
@@ -859,7 +860,7 @@ def rescale_template(t, factor, shift):
             cache[p] = DelzantPolytope(
                 p.dimension,
                 [
-                    HalfSpace(h.normal, factor * h.offset + sum(a * s for a, s in zip(h.normal, shift)))
+                    HalfSpace(h.normal, factor * h.offset + sum(map(mul, h.normal, shift)))
                     for h in p.halfspaces
                 ],
             )

@@ -222,10 +222,9 @@ def _serialize_inputs():
     out = [load_corpus(name) for name in corpus_names()]
     out += [box_path_template(rng, n=rng.randint(1, 4)) for _ in range(8)]
     out += [hexagon_tree_template(rng, rng.randint(1, 12)) for _ in range(4)]
-    out += [
-        rescale_template(box_path_template(rng, n=n), Fraction(1, 3), [Fraction(1, k + 2) for k in range(n)])
-        for n in (1, 2, 3)
-    ]
+    for n in (1, 2, 3):
+        t = box_path_template(rng, n=n)
+        out.append(rescale_template(t, Fraction(1, 3), [Fraction(1, k + 2) for k in range(n)]))
     path = box_path_template(random.Random(62), n=2, length=4, twist=False)
     odd = ['q"uote', "back\\slash", "tab\tnew\nline\x01\x1f", "caf\u00e9 \u2603 \U0001d54f"]
     vname = dict(zip(path.graph.vertices, odd))

@@ -216,13 +216,18 @@ def test_weights_are_the_primitive_fraction_differences():
     box paths and hexagon trees scaled by 1/3 and shifted by halves, thirds,
     fifths and sevenths, and on a polygon with vertices of denominators 1 and 2."""
     rng = random.Random(71)
-    templates = [
-        rescale_template(make(rng), Fraction(1, 3), [Fraction((-1) ** k, (2, 3, 5, 7)[k]) for k in range(n)])
-        for n, make in [(n, lambda r, n=n: box_path_template(r, n=n)) for n in (1, 2, 2, 3, 3, 4)]
-        + [(2, lambda r: hexagon_tree_template(r, 6))]
-    ]
+    shift = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(-1, 7))
+    plain = [box_path_template(rng, n=n) for n in (1, 2, 2, 3, 3, 4)]
+    plain.append(hexagon_tree_template(rng, 6))
+    templates = [rescale_template(t, Fraction(1, 3), shift[: t.dimension]) for t in plain]
     polygon = DelzantPolytope(
-        2, [HalfSpace((0, -1), 0), HalfSpace((-1, 3), 0), HalfSpace((1, 0), 2), HalfSpace((0, 1), Fraction(1, 2))]
+        2,
+        [
+            HalfSpace((0, -1), 0),
+            HalfSpace((-1, 3), 0),
+            HalfSpace((1, 0), 2),
+            HalfSpace((0, 1), Fraction(1, 2)),
+        ],
     )
     templates.append(build_template(2, {"v1": polygon}, []))
     denominators = set()

@@ -172,8 +172,9 @@ def test_a_dimension_that_is_no_int_is_refused(bad):
 def test_a_polytope_id_that_is_no_string_is_refused(bad):
     """A polytope id of 5 was once written as `"id": 5`, which `parse` refuses."""
     chain = load_corpus("chain3")
-    with pytest.raises(MalformedTemplate, match=rf"^vertex v2: polytope id {re.escape(repr(bad))} is not a string$"):
-        OrigamiTemplate(2, chain.graph, chain.psi_v, chain.psi_e, polytope_ids={"v1": "sq", "v2": bad})
+    message = rf"^vertex v2: polytope id {re.escape(repr(bad))} is not a string$"
+    with pytest.raises(MalformedTemplate, match=message):
+        OrigamiTemplate(2, chain.graph, chain.psi_v, chain.psi_e, {"v1": "sq", "v2": bad})
 
 
 def test_validation_report_on_good_template():
