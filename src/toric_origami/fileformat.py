@@ -214,16 +214,6 @@ def _offset_text(offset: Fraction) -> str:
     return f'"{offset.numerator}/{offset.denominator}"'
 
 
-def _halfspaces_text(p: DelzantPolytope) -> str:
-    return _array(
-        [
-            _HALFSPACE % (_NORMAL_SEP.join(map(str, h.normal)), _offset_text(h.offset))
-            for h in p.halfspaces
-        ],
-        " " * 8,
-    )
-
-
 def serialize(t: OrigamiTemplate) -> str:
     """Render a template as stable, human-diffable JSON text.
 
@@ -250,7 +240,11 @@ def serialize(t: OrigamiTemplate) -> str:
                 name = f"p{counter}"
         assigned[p] = name
         used.add(name)
-        defs.append(_POLYTOPE % (_string(name), _halfspaces_text(p)))
+        halfspaces = [
+            _HALFSPACE % (_NORMAL_SEP.join(map(str, h.normal)), _offset_text(h.offset))
+            for h in p.halfspaces
+        ]
+        defs.append(_POLYTOPE % (_string(name), _array(halfspaces, " " * 8)))
     vertices = [
         _VERTEX % (_string(vid), _string(assigned[t.polytope(vid)])) for vid in t.graph.vertices
     ]

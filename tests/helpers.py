@@ -852,19 +852,19 @@ def rescale_template(t, factor, shift):
     polytope's normals, so validity and the moment graph's weights are
     kept; rational factors and shifts give vertices of mixed denominators.
     """
-    cache = {}
+    images = {}
     psi_v = {}
     for vid in t.graph.vertices:
         p = t.polytope(vid)
-        if p not in cache:
-            cache[p] = DelzantPolytope(
+        if p not in images:
+            images[p] = DelzantPolytope(
                 p.dimension,
                 [
                     HalfSpace(h.normal, factor * h.offset + sum(map(mul, h.normal, shift)))
                     for h in p.halfspaces
                 ],
             )
-        psi_v[vid] = cache[p]
+        psi_v[vid] = images[p]
     return OrigamiTemplate(t.dimension, t.graph, psi_v, t.psi_e, t.polytope_ids)
 
 
