@@ -248,6 +248,41 @@ def _oracle_facet(polytope, fi):
     return frozenset(v for v in polytope.vertices if fi in _oracle_tight(polytope, v))
 
 
+def oracle_halfspace(normal, offset):
+    """(primitive normal, offset) of <normal, x> <= offset: both divided by
+    the gcd of the integer normal, the offset as a `Fraction`."""
+    g = 0
+    for c in normal:
+        g = _gcd2(g, c)
+    return tuple(c // g for c in normal), Fraction(offset) / g
+
+
+def oracle_facet_chart(polytope, fi, basis):
+    """(base, cuts) of facet fi in the chart y -> base + sum(y[k] * basis[k]).
+
+    The base is the facet's smallest vertex, found by direct dot products.
+    The cuts are the `oracle_halfspace` pairs, in index order, of the other
+    facets meeting facet fi in a face of dimension n - 2 (n minus the
+    oracle rank of the normals tight on all of the meet): normal
+    (<a_j, basis[k]>)_k and offset b_j - <a_j, base>, in `Fraction`s.
+    """
+    n = polytope.dimension
+    halves = polytope.halfspaces
+    facet = _oracle_facet(polytope, fi)
+    base = min(facet)
+    cuts = []
+    for j, h in enumerate(halves):
+        meet = facet & _oracle_facet(polytope, j)
+        if j == fi or not meet:
+            continue
+        tight = [i for i in range(len(halves)) if all(i in _oracle_tight(polytope, v) for v in meet)]
+        if n - oracle_rank([halves[i].normal for i in tight], n) != n - 2:
+            continue
+        normal = [sum(a * b for a, b in zip(h.normal, row)) for row in basis]
+        cuts.append(oracle_halfspace(normal, h.offset - sum(a * x for a, x in zip(h.normal, base))))
+    return base, cuts
+
+
 def oracle_glued_facets(t):
     """The orbit-space facets as sorted member tuples (vid, facet index), sorted.
 

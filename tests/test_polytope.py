@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -25,11 +26,14 @@ from helpers import (
     oracle_edge_directions,
     oracle_edges_at,
     oracle_det,
+    oracle_facet_chart,
     oracle_faces,
+    oracle_halfspace,
     oracle_solve_square,
     oracle_vertex_incidence,
     random_lattice_polygon,
     random_unimodular,
+    rescale_template,
     stopwatch,
     twisted_box_halfspaces,
 )
@@ -44,7 +48,7 @@ from toric_origami.exceptions import (
     OrigamiError,
     Unsupported,
 )
-from toric_origami.fileformat import corpus_names, serialize
+from toric_origami.fileformat import corpus_names, parse, serialize
 from toric_origami.gkm import export_dot, moment_graph
 from toric_origami.lattice import pivot_columns
 from toric_origami.polytope import (
@@ -82,6 +86,104 @@ def test_halfspace_normalization_and_validation():
         HalfSpace((), 1)
     with pytest.raises(DegenerateInput):
         HalfSpace((Fraction(1, 2), 1), 1)
+
+
+def test_halfspace_equality_and_hash_follow_the_subset():
+    """Equal subsets give equal, equally hashed halfspaces, however the
+    offset was written, and copies keep both."""
+    a, b = HalfSpace((2, 4), 6), HalfSpace((1, 2), 3)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "HalfSpace([1, 2] . x <= 3)"
+    assert HalfSpace((1, 2), 4) != b and HalfSpace((-1, -2), -3) != b
+    assert HalfSpace((2, 1), 3) != b
+    for offset, normal, expected in (
+        (Fraction(3, 2), (1, 0), HalfSpace((1, 0), Fraction(3, 2))),
+        (3, (2, 0), HalfSpace((1, 0), Fraction(3, 2))),
+        (-7, (0, -3), HalfSpace((0, -1), Fraction(-7, 3))),
+        (4, (1, 1), HalfSpace((1, 1), 4)),
+    ):
+        for written in (offset, Fraction(offset), str(Fraction(offset)), float(offset)):
+            h = HalfSpace(normal, written)
+            assert h == expected and hash(h) == hash(expected), written
+            assert repr(h) == repr(expected) and type(h.offset) is Fraction
+        assert HalfSpace(tuple(Fraction(c) for c in normal), offset) == expected
+    # offsets read from "p/q" file text equal the Fraction-built ones
+    path = box_path_template(random.Random(5), n=2, length=3)
+    t = rescale_template(path, Fraction(2, 3), (Fraction(1, 2), 0))
+    text = serialize(t)
+    assert '/3"' in text
+    back = parse(text)
+    for vid in t.graph.vertices:
+        for h, g in zip(t.polytope(vid).halfspaces, back.polytope(vid).halfspaces):
+            assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    for h in (a, HalfSpace((1, 0), Fraction(3, 2)), HalfSpace((0, -3, 6), Fraction(-5, 7))):
+        for c in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
+            assert c == h and hash(c) == hash(h) and repr(c) == repr(h)
+            assert c.normal == h.normal and c.offset == h.offset
+            assert {h: 1}[c] == 1
+
+
+def _rational_offset_samples():
+    """Polytopes with rational offsets: the hexagon, the triangle, the square
+    pyramid and twisted boxes for n = 1..4, each scaled by a rational factor
+    and shifted by a rational vector, so their vertex denominators differ."""
+    rng = random.Random(2207)
+    bases = [hexagon_polytope(), triangle(), DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES)]
+    for n in (1, 2, 3, 4):
+        bases += [DelzantPolytope(n, twisted_box_halfspaces(rng, n)) for _ in range(2)]
+    out = []
+    for p in bases:
+        factor = Fraction(2 * rng.randint(0, 3) + 1, rng.choice((2, 4, 6)))
+        shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(p.dimension)]
+        out.append(
+            DelzantPolytope(
+                p.dimension,
+                [
+                    HalfSpace(h.normal, factor * h.offset + sum(map(mul, h.normal, shift)))
+                    for h in p.halfspaces
+                ],
+            )
+        )
+    return out
+
+
+def test_polytope_equality_ignores_halfspace_order_and_scaling():
+    rng = random.Random(2208)
+    for p in _rational_offset_samples():
+        halves = list(p.halfspaces)
+        for _ in range(3):
+            rng.shuffle(halves)
+            scaled = [HalfSpace(tuple(2 * c for c in h.normal), 2 * h.offset) for h in halves]
+            for q in (DelzantPolytope(p.dimension, halves), DelzantPolytope(p.dimension, scaled)):
+                assert q == p and hash(q) == hash(p) and q.vertices == p.vertices
+        moved = [HalfSpace(h.normal, h.offset + Fraction(1, 3)) for h in halves]
+        assert DelzantPolytope(p.dimension, moved) != p
+
+
+def test_facet_charts_match_the_fraction_route_oracle():
+    for p in _rational_offset_samples():
+        n = p.dimension
+        assert any(h.offset.denominator > 1 for h in p.halfspaces)
+        for i, h in enumerate(p.halfspaces):
+            chart, base, basis = facet_as_polytope(p, i)
+            expected_base, cuts = oracle_facet_chart(p, i, basis)
+            assert base == expected_base, (p, i)
+            assert [oracle_halfspace(c.normal, c.offset) for c in chart.halfspaces] == cuts, (p, i)
+            # the basis spans the integer vectors orthogonal to the normal:
+            # its maximal minors are coprime
+            assert len(basis) == n - 1 and all(sum(map(mul, h.normal, row)) == 0 for row in basis)
+            if n > 1:
+                minors = [
+                    oracle_det([[row[c] for c in cols] for row in basis])
+                    for cols in itertools.combinations(range(n), n - 1)
+                ]
+                assert math.gcd(*map(int, minors)) == 1
+            # the chart's vertices are the facet's vertices
+            images = {
+                tuple(x + sum(y * row[c] for y, row in zip(v, basis)) for c, x in enumerate(base))
+                for v in chart.vertices
+            }
+            assert images == {v for v in p.vertices if sum(map(mul, h.normal, v)) == h.offset}
 
 
 def test_vertices_of_simple_shapes():
