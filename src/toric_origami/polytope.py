@@ -71,32 +71,58 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
+def _exact(value, what) -> Fraction:
+    """`value` read exactly as a `Fraction` (a finite float too); DegenerateInput
+    naming it when it is no exact rational, such as nan, inf, None or "x"."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DegenerateInput(f"halfspace {what} must be an exact rational, got {value!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
 class HalfSpace:
     """One inequality <normal, x> <= offset with a primitive integer normal.
 
     The pair is normalized at construction: (2, 4) . x <= 6 is stored as
     (1, 2) . x <= 3.  Two HalfSpace values are equal exactly when they
-    describe the same subset of the ambient space.
+    describe the same subset of the ambient space.  `row` is the
+    normalized pair as one tuple of ints, (*normal, offset numerator,
+    offset denominator), and equality and hashing read only that.
     """
 
     normal: tuple
     offset: Fraction
 
     def __post_init__(self):
-        entries = []
-        for c in self.normal:
-            as_frac = Fraction(c)
-            if as_frac.denominator != 1:
+        entries = tuple(self.normal)
+        if not all(type(c) is int for c in entries):
+            exact = [_exact(c, "normal entry") for c in entries]
+            if any(c.denominator != 1 for c in exact):
                 raise DegenerateInput(
                     f"halfspace normal must have integer entries, got {self.normal}"
                 )
-            entries.append(int(as_frac))
-        if not entries or all(c == 0 for c in entries):
+            entries = tuple(c.numerator for c in exact)
+        g = math.gcd(*entries)
+        if g == 0:
             raise DegenerateInput("halfspace normal must be a nonzero integer vector")
-        g = math.gcd(*(abs(c) for c in entries))
-        object.__setattr__(self, "normal", tuple(c // g for c in entries))
-        object.__setattr__(self, "offset", Fraction(self.offset) / g)
+        offset = _exact(self.offset, "offset")
+        if g != 1:
+            entries = tuple(c // g for c in entries)
+            offset = offset / g
+        object.__setattr__(self, "normal", entries)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "row", (*entries, offset.numerator, offset.denominator))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.row == other.row
+
+    def __hash__(self):
+        return hash(self.row)
 
     def contains(self, point) -> bool:
         return dot(self.normal, point) <= self.offset
@@ -112,7 +138,19 @@ def _as_halfspace(item) -> HalfSpace:
     if isinstance(item, HalfSpace):
         return item
     normal, offset = item
-    return HalfSpace(tuple(normal), Fraction(offset))
+    return HalfSpace(tuple(normal), offset)
+
+
+def _is_facet_index(f, p) -> bool:
+    """Is `f` an int (not a bool) naming one of the halfspaces of `p`?"""
+    return isinstance(f, int) and not isinstance(f, bool) and 0 <= f < len(p.halfspaces)
+
+
+def _require_facet(p, f):
+    if not _is_facet_index(f, p):
+        raise FaceMismatch(
+            f"facet index {f!r} names no halfspace of a polytope with {len(p.halfspaces)} halfspaces"
+        )
 
 
 @dataclass(frozen=True)
@@ -215,16 +253,18 @@ def solve_square(echelon, n) -> tuple:
 
 def _vertex_incidence(normals, offsets, n) -> tuple:
     """(the vertices, sorted; the indices of the halfspaces tight at each; each
-    vertex's integer key; whether every subset solved to a vertex has
-    |det| = 1), the middle three indexed alike, by vertex number.
+    vertex's integer key; the keys' common denominator; whether every
+    subset solved to a vertex has |det| = 1), the first three indexed
+    alike, by vertex number.
 
     Only the n-subsets with independent normals (`_independent_subsets`)
     are solved; every other subset is singular.  Offsets are scaled to
     integers, and a solution is held as integers X over a denominator d > 0
     with gcd(X, d) = 1, so the slacks d·b − <a, X> are ints.  A vertex's
     key is X scaled to the lcm D of the d's: every key is the vertex times
-    one positive constant, so keys sort as the vertices do, and the
-    vertices are sorted by their keys.  When every vertex is simple, its
+    one positive constant, step = D times the offsets' lcm denominator,
+    so keys sort as the vertices do, and the vertices are sorted by their
+    keys.  When every vertex is simple, its
     tight set is the one subset solved to it, so the record is smoothness.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
@@ -244,7 +284,7 @@ def _vertex_incidence(normals, offsets, n) -> tuple:
     keys = tuple(key for key, _ in keyed)
     step = D * scale
     vertices = tuple(tuple(Fraction(x, step) for x in key) for key in keys)
-    return vertices, tuple(t for _, t in keyed), keys, smooth
+    return vertices, tuple(t for _, t in keyed), keys, step, smooth
 
 
 def _edge_pairs(tight_sets, n) -> tuple | None:
@@ -310,7 +350,7 @@ class DelzantPolytope:
                 raise DimensionError(
                     f"normal {h.normal} has length {len(h.normal)}, expected {dimension}"
                 )
-        self._halfspace_set = frozenset(hs)
+        self._halfspace_set = frozenset(h.row for h in hs)
         if len(self._halfspace_set) != len(hs):
             raise NotDelzant("duplicate halfspace in description")
         self._dim = dimension
@@ -318,7 +358,7 @@ class DelzantPolytope:
         normals = [h.normal for h in hs]
         offsets = [h.offset for h in hs]
         incidence = _vertex_incidence(normals, offsets, dimension)
-        self._vertices, self._tights, self._keys, self._smooth = incidence
+        self._vertices, self._tights, self._keys, self._step, self._smooth = incidence
         tights = self._tights  # vertex k is bit k of a vertex mask
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
@@ -563,18 +603,34 @@ def agree_near_facet(p1: DelzantPolytope, f1: int, p2: DelzantPolytope, f2: int)
     meeting that subset equal, as a set of halfspaces, those of the
     p2-facets meeting it.  This is the local compatibility condition for
     gluing two polytopes along a fold facet: near the fold the two
-    polytopes must superimpose exactly.
+    polytopes must superimpose exactly.  Raises FaceMismatch when f1 or
+    f2 names no halfspace of its polytope.
+
+    Both are decided in integers.  A facet's vertex numbers ascend in
+    vertex order, so (a) holds when the facets have equally many vertices
+    and their keys agree pairwise, each scaled by the other polytope's
+    common denominator.  (b) compares the halfspace rows of the facets
+    whose vertex masks meet the fold's.
     """
     if p1.dimension != p2.dimension:
         raise DimensionError(
             f"cannot compare facets across dimensions {p1.dimension} and {p2.dimension}"
         )
-    set1 = p1.facet_vertex_sets[f1]
-    set2 = p2.facet_vertex_sets[f2]
-    if set1 != set2:
+    _require_facet(p1, f1)
+    _require_facet(p2, f2)
+    numbers1, numbers2 = p1._facet_numbers[f1], p2._facet_numbers[f2]
+    if len(numbers1) != len(numbers2):
         return False
-    near1 = {p1.halfspaces[i] for i, fs in enumerate(p1.facet_vertex_sets) if fs & set1}
-    near2 = {p2.halfspaces[i] for i, fs in enumerate(p2.facet_vertex_sets) if fs & set2}
+    g = math.gcd(p1._step, p2._step)
+    scale1, scale2 = p2._step // g, p1._step // g
+    keys1, keys2 = p1._keys, p2._keys
+    if [x * scale1 for k in numbers1 for x in keys1[k]] != [
+        x * scale2 for k in numbers2 for x in keys2[k]
+    ]:
+        return False
+    fold1, fold2 = p1._facet_masks[f1], p2._facet_masks[f2]
+    near1 = {h.row for h, mask in zip(p1._halfspaces, p1._facet_masks) if mask & fold1}
+    near2 = {h.row for h, mask in zip(p2._halfspaces, p2._facet_masks) if mask & fold2}
     return near1 == near2
 
 
@@ -586,22 +642,28 @@ def facet_as_polytope(p: DelzantPolytope, i: int) -> tuple:
     basis of the span's integer direction lattice, which makes the output
     canonical: point y in the new coordinates corresponds to
     base + sum(y[k] * basis[k]) in the old ones.  Returns
-    (polytope, base_point, basis_rows).
+    (polytope, base_point, basis_rows).  Raises FaceMismatch when i names
+    no halfspace of p.
+
+    The base is the facet's first vertex number, and each new offset
+    b - <a, base> is formed over ints from the base's key and the
+    polytope's common denominator.
     """
     n = p.dimension
     if n == 0:
         raise DimensionError("a 0-dimensional polytope has no facets")
-    normal = p.halfspaces[i].normal
-    basis = integer_kernel_basis(normal)
-    base = min(p.facet_vertex_sets[i])
+    _require_facet(p, i)
+    basis = integer_kernel_basis(p.halfspaces[i].normal)
+    first = p._facet_numbers[i][0]
+    base, key, step = p._vertices[first], p._keys[first], p._step
+    facet = p._facet_masks[i]
     cuts = []
-    for j, h in enumerate(p.halfspaces):
-        if j == i:
-            continue
-        shared = p._facet_masks[j] & p._facet_masks[i]
+    for j, (h, mask) in enumerate(zip(p._halfspaces, p._facet_masks)):
+        shared = mask & facet
         # keep only the facets meeting facet i in one of facet i's own facets
-        if not shared or p._active_and_dimension(shared)[1] != n - 2:
+        if j == i or not shared or p._active_and_dimension(shared)[1] != n - 2:
             continue
-        row = tuple(dot(h.normal, b) for b in basis)
-        cuts.append(HalfSpace(row, h.offset - dot(h.normal, base)))
+        a, (num, den) = h.normal, h.row[n:]
+        row = tuple(sum(map(mul, a, b)) for b in basis)
+        cuts.append(HalfSpace(row, Fraction(num * step - den * sum(map(mul, a, key)), den * step)))
     return DelzantPolytope(n - 1, cuts), base, basis

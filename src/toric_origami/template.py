@@ -32,7 +32,7 @@ from .exceptions import (
     NotSimple,
     Unsupported,
 )
-from .polytope import DelzantPolytope, agree_near_facet, facet_as_polytope
+from .polytope import DelzantPolytope, _is_facet_index, agree_near_facet, facet_as_polytope
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,11 +462,6 @@ class OrigamiTemplate:
         )
 
 
-def _is_facet_index(f, p: DelzantPolytope) -> bool:
-    """Is `f` an int (not a bool) naming one of the halfspaces of `p`?"""
-    return isinstance(f, int) and not isinstance(f, bool) and 0 <= f < len(p.halfspaces)
-
-
 def _fresh_id(prefix: str, taken) -> str:
     k = 0
     while f"{prefix}{k}" in taken:
@@ -542,14 +537,14 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
         return False
 
     def fold_ends(t):
-        # (neighbour, own halfspace, other halfspace) per edge end; a fold is
-        # named by its halfspace, not its index, so that reordering a
-        # polytope's halfspace list does not break matching
+        # (neighbour, own halfspace row, other halfspace row) per edge end; a
+        # fold is named by its halfspace, not its index, so that reordering
+        # a polytope's halfspace list does not break matching
         ends = {w: [] for w in t.graph.vertices}
         for eid in t.graph.edges:
             u, v = t.graph.ends(eid)
             fu, fv = t.edge_facets(eid)
-            hu, hv = t.polytope(u).halfspaces[fu], t.polytope(v).halfspaces[fv]
+            hu, hv = t.polytope(u).halfspaces[fu].row, t.polytope(v).halfspaces[fv].row
             ends[u].append((v, hu, hv))
             ends[v].append((u, hv, hu))
         return ends

@@ -9,7 +9,9 @@ solves integer systems directly, glued facets come from a local
 union-find over facet cuts of the folds, the links of the gluing rule
 come from point-set cuts of the folds, and orbit-space faces come from
 a plain fixed point over every (face, glued facet) pair with another
-local union-find; facet vertex sets are read off direct dot products;
+local union-find; facet vertex sets are read off direct dot products,
+and so are fold agreement (point sets and halfspaces normalized here)
+and facet charts (offsets in `Fraction`s);
 template-graph components come from a union-find, bipartiteness from a
 breadth-first parity colouring and acyclicity from E = V - c; file text
 comes from `json.dumps` over plain data read off template accessors.
@@ -255,6 +257,25 @@ def oracle_halfspace(normal, offset):
     for c in normal:
         g = _gcd2(g, c)
     return tuple(c // g for c in normal), Fraction(offset) / g
+
+
+def oracle_agree_near_facet(p1, f1, p2, f2):
+    """Fold agreement by point sets: facet f1 of p1 and facet f2 of p2 hold
+    the same vertices, found by direct dot products, and the facets of
+    either polytope meeting those vertices have the same halfspaces, each
+    normalized by `oracle_halfspace`."""
+
+    def on(h, p):
+        return {v for v in p.vertices if sum(a * x for a, x in zip(h.normal, v)) == h.offset}
+
+    fold = on(p1.halfspaces[f1], p1)
+    if fold != on(p2.halfspaces[f2], p2):
+        return False
+
+    def near(p):
+        return {oracle_halfspace(h.normal, h.offset) for h in p.halfspaces if fold & on(h, p)}
+
+    return near(p1) == near(p2)
 
 
 def oracle_facet_chart(polytope, fi, basis):

@@ -26,6 +26,7 @@ from helpers import (
     oracle_edge_directions,
     oracle_edges_at,
     oracle_det,
+    oracle_agree_near_facet,
     oracle_facet_chart,
     oracle_faces,
     oracle_halfspace,
@@ -121,6 +122,17 @@ def test_halfspace_equality_and_hash_follow_the_subset():
             assert c == h and hash(c) == hash(h) and repr(c) == repr(h)
             assert c.normal == h.normal and c.offset == h.offset
             assert {h: 1}[c] == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), None, "x", "1/0", 1j])
+def test_values_that_are_no_exact_rational_are_refused_by_name(bad):
+    named = re.escape(f"must be an exact rational, got {bad!r}")
+    with pytest.raises(DegenerateInput, match="halfspace offset " + named):
+        HalfSpace((1, 0), bad)
+    with pytest.raises(DegenerateInput, match="halfspace normal entry " + named):
+        HalfSpace((1, bad), 0)
+    with pytest.raises(DegenerateInput, match="halfspace offset " + named):
+        DelzantPolytope(1, [((-1,), 0), ((1,), bad)])
 
 
 def _rational_offset_samples():
@@ -434,6 +446,79 @@ def test_agree_near_facet_positive_and_negative():
         agree_near_facet(sq, 1, box_polytope(((0, 1),)), 0)
 
 
+def _moved_off_fold(p, fold, q):
+    """p with each facet that misses facet `fold` moved outward by 1/q: the
+    polytope near the fold is kept and its vertex denominators change."""
+    halves = [
+        h if fs & p.facet_vertex_sets[fold] else HalfSpace(h.normal, h.offset + Fraction(1, q))
+        for h, fs in zip(p.halfspaces, p.facet_vertex_sets)
+    ]
+    return DelzantPolytope(p.dimension, halves)
+
+
+def _fold_pairs():
+    """(label, p1, f1, p2, f2) for every edge of seeded box paths (n = 1..4)
+    and hexagon trees, as given, with rational offsets, with the facets off
+    the fold moved by different rational amounts at the two ends, and with
+    the second end's halfspaces shuffled."""
+    rng = random.Random(2209)
+    templates = [box_path_template(rng, n=1 + k % 4) for k in range(12)]
+    templates += [hexagon_tree_template(rng, size=rng.randint(2, 8)) for _ in range(4)]
+    for t in templates[::3]:
+        shift = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(t.dimension))
+        templates.append(rescale_template(t, Fraction(rng.randint(1, 9), rng.randint(2, 7)), shift))
+    out = []
+    for k, t in enumerate(templates):
+        for eid in t.graph.edges:
+            (u, v), (fu, fv) = t.graph.ends(eid), t.edge_facets(eid)
+            p1, p2 = t.polytope(u), t.polytope(v)
+            out.append((f"t{k}:{eid}", p1, fu, p2, fv))
+            q1, q2 = rng.choice(((2, 3), (3, 5), (4, 7)))
+            moved1, moved2 = _moved_off_fold(p1, fu, q1), _moved_off_fold(p2, fv, q2)
+            out.append((f"t{k}:{eid}:moved", moved1, fu, moved2, fv))
+            order = list(range(len(p2.halfspaces)))
+            rng.shuffle(order)
+            shuffled = DelzantPolytope(p2.dimension, [p2.halfspaces[i] for i in order])
+            out.append((f"t{k}:{eid}:shuffled", moved1, fu, shuffled, order.index(fv)))
+    return out
+
+
+def test_agree_near_facet_matches_the_point_set_oracle():
+    """Every fold of the seeded templates agrees, also across polytopes whose
+    keys have different common denominators; every other facet pair of the
+    same polytope pairs gives the oracle's answer."""
+    pairs = _fold_pairs()
+    steps_differ = 0
+    for label, p1, f1, p2, f2 in pairs:
+        assert oracle_agree_near_facet(p1, f1, p2, f2), label
+        assert agree_near_facet(p1, f1, p2, f2), label
+        assert agree_near_facet(p2, f2, p1, f1), label
+        steps_differ += p1._step != p2._step
+    assert steps_differ > len(pairs) // 3
+    answers = set()
+    for label, p1, _, p2, _ in pairs[::5]:
+        for f1 in range(len(p1.halfspaces)):
+            for f2 in range(len(p2.halfspaces)):
+                expected = oracle_agree_near_facet(p1, f1, p2, f2)
+                assert agree_near_facet(p1, f1, p2, f2) == expected, (label, f1, f2)
+                answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, -4, 4, 10**20, 1.0, "1", None])
+def test_facet_indices_that_name_no_halfspace_are_refused(bad):
+    """A bool, a negative index (which would wrap to a facet from the end),
+    an index past the end or a non-int names no facet."""
+    sq = unit_square()
+    text = re.escape(f"facet index {bad!r} names no halfspace of a polytope with 4 halfspaces")
+    with pytest.raises(FaceMismatch, match=text):
+        agree_near_facet(sq, bad, sq, 1)
+    with pytest.raises(FaceMismatch, match=text):
+        agree_near_facet(sq, 3, sq, bad)
+    with pytest.raises(FaceMismatch, match=text):
+        facet_as_polytope(sq, bad)
+
+
 def test_facet_as_polytope_drops_a_dimension():
     sq = unit_square()
     facet, base, basis = facet_as_polytope(sq, 3)  # top edge y = 1
@@ -715,18 +800,15 @@ def _walk_inputs():
 def test_the_independent_subset_walk_finds_what_the_full_scan_finds():
     for normals, offsets, n in _walk_inputs():
         expected = oracle_vertex_incidence(normals, [Fraction(b) for b in offsets], n)
-        vertices, tights, keys, _ = polytope_module._vertex_incidence(
+        vertices, tights, keys, step, _ = polytope_module._vertex_incidence(
             normals, [Fraction(b) for b in offsets], n
         )
         found = dict(zip(vertices, tights))
         assert found == expected and list(found) == list(expected), (normals, n)
-        # each integer key is its vertex times one positive constant
-        assert len(keys) == len(found)
-        ratios = set()
+        # each integer key is its vertex times the one positive step
+        assert len(keys) == len(found) and step > 0
         for key, v in zip(keys, vertices):
-            assert [x == 0 for x in key] == [y == 0 for y in v], (normals, n)
-            ratios.update(Fraction(x) / y for x, y in zip(key, v) if y)
-        assert len(ratios) <= 1 and all(r > 0 for r in ratios), (normals, n)
+            assert tuple(Fraction(x, step) for x in key) == v, (normals, n)
     for name, (n, halves) in WALK_POLYTOPES.items():
         poly = DelzantPolytope(n, halves)
         expected = oracle_vertex_incidence([h.normal for h in halves], [h.offset for h in halves], n)

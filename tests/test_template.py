@@ -150,8 +150,9 @@ def test_template_structural_errors():
         build_template(2, {"a": sq, "b": sq}, [])
     with pytest.raises(DimensionError):  # polytope dimension mismatch
         build_template(1, {"a": sq}, [])
-    with pytest.raises(MalformedTemplate):  # facet index out of range
+    with pytest.raises(MalformedTemplate) as info:  # facet index out of range
         build_template(2, {"a": sq, "b": sq}, [("e", "a", "b", 9, 0)])
+    assert str(info.value) == "edge e: facet index 9 out of range for vertex a"
     chain = load_corpus("chain3")
     with pytest.raises(MalformedTemplate):  # a bool is no facet index
         OrigamiTemplate(2, chain.graph, chain.psi_v, {"e1": (2, 2), "e2": (False, False)})
@@ -305,10 +306,12 @@ def test_radial_blow_up_condition_violations():
 def test_radial_blow_up_refuses_a_facet_that_is_no_index(bad):
     t = load_corpus("cp2")
     tri = t.polytope("v1")
-    with pytest.raises(MalformedTemplate, match="facet index"):
+    with pytest.raises(MalformedTemplate) as info:
         radial_blow_up(t, tri, "v1", bad, 2)
-    with pytest.raises(MalformedTemplate, match="facet index"):
+    assert str(info.value) == f"facet index {bad!r} out of range for vertex v1"
+    with pytest.raises(MalformedTemplate) as info:
         radial_blow_up(t, tri, "v1", 2, bad)
+    assert str(info.value) == f"facet index {bad!r} out of range for the attached polytope"
 
 
 def test_blow_up_then_cut_returns_the_original():
