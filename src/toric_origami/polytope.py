@@ -33,7 +33,12 @@ All vertex coordinates are exact (`fractions.Fraction`).  Inside, each
 vertex number also keeps an integer key, the vertex times one positive
 common denominator: the vertices are sorted by these keys, and edge
 directions are read off their differences, so no `Fraction` is compared
-or subtracted for either.  A face is
+or subtracted for either.  Each halfspace keeps its normalized pair as
+one integer row (`HalfSpace.row`), and halfspaces are compared and
+hashed as rows.  So fold agreement (`agree_near_facet`) compares vertex
+keys over the two common denominators and the rows of the facets near
+the fold, and a facet chart (`facet_as_polytope`) forms its offsets over
+ints: neither hashes or compares a `Fraction`.  A face is
 identified by its vertex set, which determines it uniquely within its
 polytope; two structurally identical polytopes produce equal faces, so
 code that mixes several polytopes must key faces by (polytope id, face).
@@ -262,10 +267,10 @@ def _vertex_incidence(normals, offsets, n) -> tuple:
     integers, and a solution is held as integers X over a denominator d > 0
     with gcd(X, d) = 1, so the slacks d·b − <a, X> are ints.  A vertex's
     key is X scaled to the lcm D of the d's: every key is the vertex times
-    one positive constant, step = D times the offsets' lcm denominator,
-    so keys sort as the vertices do, and the vertices are sorted by their
-    keys.  When every vertex is simple, its
-    tight set is the one subset solved to it, so the record is smoothness.
+    one positive constant, step = D times the lcm of the offsets'
+    denominators, so keys sort as the vertices do, and the vertices are
+    sorted by their keys.  When every vertex is simple, its tight set is
+    the one subset solved to it, so the record is smoothness.
     """
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
