@@ -34,11 +34,8 @@ vertex number also keeps an integer key, the vertex times one positive
 common denominator: the vertices are sorted by these keys, and edge
 directions are read off their differences, so no `Fraction` is compared
 or subtracted for either.  Each halfspace keeps its normalized pair as
-one integer row (`HalfSpace.row`), and halfspaces are compared and
-hashed as rows.  So fold agreement (`agree_near_facet`) compares vertex
-keys over the two common denominators and the rows of the facets near
-the fold, and a facet chart (`facet_as_polytope`) forms its offsets over
-ints: neither hashes or compares a `Fraction`.  A face is
+one integer row (`HalfSpace.row`), compared and hashed as ints, so fold
+agreement and facet charts hash or compare no `Fraction`.  A face is
 identified by its vertex set, which determines it uniquely within its
 polytope; two structurally identical polytopes produce equal faces, so
 code that mixes several polytopes must key faces by (polytope id, face).

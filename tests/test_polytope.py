@@ -485,8 +485,9 @@ def _fold_pairs():
 
 def test_agree_near_facet_matches_the_point_set_oracle():
     """Every fold of the seeded templates agrees, also across polytopes whose
-    keys have different common denominators; every other facet pair of the
-    same polytope pairs gives the oracle's answer."""
+    keys have different common denominators; on every facet pair of some of
+    those polytope pairs, and on a fold with other facets near it, the
+    answer is the oracle's."""
     pairs = _fold_pairs()
     steps_differ = 0
     for label, p1, f1, p2, f2 in pairs:
@@ -503,6 +504,18 @@ def test_agree_near_facet_matches_the_point_set_oracle():
                 assert agree_near_facet(p1, f1, p2, f2) == expected, (label, f1, f2)
                 answers.add(expected)
     assert answers == {True, False}
+    # one fold, other facets near it: a flat box against a triangle, so the
+    # fold's vertices agree only across the two steps and the halfspaces differ
+    rng = random.Random(2210)
+    for _ in range(6):
+        mat = random_unimodular(rng, 2)
+        shift = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2))
+        flat = apply_unimodular(box_polytope(((0, 1), (0, Fraction(1, 3)))), mat, shift)
+        tri = apply_unimodular(triangle(), mat, shift)
+        assert set(flat.facet_vertex_sets[2]) == set(tri.facet_vertex_sets[1])
+        assert flat._step != tri._step
+        assert not oracle_agree_near_facet(flat, 2, tri, 1)
+        assert not agree_near_facet(flat, 2, tri, 1) and not agree_near_facet(tri, 1, flat, 2)
 
 
 @pytest.mark.parametrize("bad", [True, False, -1, -4, 4, 10**20, 1.0, "1", None])
