@@ -24,10 +24,8 @@ images, so every degree shares them and degree d + 1 extends the images
 of degree d; nothing outlives the request.  Multiplying by a variable
 commutes with the map, so products are taken block by block.  Class
 vectors are exact `fractions.Fraction` values.  Ranks and kernels come
-from `lattice`, which eliminates modulo a large prime and certifies every
-answer by an exact check over the integers (on the row side for a wide
-matrix's rank), falling back to `Fraction` elimination when a check
-fails.  Membership tests are exact polynomial division, never numerical.
+from `lattice`, which eliminates over the integers without fractions, so
+every answer is exact by construction.  Membership tests are exact polynomial division, never numerical.
 """
 
 from __future__ import annotations

@@ -90,14 +90,6 @@ def format_point(point) -> str:
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
-def lex_positive(vec) -> tuple:
-    """Flip the sign of an integer vector so its first nonzero entry is positive."""
-    for c in vec:
-        if c:
-            return tuple(vec) if c > 0 else tuple(-x for x in vec)
-    raise InternalConsistency("zero vector cannot be sign-normalized")
-
-
 def fixed_points(t: OrigamiTemplate) -> tuple:
     """All (template vertex, polytope vertex) pairs avoiding every incident fold.
 
@@ -165,7 +157,9 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
                 raise InternalConsistency(
                     f"chain piece {_name([pieces[end]])} has two links at {format_point(w)}"
                 )
-    weights = {}  # (polytope, 1-face vertex numbers) -> sign-normalized primitive direction
+    # (polytope, 1-face vertex numbers) -> primitive direction, lex-positive
+    # because a 1-face's vertex numbers ascend (see `one_faces`)
+    weights = {}
     edges = []
     for cls in _classes(len(pieces), links):
         # (fixed point index, or -1 for none; piece index; vertex number) per unlinked piece end
@@ -196,7 +190,7 @@ def moment_graph(t: OrigamiTemplate) -> MomentGraph:
             key = (id(p), f.numbers)  # the template holds every polytope
             if key not in weights:
                 a, b = (p._keys[k] for k in f.numbers)
-                weights[key] = lex_positive(primitive([y - x for x, y in zip(a, b)]))
+                weights[key] = primitive([y - x for x, y in zip(a, b)])
             directions.add(weights[key])
         if len(directions) != 1:
             raise InternalConsistency(f"chain {_name(chain)} changes direction")

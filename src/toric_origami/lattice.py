@@ -6,24 +6,14 @@ tuples of ints, rational points are tuples of Fractions, and matrices are
 sequences of row tuples.  All functions are pure and their outputs are
 deterministic (pivots are always the first nonzero entry in column order).
 
-`rank`, `kernel_dimension` and `kernel_basis` share one certified modular
-kernel.  Each row is scaled to integers and the matrix is brought to
-reduced row echelon form modulo a large prime p; every kernel
-vector read off the free columns is lifted to the rationals by rational
-reconstruction and checked exactly against every row.  A passing check is
-a proof: the lifted vectors are independent (the identity sits on the free
-columns), so the rational nullity is at least the modular one, and rank
-mod p never exceeds the rational rank.  The lifted basis is then the
-rational reduced echelon basis itself.  When reconstruction or the check
-fails the next prime is tried, and past the last one the matrix is reduced
-over `Fraction` instead.
-
-A wide matrix (more columns than rows) has its rank certified on the row
-side: `rank`, and with it `kernel_dimension` (ncols - rank), eliminates the
-transpose, whose rank is the same, so the certificate lifts one vector per
-dependent row instead of one per free column.  Its fallback reduces the
-original rows.  A row of ints is taken as it is, with no per-entry work in
-Python; only a row holding another type is scaled to integers.
+`rank`, `kernel_dimension` and `kernel_basis` share one elimination,
+exact over ℤ.  Each row is scaled to integers (a row of ints is taken as
+it is, with no per-entry work in Python) and the matrix is brought to
+reduced row echelon form by fraction-free Gauss–Jordan elimination: every
+pivot row is kept as an integer multiple of its reduced echelon row, and
+every division in the update is exact, because every entry held is a
+minor of the matrix (Bareiss).  The reduced echelon form is unique, so the
+kernel basis read off its free columns does not depend on the row order.
 """
 
 from __future__ import annotations
@@ -57,36 +47,12 @@ def primitive(v):
     return tuple(c // g for c in ints)
 
 
-def _reduced_echelon(rows, ncols):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
-    mat = [[Fraction(c) for c in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
-# Fixed primes for the modular kernel, tried in order before the Fraction route.
-_PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
-
-
 def _integer_rows(rows, ncols):
     """Each row scaled by the lcm of its denominators, as a sparse {column: int} dict.
 
     int and Fraction entries are read as they are; any other entry goes
-    through Fraction(), so "1/2", 0.5 and Decimal("0.5") are all 1/2.
+    through Fraction(), so "1/2", 0.5 and Decimal("0.5") are all 1/2, and an
+    entry that is zero only once converted ("0/1") is dropped.
     """
     out = []
     for row in rows:
@@ -99,45 +65,35 @@ def _integer_rows(rows, ncols):
                 for c, x in entries.items()
             }
             scale = math.lcm(*(x.denominator for x in entries.values()))
-            entries = {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+            entries = {
+                c: x.numerator * (scale // x.denominator) for c, x in entries.items() if x
+            }
         out.append(entries)
     return out
 
 
-def _reconstruct(x, p, bound):
-    """(n, d) with n = d * x mod p, |n| <= bound and 0 < d <= bound, or None (Wang 1981)."""
-    r0, r1 = p, x
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    return (r1, t1) if t1 <= bound else None
+def _eliminate(int_rows):
+    """Fraction-free Gauss–Jordan elimination of sparse integer rows.
 
-
-def _modular_kernel(int_rows, ncols, p):
-    """Certified (pivot columns, kernel vectors) of an integer matrix, or None.
-
-    The matrix is reduced mod p to reduced row echelon form, pivoting on
-    each new row's leading column.  The kernel vector of each free column
-    is lifted to the rationals and must annihilate every row exactly; on
-    any failure the answer is None.  Kernel vectors are sparse
-    {column: (numerator, denominator)} dicts in free-column order.
+    Returns (d, {pivot column: row}).  d is the last pivot, and each stored
+    row is d times its reduced echelon row, without the pivot entry d
+    itself, so it holds only free columns.  A new row r is reduced as
+    d·r − Σ r[c]·(pivot row c) over its pivot columns; its leading entry e
+    becomes the new d, and every earlier pivot row R with entry g in the
+    new leading column becomes (e·R − g·r) / d.  Each such division is
+    exact (Bareiss, Math. Comp. 1968), and every stored entry is a minor
+    of the matrix.  A pivot row with no entry in the new leading column is
+    kept as it is when e == d.
     """
-    pivots = {}  # pivot column -> its reduced row mod p, without the leading 1
+    d = 1
+    pivots = {}
     for row in int_rows:
-        r = {}
-        for c, a in row.items():
-            a %= p
-            if a:
-                r[c] = a
+        r = {c: d * a for c, a in row.items() if c not in pivots}
         # pivot rows vanish on each other's pivot columns: one pass clears them
-        for c in [c for c in r if c in pivots]:
-            f = r.pop(c)
+        for c in pivots.keys() & row.keys():
+            f = row[c]
             for j, a in pivots[c].items():
-                v = (r.get(j, 0) - f * a) % p
+                v = r.get(j, 0) - f * a
                 if v:
                     r[j] = v
                 else:
@@ -145,71 +101,34 @@ def _modular_kernel(int_rows, ncols, p):
         if not r:
             continue
         lead = min(r)
-        inv = pow(r.pop(lead), -1, p)
-        new = {j: a * inv % p for j, a in r.items()}
-        for prow in pivots.values():
+        e = r.pop(lead)
+        for c, prow in pivots.items():
             g = prow.pop(lead, 0)
             if g:
-                for j, a in new.items():
-                    v = (prow.get(j, 0) - g * a) % p
-                    if v:
-                        prow[j] = v
-                    else:
-                        del prow[j]
-        pivots[lead] = new
-
-    kernel = {f: {f: 1} for f in range(ncols) if f not in pivots}
-    for c, prow in pivots.items():
-        for j, a in prow.items():
-            kernel[j][c] = p - a
-    columns = [[] for _ in range(ncols)]  # the integer matrix by column
-    for i, row in enumerate(int_rows):
-        for c, a in row.items():
-            columns[c].append((i, a))
-    bound = math.isqrt(p // 2)
-    vectors = []
-    for vec in kernel.values():
-        lifted = {}
-        for c, x in vec.items():
-            q = _reconstruct(x, p, bound)
-            if q is None:
-                return None
-            lifted[c] = q
-        scale = math.lcm(*(d for _, d in lifted.values()))
-        residual = {}
-        for c, (n, d) in lifted.items():
-            w = n * (scale // d)
-            for i, a in columns[c]:
-                residual[i] = residual.get(i, 0) + a * w
-        if any(residual.values()):
-            return None
-        vectors.append(lifted)
-    return sorted(pivots), vectors
+                new = {j: e * a for j, a in prow.items()}
+                for j, a in r.items():
+                    new[j] = new.get(j, 0) - g * a
+                pivots[c] = {j: v // d for j, v in new.items() if v}
+            elif e != d:
+                pivots[c] = {j: e * a // d for j, a in prow.items()}
+        pivots[lead] = r
+        d = e
+    return d, pivots
 
 
 def _solve(rows, ncols):
     """Pivot columns and kernel vectors of a rational matrix, exactly.
 
-    Tries the modular kernel at each prime of `_PRIMES`, then falls back to
-    `_reduced_echelon`; both give the same answer.
+    Kernel vectors are sparse {column: (numerator, denominator)} dicts in
+    free-column order: 1 in the free column f and −row[f] / d in each pivot
+    column.
     """
-    int_rows = _integer_rows(rows, ncols)
-    for p in _PRIMES:
-        found = _modular_kernel(int_rows, ncols, p)
-        if found is not None:
-            return found
-    ech, pivots = _reduced_echelon(rows, ncols)
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: (1, 1)}
-        for row, pc in zip(ech, pivots):
-            if row[free]:
-                vec[pc] = (-row[free].numerator, row[free].denominator)
-        vectors.append(vec)
-    return pivots, vectors
+    d, pivots = _eliminate(_integer_rows(rows, ncols))
+    kernel = {f: {f: (1, 1)} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, a in row.items():
+            kernel[f][c] = (-a, d)
+    return sorted(pivots), list(kernel.values())
 
 
 def _column_count(rows, ncols):
@@ -226,27 +145,10 @@ def pivot_columns(rows, ncols):
 
 
 def rank(rows, ncols=None):
-    """Rank of a rational matrix (exact).
-
-    A wide matrix is eliminated by its columns, whose rank is the same, so
-    the certificate lifts one vector per dependent row, not one per free
-    column.
-    """
+    """Rank of a rational matrix (exact)."""
     if not rows:
         return 0
-    ncols = _column_count(rows, ncols)
-    if ncols <= len(rows):
-        return len(_solve(rows, ncols)[0])
-    columns = [{} for _ in range(ncols)]
-    for i, row in enumerate(_integer_rows(rows, ncols)):
-        for c, a in row.items():
-            columns[c][i] = a
-    columns = [column for column in columns if column]  # zero columns add no rank
-    for p in _PRIMES:
-        found = _modular_kernel(columns, len(rows), p)
-        if found is not None:
-            return len(found[0])
-    return len(_reduced_echelon(rows, ncols)[1])
+    return len(_eliminate(_integer_rows(rows, _column_count(rows, ncols)))[1])
 
 
 def kernel_dimension(rows, ncols=None):

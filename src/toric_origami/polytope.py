@@ -532,7 +532,9 @@ class DelzantPolytope:
         from the boundedness check: each pair of vertices sharing n − 1
         facets, those facets its active set, so no other face is built, and
         `faces()` takes its 1-faces from here.  Otherwise they are read off
-        `faces()`.
+        `faces()`.  Either way a 1-face's two vertex numbers ascend, and the
+        integer keys sort as the vertices do, so the difference of its
+        second and first vertex key is lex-positive.
         """
         if self._one_faces is None:
             if self._edge_pairs is None:

@@ -345,7 +345,7 @@ class OrigamiTemplate:
                 )
         cond2 = {}
         for vid in self._graph.vertices:
-            p = self._psi_v[vid]
+            masks = self._psi_v[vid]._facet_masks
             by_edge = {}
             for eid, f in self.fold_entries(vid):
                 by_edge.setdefault(eid, set()).add(f)
@@ -355,7 +355,7 @@ class OrigamiTemplate:
                 for e2 in eids[i + 1 :]:
                     for f1 in by_edge[e1]:
                         for f2 in by_edge[e2]:
-                            if p.facet_vertex_sets[f1] & p.facet_vertex_sets[f2]:
+                            if masks[f1] & masks[f2]:
                                 ok = False
                                 messages.append(
                                     f"vertex {vid}: fold facets of edges {e1} and {e2} intersect"
@@ -495,9 +495,9 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
         raise ConditionOneViolation(
             f"attached polytope does not agree with the polytope at {vid} near facet {f_t}"
         )
-    new_fold = host.facet_vertex_sets[f_t]
+    new_fold = host._facet_masks[f_t]
     for eid, f in t.fold_entries(vid):
-        if host.facet_vertex_sets[f] & new_fold:
+        if host._facet_masks[f] & new_fold:
             raise ConditionTwoViolation(
                 f"new fold facet at {vid} intersects the fold facet of edge {eid}"
             )

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    OCTAHEDRON_HALFSPACES,
+    SQUARE_PYRAMID_HALFSPACES,
     _oracle_primitive,
     box_path_template,
     box_polytope,
@@ -22,18 +24,34 @@ from toric_origami.gkm import (
     FixedPoint,
     export_dot,
     fixed_points,
-    lex_positive,
     moment_graph,
 )
 from toric_origami.orbit_space import face_poset
 from toric_origami.polytope import DelzantPolytope, HalfSpace
 
 
-def test_lex_positive():
-    assert lex_positive((0, -2, 1)) == (0, 2, -1)
-    assert lex_positive((3, -1)) == (3, -1)
-    with pytest.raises(InternalConsistency):
-        lex_positive((0, 0))
+def test_one_face_key_differences_are_lex_positive():
+    """`moment_graph` takes a weight as the primitive difference of a 1-face's
+    second and first vertex key, with no sign flip: the vertex numbers of
+    every 1-face ascend and the keys sort as the vertices do.  On the corpus,
+    seeded box paths and hexagon trees, and the square pyramid and the
+    octahedron, whose 1-faces are read off `faces()`."""
+    rng = random.Random(29)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng, n=n) for n in (1, 2, 3, 3, 4)]
+    templates += [hexagon_tree_template(rng, size) for size in (1, 4, 9)]
+    polytopes = {t.polytope(vid) for t in templates for vid in t.graph.vertices}
+    non_simple = [DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES), DelzantPolytope(3, OCTAHEDRON_HALFSPACES)]
+    assert not any(p.is_simple() for p in non_simple)
+    checked = 0
+    for p in [*polytopes, *non_simple]:
+        for f in p.one_faces():
+            a, b = f.numbers
+            assert a < b and f.vertices == (p.vertices[a], p.vertices[b])
+            delta = [y - x for x, y in zip(p._keys[a], p._keys[b])]
+            assert next(c for c in delta if c) > 0, (p, f)
+            checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,15 @@ def test_rank_and_kernel_match_plain_gauss():
                 assert dot(row, vec) == 0
 
 
-P = lattice._PRIMES[0]
+# Adversarial magnitudes: the primes 2**61 - 1, 2**62 - 57 and 2**63 - 25
+# (moduli a modular route would pick) and their multiples and reciprocals.
+LARGE = (2**61 - 1, 2**62 - 57, 2**63 - 25)
+P = LARGE[0]
 
 
 def _random_entry(rng):
-    """Small integers and rationals, mixed with the modulus, its multiples
-    and fractions with the modulus in the denominator."""
+    """Small integers and rationals, mixed with the large values, their
+    multiples and fractions with a large value in the denominator."""
     roll = rng.random()
     if roll < 0.35:
         return 0
@@ -81,28 +84,8 @@ def _random_entry(rng):
     if roll < 0.8:
         return Fraction(rng.randint(-7, 7), rng.randint(1, 9))
     if roll < 0.9:
-        return rng.choice((1, -1, 2, 3)) * rng.choice(lattice._PRIMES)
-    return Fraction(rng.choice((1, -1, 2)), rng.choice(lattice._PRIMES))
-
-
-def _record_routes(monkeypatch):
-    """Log the primes the modular kernel tries and each Fraction fallback."""
-    log = []
-    modular = lattice._modular_kernel
-    echelon = lattice._reduced_echelon
-
-    def spy_modular(int_rows, ncols, p):
-        found = modular(int_rows, ncols, p)
-        log.append((p, found is not None))
-        return found
-
-    def spy_echelon(rows, ncols):
-        log.append("fraction")
-        return echelon(rows, ncols)
-
-    monkeypatch.setattr(lattice, "_modular_kernel", spy_modular)
-    monkeypatch.setattr(lattice, "_reduced_echelon", spy_echelon)
-    return log
+        return rng.choice((1, -1, 2, 3)) * rng.choice(LARGE)
+    return Fraction(rng.choice((1, -1, 2)), rng.choice(LARGE))
 
 
 def test_certified_kernel_matches_fraction_route():
@@ -137,16 +120,41 @@ def _mixed_entry(rng):
 def test_mixed_entry_types_read_as_their_fractions():
     # ints and Fractions are read directly; the other types go through Fraction()
     rng = random.Random(67)
+    # "0/1" and "0" are truthy strings that convert to zero
+    cases = [[["0/1", 1, "0/3"]], [["0", "1/2"], [1, 0]], [[0.0, "0/5", Decimal("0.5")]]]
     for _ in range(200):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        rows = [[_mixed_entry(rng) for _ in range(n)] for _ in range(m)]
+        cases.append([[_mixed_entry(rng) for _ in range(n)] for _ in range(m)])
+    for rows in cases:
+        n = len(rows[0])
         assert rank(rows, n) == oracle_rank(rows, n), rows
         assert kernel_basis(rows, n) == oracle_kernel_basis(rows, n), rows
 
 
+def _lu_product(rng, m, n, k):
+    """A row-shuffled m×n product L·U of rank k: L is m×k lower trapezoidal
+    and U is k×n in row echelon form, both with non-unit pivots, and entries
+    reach about 10**6."""
+    cols = sorted(rng.sample(range(n), k))
+    left = [[0] * k for _ in range(m)]
+    for i in range(m):
+        for j in range(min(i + 1, k)):
+            left[i][j] = rng.randint(-300, 300)
+    right = [[0] * n for _ in range(k)]
+    for i, c in enumerate(cols):
+        right[i][c + 1:] = [rng.randint(-300, 300) for _ in range(n - c - 1)]
+    for i in range(k):  # non-unit, nonzero pivots keep the ranks of L and U at k
+        left[i][i] = rng.choice((-1, 1)) * rng.randint(2, 300)
+        right[i][cols[i]] = rng.choice((-1, 1)) * rng.randint(2, 300)
+    rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)] for lr in left]
+    rng.shuffle(rows)
+    return rows
+
+
 def test_certified_kernel_on_wider_integer_matrices():
     rng = random.Random(7)
+    cases = []
     for _ in range(40):
         m = rng.randint(5, 14)
         n = rng.randint(5, 14)
@@ -155,34 +163,43 @@ def test_certified_kernel_on_wider_integer_matrices():
         left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
         right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)] for lr in left]
-        assert rank(rows, n) == oracle_rank(rows, n)
-        assert kernel_basis(rows, n) == oracle_kernel_basis(rows, n)
+        cases.append((rows, n))
+    # products with pivots other than ±1 exercise the exact division by the
+    # previous pivot, at full rank and below it
+    deficient = 0
+    for _ in range(30):
+        m = rng.randint(2, 9)
+        n = rng.randint(2, 9)
+        k = rng.randint(1, min(m, n))
+        deficient += k < min(m, n)
+        cases.append((_lu_product(rng, m, n, k), n))
+    assert deficient > 10
+    last_pivots = []
+    for rows, n in cases:
+        assert rank(rows, n) == oracle_rank(rows, n), rows
+        assert kernel_dimension(rows, n) == oracle_nullity(rows, n), rows
+        assert kernel_basis(rows, n) == oracle_kernel_basis(rows, n), rows
+        last_pivots.append(abs(lattice._eliminate(lattice._integer_rows(rows, n))[0]))
+    assert max(last_pivots) > 1
 
 
-def test_multiple_of_the_first_prime_retries_the_second(monkeypatch):
-    log = _record_routes(monkeypatch)
-    rows = [[P, 2 * P]]  # the zero row mod P, rank 1 over Q
-    assert rank(rows, 2) == 1
-    assert kernel_basis(rows, 2) == [(Fraction(-2), Fraction(1))]
-    assert log[:2] == [(lattice._PRIMES[0], False), (lattice._PRIMES[1], True)]
-    assert "fraction" not in log
+def test_multiple_of_a_large_value_keeps_its_rank():
+    rows = [[P, 2 * P]]  # the zero row modulo P, rank 1 over Q
+    assert rank(rows, 2) == oracle_rank(rows, 2) == 1
+    assert kernel_basis(rows, 2) == oracle_kernel_basis(rows, 2) == [(Fraction(-2), Fraction(1))]
 
 
-def test_unreconstructible_kernel_falls_back_to_fractions(monkeypatch):
-    log = _record_routes(monkeypatch)
-    every_prime_then_fractions = [(p, False) for p in lattice._PRIMES] + ["fraction"]
-    # the kernel holds -P, beyond rational reconstruction at every prime
-    assert kernel_basis([[Fraction(1, P), 1]], 2) == [(Fraction(-P), Fraction(1))]
-    assert log == every_prime_then_fractions
-    # a wide matrix is eliminated by its columns: the kernel of the
-    # transpose holds (-P, 1), so the row-side route falls back too
-    log.clear()
-    assert rank([[1, 0, 0], [P, 0, 0]], 3) == 1
-    assert log == every_prime_then_fractions
+def test_kernel_entry_beyond_reconstruction_is_exact():
+    # the kernel holds -P, beyond rational reconstruction modulo any of LARGE
+    rows = [[Fraction(1, P), 1]]
+    assert kernel_basis(rows, 2) == oracle_kernel_basis(rows, 2) == [(Fraction(-P), Fraction(1))]
+    # a wide matrix whose transpose has the kernel vector (-P, 1)
+    rows = [[1, 0, 0], [P, 0, 0]]
+    assert rank(rows, 3) == oracle_rank(rows, 3) == 1
 
 
 def test_row_side_rank_matches_the_oracle_on_every_shape():
-    # wide matrices are eliminated by their columns, square and tall ones by their rows
+    # wide, square and tall matrices alike
     rng = random.Random(71)
     shapes = {"wide": 0, "square": 0, "tall": 0}
     for _ in range(300):

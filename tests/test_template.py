@@ -1,6 +1,7 @@
 """Template graphs, validation, classification flags, cut and blow-up."""
 
 import gc
+import itertools
 import random
 import re
 
@@ -8,7 +9,9 @@ import pytest
 
 from helpers import (
     box_path_template,
+    box_polytope,
     build_template,
+    hexagon_polytope,
     hexagon_tree_template,
     oracle_components,
     oracle_degrees,
@@ -300,6 +303,36 @@ def test_radial_blow_up_condition_violations():
         radial_blow_up(chain, sq, "v1", 3, 3)
     with pytest.raises(MalformedTemplate):
         radial_blow_up(chain, sq, "missing", 0, 0)
+
+
+def test_fold_overlaps_match_the_facet_vertex_sets():
+    """Condition 2 in `validate` and the overlap check of `radial_blow_up`
+    flag a pair of fold facets exactly when their vertex sets meet, on every
+    pair of facets of a square, a triangle, a hexagon, a cube and a twisted
+    3-box."""
+    polytopes = [square(), triangle(), hexagon_polytope(), box_polytope(((0, 1),) * 3)]
+    polytopes += box_path_template(random.Random(17), n=3, length=1).distinct_polytopes()
+    meets = set()
+    for p in polytopes:
+        n = p.dimension
+        for f1, f2 in itertools.product(range(len(p.halfspaces)), repeat=2):
+            meet = bool(p.facet_vertex_sets[f1] & p.facet_vertex_sets[f2])
+            meets.add(meet)
+            t = build_template(
+                n, {"a": p, "b": p, "c": p}, [("e1", "a", "b", f1, f1), ("e2", "b", "c", f2, f2)]
+            )
+            report = t.validate()
+            assert report.vertex_condition2 == {"a": True, "b": not meet, "c": True}
+            message = "vertex b: fold facets of edges e1 and e2 intersect"
+            assert report.messages == ((message,) if meet else ())
+            leaf = build_template(n, {"a": p, "b": p}, [("e", "a", "b", f1, f1)])
+            if meet:
+                with pytest.raises(ConditionTwoViolation) as caught:
+                    radial_blow_up(leaf, p, "a", f2, f2)
+                assert str(caught.value) == "new fold facet at a intersects the fold facet of edge e"
+            else:
+                radial_blow_up(leaf, p, "a", f2, f2).require_valid()
+    assert meets == {False, True}
 
 
 @pytest.mark.parametrize("bad", [2.5, "1", True, -1, 4])
