@@ -550,7 +550,11 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
         products = []
         if lower:
             targets = _shift_targets(forest.blocks, n, d)
-            entries = [[(c, x) for c, x in enumerate(vec) if x] for vec in lower]
+            entries = []
+            for vec in lower:  # scaled to ints once: scaling a row keeps the rank
+                nonzero = [(c, x) for c, x in enumerate(vec) if x]
+                scale = math.lcm(*(x.denominator for _, x in nonzero))
+                entries.append([(c, x.numerator * (scale // x.denominator)) for c, x in nonzero])
             for target in targets:
                 for nonzero in entries:
                     product = [0] * ncols

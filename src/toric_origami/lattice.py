@@ -222,27 +222,14 @@ def hermite_basis(rows, ncols):
 def integer_kernel_basis(v):
     """Hermite-reduced basis of the integer vectors orthogonal to integer vector v.
 
-    For a primitive v of length n the result has n - 1 rows and spans the
-    full sublattice {w : <v, w> = 0} of Z^n (a direct summand).
+    The rows (v_j, e_j) generate {(<v, w>, w) : w in Z^n}, and the rows of
+    its Hermite basis that start with 0, without that 0, are the Hermite
+    basis of {w : <v, w> = 0}: n - 1 rows for a nonzero v of length n,
+    spanning that full sublattice of Z^n (a direct summand).
     """
     n = len(v)
-    pairs = [(int(v[j]), [1 if k == j else 0 for k in range(n)]) for j in range(n)]
-    kernel = [vec for val, vec in pairs if val == 0]
-    live = [(val, vec) for val, vec in pairs if val != 0]
-    while len(live) > 1:
-        live.sort(key=lambda t: abs(t[0]))
-        g, gvec = live[0]
-        nxt = [(g, gvec)]
-        for val, vec in live[1:]:
-            q = val // g
-            nval = val - q * g
-            nvec = [x - q * y for x, y in zip(vec, gvec)]
-            if nval == 0:
-                kernel.append(nvec)
-            else:
-                nxt.append((nval, nvec))
-        live = nxt
-    return hermite_basis(kernel, n)
+    rows = [(int(v[j]), *(1 if k == j else 0 for k in range(n))) for j in range(n)]
+    return tuple(r[1:] for r in hermite_basis(rows, n + 1) if r[0] == 0)
 
 
 def recession_direction(normals, n):

@@ -206,6 +206,20 @@ def _classes(count: int, links) -> list:
     return list(classes.values())
 
 
+def _facet_members(pieces, classes, n) -> list:
+    """The glued facets among `classes`, those of (n-1)-pieces, as member tuples.
+
+    A facet lies in itself alone, so its active set is its index, and a
+    piece is the member (vid, facet index).  Each tuple is sorted, and the
+    tuples are sorted.
+    """
+    return sorted(
+        tuple(sorted((pieces[i][0], *pieces[i][1].active) for i in cls))
+        for cls in classes
+        if pieces[cls[0]][1].dim == n - 1
+    )
+
+
 def glued_facets(t: OrigamiTemplate) -> tuple:
     """The facets of the orbit space: the glued classes of (n-1)-pieces.
 
@@ -218,27 +232,26 @@ def glued_facets(t: OrigamiTemplate) -> tuple:
     """
     t.require_valid()
     pieces, links = _glue(t, (t.dimension - 1,))
-    classes = (  # a facet lies in itself alone, so its active set is its index
-        GluedFacet(tuple((pieces[i][0], *pieces[i][1].active) for i in cls))
-        for cls in _classes(len(pieces), links)
-    )
-    return tuple(sorted(classes, key=lambda g: g.members))
+    classes = _classes(len(pieces), links)
+    return tuple(map(GluedFacet, _facet_members(pieces, classes, t.dimension)))
 
 
 def face_poset(t: OrigamiTemplate) -> FacePoset:
     """All faces of the orbit space: the glued classes of d-pieces, d = 0..n, in one pass.
 
     A face's `defining` set is read off the active facets of any of its
-    pieces, through the glued facet holding each, and its subgraph off its
+    pieces, through the glued facet holding each (numbered as in
+    `glued_facets`, from this pass's classes), and its subgraph off its
     class.  Deterministic: faces are sorted by (dimension, sorted (vid,
     piece index) pairs); within one polytope the piece index follows the
     order of the vertex tuples.
     """
     t.require_valid()
-    glued = {m: gi for gi, g in enumerate(glued_facets(t)) for m in g.members}
     graph = t.graph
     pieces, links = _glue(t, range(t.dimension + 1))
     classes = _classes(len(pieces), links)
+    facets = _facet_members(pieces, classes, t.dimension)
+    glued = {m: gi for gi, members in enumerate(facets) for m in members}
     tops = sum(pieces[cls[0]][1].dim == t.dimension for cls in classes)
     if tops != 1:
         raise InternalConsistency(f"the orbit space has {tops} top faces, expected 1")

@@ -36,9 +36,10 @@ directions are read off their differences, so no `Fraction` is compared
 or subtracted for either.  Each halfspace keeps its normalized pair as
 one integer row (`HalfSpace.row`), compared and hashed as ints, so fold
 agreement and facet charts hash or compare no `Fraction`.  A face is
-identified by its vertex set, which determines it uniquely within its
-polytope; two structurally identical polytopes produce equal faces, so
-code that mixes several polytopes must key faces by (polytope id, face).
+identified by its active facets, which determine it uniquely within its
+polytope, and no vertex point set is built unless asked for; two
+structurally identical polytopes produce equal faces, so code that mixes
+several polytopes must key faces by (polytope id, face).
 A face holds its polytope through a weak reference (`Face.owner`), so a
 polytope and the faces it caches form no reference cycle, and a polytope
 nothing else holds is freed by reference count.  A polytope pickles and
@@ -52,6 +53,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
@@ -161,28 +163,31 @@ class Face:
 
     `active` is maximal (every facet index whose facet contains the face)
     and `vertices` is sorted, so within one polytope equal Face values
-    describe equal subsets of the ambient space.  `vertex_set` holds the
-    same vertices as a frozenset, and `numbers` their indices into
-    `owner.vertices`, in the same order.  A face holds its polytope
-    weakly (`owner_ref`), so `owner` is the polytope while it lives and
-    None after.  `owner_ref`, `vertex_set` and `numbers` are excluded from
-    comparison; see the module docstring.
+    describe equal subsets of the ambient space, and distinct faces have
+    distinct active sets: a Face hashes its `active`.  `numbers` holds the
+    vertices' indices into `owner.vertices`, in the same order, and
+    `vertex_set` the vertices as a frozenset, built on first access.  A
+    face holds its polytope weakly (`owner_ref`), so `owner` is the
+    polytope while it lives and None after.  `owner_ref` and `numbers` are
+    excluded from comparison; see the module docstring.
     """
 
     active: frozenset
     vertices: tuple
     dim: int
     owner_ref: weakref.ref = field(compare=False, repr=False)
-    vertex_set: frozenset = field(compare=False, repr=False)
     numbers: tuple = field(compare=False, repr=False)
 
     @property
     def owner(self) -> "DelzantPolytope | None":
         return self.owner_ref()
 
+    @cached_property
+    def vertex_set(self) -> frozenset:
+        return frozenset(self.vertices)
+
     def __hash__(self):
-        # equal faces have equal vertex sets, and a frozenset caches its hash
-        return hash(self.vertex_set)
+        return hash(self.active)  # a frozenset caches its hash
 
     def __repr__(self):
         return f"Face(dim={self.dim}, active={sorted(self.active)}, vertices={list(self.vertices)})"
@@ -369,20 +374,13 @@ class DelzantPolytope:
             ray = recession_direction(normals, dimension)
             if ray is not None:
                 raise NotDelzant(f"polytope is unbounded in direction {ray}")
-        # each point is hashed once, into its singleton; set unions reuse that hash
-        singletons = [frozenset((v,)) for v in self._vertices]
-        self._facet_vertex_sets = tuple(
-            frozenset().union(*(s for s, t in zip(singletons, tights) if i in t))
-            for i in range(len(hs))
-        )
-        if any(len(fs) == len(self._vertices) for fs in self._facet_vertex_sets):
-            raise NotDelzant("polytope is not full-dimensional")
-        self._vertex_set = frozenset().union(*singletons)
         # per facet: its vertex numbers, ascending, and the same as a mask
         self._facet_numbers = [
             tuple(k for k, t in enumerate(tights) if i in t) for i in range(len(hs))
         ]
         self._facet_masks = [sum(1 << k for k in ks) for ks in self._facet_numbers]
+        if (1 << len(self._vertices)) - 1 in self._facet_masks:
+            raise NotDelzant("polytope is not full-dimensional")
         self._simple_mask = sum(1 << k for k, t in enumerate(tights) if len(t) == dimension)
         for i, mask in enumerate(self._facet_masks):
             if not mask or self._active_and_dimension(mask)[1] != dimension - 1:
@@ -427,10 +425,10 @@ class DelzantPolytope:
         """All vertices, sorted lexicographically."""
         return self._vertices
 
-    @property
+    @cached_property
     def facet_vertex_sets(self) -> tuple:
         """For each halfspace index, the frozenset of vertices on that facet."""
-        return self._facet_vertex_sets
+        return tuple(frozenset(self._vertices[k] for k in ks) for ks in self._facet_numbers)
 
     def contains(self, point) -> bool:
         return all(h.contains(point) for h in self._halfspaces)
@@ -455,13 +453,14 @@ class DelzantPolytope:
         """
         if not self.is_simple():
             raise NotSimple("edge directions at a vertex need a simple polytope")
-        k = bisect_left(self._vertices, tuple(vertex))  # vertices are sorted
-        if k == len(self._vertices) or self._vertices[k] != tuple(vertex):
+        point = tuple(vertex)
+        k = bisect_left(self._vertices, point)  # vertices are sorted
+        if k == len(self._vertices) or self._vertices[k] != point:
             raise FaceMismatch(f"{vertex} is not a vertex of this polytope")
         tight = self._tights[k]
         dirs = {}
         keys = self._keys
-        for edge in self.one_faces_at(vertex):
+        for edge in self.one_faces_at(self._vertices[k]):
             (leave,) = set(tight) - edge.active  # an edge lies on all but one facet of the vertex
             a, b = edge.numbers
             other = b if a == k else a
@@ -489,9 +488,7 @@ class DelzantPolytope:
 
     def _face(self, active, numbers, dim) -> Face:
         vertices = tuple(self._vertices[k] for k in numbers)
-        # set intersections reuse the points' stored hashes
-        vset = self._vertex_set.intersection(*(self._facet_vertex_sets[i] for i in active))
-        return Face(active, vertices, dim, weakref.ref(self), vset, numbers)
+        return Face(active, vertices, dim, weakref.ref(self), numbers)
 
     def faces(self) -> tuple:
         """All nonempty faces, the polytope itself included, sorted by (dim, vertices).
@@ -522,7 +519,6 @@ class DelzantPolytope:
         self._sorted_faces = tuple(
             edges.get(numbers) or self._face(a, numbers, dim) for (dim, numbers), a in keyed
         )
-        self._face_map = {f.vertex_set: f for f in self._sorted_faces}
         return self._sorted_faces
 
     def one_faces(self) -> tuple:
@@ -549,13 +545,13 @@ class DelzantPolytope:
 
     def face_with_vertices(self, vertex_set) -> Face:
         """The face whose vertex set is exactly `vertex_set`; FaceMismatch if absent."""
-        self.faces()  # builds the face map once
+        points = frozenset(map(tuple, vertex_set))
+        if self._face_map is None:
+            self._face_map = {f.vertex_set: f for f in self.faces()}
         try:
-            return self._face_map[frozenset(vertex_set)]
+            return self._face_map[points]
         except KeyError:
-            raise FaceMismatch(
-                f"no face of this polytope has vertex set {sorted(vertex_set)}"
-            ) from None
+            raise FaceMismatch(f"no face of this polytope has vertex set {sorted(points)}") from None
 
     def faces_meeting(self, face: Face) -> tuple:
         """Indices of the facets whose intersection with `face` is nonempty.
@@ -565,8 +561,8 @@ class DelzantPolytope:
         """
         if face.owner is not self:
             raise FaceMismatch("face does not belong to this polytope")
-        vset = face.vertex_set
-        return tuple(i for i, fs in enumerate(self._facet_vertex_sets) if vset & fs)
+        mask = sum(1 << k for k in face.numbers)
+        return tuple(i for i, fm in enumerate(self._facet_masks) if mask & fm)
 
     def one_faces_at(self, vertex) -> tuple:
         """The edges (1-faces) through a vertex, in `faces()` order; () for a non-vertex."""
@@ -575,7 +571,7 @@ class DelzantPolytope:
             for f in self.one_faces():
                 for v in f.vertices:
                     self._edges_at[v] += (f,)
-        return self._edges_at.get(vertex, ())
+        return self._edges_at.get(tuple(vertex), ())
 
     # -- equality -------------------------------------------------------------
 

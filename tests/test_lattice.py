@@ -258,11 +258,13 @@ def test_hermite_basis_spans_the_same_lattice():
 
 
 def test_integer_kernel_basis_spans_the_saturated_kernel():
+    """Saturation and the Hermite shape (positive pivots in ascending
+    columns, entries above each pivot in [0, pivot)) pin the basis uniquely."""
     rng = random.Random(13)
-    for _ in range(40):
-        n = rng.randint(2, 4)
+    for _ in range(300):
+        n = rng.randint(1, 6)
         while True:
-            v = tuple(rng.randint(-5, 5) for _ in range(n))
+            v = tuple(rng.choice((0, rng.randint(-12, 12))) for _ in range(n))
             if any(v):
                 break
         v = primitive(v)
@@ -270,6 +272,11 @@ def test_integer_kernel_basis_spans_the_saturated_kernel():
         assert len(basis) == n - 1
         for b in basis:
             assert dot(v, b) == 0
+        pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(set(pivots)), (v, basis)
+        for k, (c, b) in enumerate(zip(pivots, basis)):
+            assert b[c] > 0, (v, basis)
+            assert all(0 <= above[c] < b[c] for above in basis[:k]), (v, basis)
         # saturation: the gcd of all maximal minors of the basis matrix is 1,
         # so the basis generates all of v-perp intersected with Z^n
         minors = []

@@ -255,27 +255,20 @@ def test_a_split_top_face_is_refused(monkeypatch):
 
 
 def test_face_poset_glues_in_one_pass(monkeypatch):
-    real_glue, real_glued_facets = orbit_space._glue, orbit_space.glued_facets
-    calls = []  # (inside glued_facets, dimensions) per `_glue` call
-    inside = []
+    """One `_glue` call over every dimension 0..n; the glued facets are
+    numbered from its classes, with no second pass through `glued_facets`."""
+    real_glue = orbit_space._glue
+    calls = []  # dimensions per `_glue` call
 
     def counted_glue(t, dims):
-        calls.append((bool(inside), dims))
+        calls.append(tuple(dims))
         return real_glue(t, dims)
 
-    def counted_glued_facets(t):
-        inside.append(True)
-        try:
-            return real_glued_facets(t)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(orbit_space, "_glue", counted_glue)
-    monkeypatch.setattr(orbit_space, "glued_facets", counted_glued_facets)
+    monkeypatch.setattr(orbit_space, "glued_facets", lambda t: pytest.fail("glued_facets called"))
     t = box_path_template(random.Random(0), n=3)
     face_poset(t)
-    assert len(calls) == 2
-    assert [(within, tuple(dims)) for within, dims in calls] == [(True, (2,)), (False, (0, 1, 2, 3))]
+    assert calls == [(0, 1, 2, 3)]
 
 
 def _named(pieces, links):

@@ -286,6 +286,29 @@ def test_face_lookup_and_mismatch():
         tri.faces_meeting(face)  # face of a different polytope
 
 
+def test_edge_directions_at_a_list_point():
+    assert unit_square().vertex_edge_directions([0, 0]) == ((1, 0), (0, 1))
+
+
+def test_edges_at_a_list_point():
+    sq = unit_square()
+    assert sq.one_faces_at([0, 0]) == sq.one_faces_at((0, 0))
+    assert len(sq.one_faces_at([0, 0])) == 2
+
+
+def test_face_lookup_by_list_points():
+    sq = unit_square()
+    assert sq.face_with_vertices([[0, 0]]) is sq.face_with_vertices([(0, 0)])
+    assert sq.face_with_vertices([[0, 0]]).dim == 0
+
+
+def test_face_lookup_reads_an_iterator_once():
+    sq = unit_square()
+    assert sq.face_with_vertices(iter([(0, 0), (1, 0)])).dim == 1
+    with pytest.raises(FaceMismatch, match=re.escape("vertex set [(0, 0), (1, 1)]")):
+        sq.face_with_vertices(iter([(0, 0), (1, 1)]))
+
+
 def test_vertex_edge_directions_and_smoothness():
     sq = unit_square()
     dirs = set(sq.vertex_edge_directions((0, 0)))
@@ -597,6 +620,7 @@ def test_faces_match_the_face_lattice_oracle():
         expected = oracle_faces(poly)
         faces = poly.faces()
         assert [(f.dim, f.active, f.vertices) for f in faces] == expected
+        assert len({f.active for f in faces}) == len(faces)  # what a Face hashes
         for f in faces:
             assert f.vertex_set == frozenset(f.vertices) and f.owner is poly
             assert poly.face_with_vertices(reversed(f.vertices)) is f
@@ -654,6 +678,8 @@ def test_copies_are_rebuilt_from_the_description():
     for copied in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly)):
         assert copied == poly and copied is not poly
         assert copied.faces() == poly.faces()
+        assert [hash(f) for f in copied.faces()] == [hash(f) for f in poly.faces()]
+        assert set(copied.faces()) == set(poly.faces())
         assert all(f.owner is copied for f in copied.faces())
         edge = copied.one_faces()[0]
         assert copied.faces_meeting(edge) == poly.faces_meeting(poly.one_faces()[0])
