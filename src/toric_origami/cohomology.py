@@ -18,14 +18,15 @@ edges hold by construction, so only the E - V + c edges off the forest
 (E edges, V fixed points, c components) add constraint rows.  The rows
 are ints: divisibility by an edge weight is read as vanishing on its
 hyperplane, through an integer basis of it and the images of monomials
-there.  A request over several degrees builds the forest once, and the
-forest holds each off-forest weight's hyperplane basis and monomial
-images, so every degree shares them and degree d + 1 extends the images
-of degree d; nothing outlives the request.  Multiplying by a variable
-commutes with the map, so products are taken block by block.  Class
-vectors are exact `fractions.Fraction` values.  Ranks and kernels come
-from `lattice`, which eliminates over the integers without fractions, so
-every answer is exact by construction.  Membership tests are exact polynomial division, never numerical.
+there.  A request over several degrees builds the forest once, and every
+degree (one loop, for Hilbert and Betti numbers) shares each off-forest
+weight's hyperplane basis and monomial images, held by the forest, so
+degree d + 1 extends the images of degree d; nothing outlives the
+request.  Multiplying by a variable commutes with the map, so products
+are taken block by block.  Class vectors are exact `fractions.Fraction`
+values.  Ranks and kernels come from `lattice`, which eliminates over the
+integers without fractions, so every answer is exact by construction.
+Membership tests are exact polynomial division, never numerical.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .exceptions import FreenessViolation, InternalConsistency, ShapeError
@@ -46,19 +48,10 @@ def monomial_basis(variables: int, degree: int) -> tuple:
     """Exponent tuples of the degree-d monomials in n variables, lex-descending."""
     if variables < 0 or degree < 0:
         raise ShapeError("variables and degree must be nonnegative")
-    if variables == 0:
-        return ((),) if degree == 0 else ()
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, variables)
-    return tuple(out)
+    return tuple(
+        tuple(c.count(i) for i in range(variables))
+        for c in combinations_with_replacement(range(variables), degree)
+    )
 
 
 @dataclass(frozen=True)
@@ -87,30 +80,8 @@ class GradedPolySpace:
 
 
 @dataclass(frozen=True)
-class HilbertFunction:
-    """Class-space dimensions h_0, h_1, ..., h_D of a moment graph."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    def __getitem__(self, d):
-        return self.values[d]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __str__(self):
-        return " ".join(f"h{d}={v}" for d, v in enumerate(self.values))
-
-
-@dataclass(frozen=True)
-class BettiVector:
-    """Even Betti numbers b_0, b_2, ..., b_{2n}; entry i is b_{2i}."""
+class _IntVector:
+    """A tuple of ints, indexed and iterated as one; equal only within a class."""
 
     values: tuple
 
@@ -125,6 +96,17 @@ class BettiVector:
 
     def __len__(self):
         return len(self.values)
+
+
+class HilbertFunction(_IntVector):
+    """Class-space dimensions h_0, h_1, ..., h_D of a moment graph."""
+
+    def __str__(self):
+        return " ".join(f"h{d}={v}" for d, v in enumerate(self.values))
+
+
+class BettiVector(_IntVector):
+    """Even Betti numbers b_0, b_2, ..., b_{2n}; entry i is b_{2i}."""
 
     @property
     def total(self) -> int:
@@ -363,33 +345,29 @@ def _times_linear(mono, alpha, plane, images, ys):
     return {y: c for y, c in out.items() if c}
 
 
-def _forest_for(g: MomentGraph) -> _Forest | None:
-    """The spanning forest shared by every degree of one request, which
-    starts at degree 0; None without fixed points, where no degree has
-    unknowns."""
-    return _spanning_forest(g) if g.fixed_points else None
-
-
-def _dimension(g: MomentGraph, degree: int, forest: _Forest | None) -> int:
-    rows, ncols = _constraint_rows(g, degree, forest)
-    if ncols == 0:
-        return 0
-    return kernel_dimension(rows, ncols)
+def _nullities(g: MomentGraph, max_degree: int):
+    """The class-space dimension in degrees 0 through max_degree, over one
+    spanning forest, built before degree 0; none without fixed points,
+    where no degree has unknowns."""
+    forest = _spanning_forest(g) if g.fixed_points else None
+    for d in range(max_degree + 1):
+        rows, ncols = _constraint_rows(g, d, forest)
+        yield kernel_dimension(rows, ncols) if ncols else 0
 
 
 def gkm_dimension(g: MomentGraph, degree: int) -> int:
     """Dimension of the degree-d class space of a moment graph."""
     if degree < 0:
         raise ShapeError("degree must be nonnegative")
-    return _dimension(g, degree, None)  # the rows build their own forest
+    rows, ncols = _constraint_rows(g, degree)  # builds its own forest, if any unknowns
+    return kernel_dimension(rows, ncols) if ncols else 0
 
 
 def hilbert_function(g: MomentGraph, max_degree: int) -> HilbertFunction:
     """Class-space dimensions in degrees 0 through max_degree."""
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
-    forest = _forest_for(g)
-    return HilbertFunction(tuple(_dimension(g, d, forest) for d in range(max_degree + 1)))
+    return HilbertFunction(tuple(_nullities(g, max_degree)))
 
 
 def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
@@ -404,8 +382,7 @@ def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
         n = g.dimension
     if n < 0:
         raise ShapeError("ambient rank must be nonnegative")
-    forest = _forest_for(g)
-    h = [_dimension(g, d, forest) for d in range(n + 1)]
+    h = list(_nullities(g, n))
     b = []
     for d in range(n + 1):
         val = h[d] - sum(b[j] * GradedPolySpace(n, d - j).dimension for j in range(d))
@@ -541,7 +518,7 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
         max_degree = n
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
-    forest = _forest_for(g)
+    forest = _spanning_forest(g) if g.fixed_points else None
     lower = []  # the degree d - 1 class basis
     out = []
     for d in range(max_degree + 1):

@@ -39,7 +39,7 @@ from .orbit_space import face_poset
 from .polytope import DelzantPolytope, HalfSpace
 from .template import OrigamiTemplate, TemplateGraph
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _is_int(value) -> bool:
@@ -71,7 +71,7 @@ def _rational(value, path) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise ParseError("offsets must be exact; floats are not allowed", path)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
         try:
             return Fraction(value)
         except ValueError:  # past the interpreter's int string conversion limit

@@ -6,14 +6,15 @@ tuples of ints, rational points are tuples of Fractions, and matrices are
 sequences of row tuples.  All functions are pure and their outputs are
 deterministic (pivots are always the first nonzero entry in column order).
 
-`rank`, `kernel_dimension` and `kernel_basis` share one elimination,
-exact over ℤ.  Each row is scaled to integers (a row of ints is taken as
-it is, with no per-entry work in Python) and the matrix is brought to
-reduced row echelon form by fraction-free Gauss–Jordan elimination: every
-pivot row is kept as an integer multiple of its reduced echelon row, and
-every division in the update is exact, because every entry held is a
-minor of the matrix (Bareiss).  The reduced echelon form is unique, so the
-kernel basis read off its free columns does not depend on the row order.
+`rank`, `kernel_dimension`, `kernel_basis` and `pivot_columns` read one
+elimination, exact over ℤ.  Each row is scaled to integers (a row of ints
+is taken as it is, with no per-entry work in Python) and the matrix is
+brought to reduced row echelon form by fraction-free Gauss–Jordan
+elimination: every pivot row is kept as an integer multiple of its reduced
+echelon row, and every division in the update is exact, because every
+entry held is a minor of the matrix (Bareiss).  The reduced echelon form
+is unique, so the kernel basis read off its free columns does not depend
+on the row order.
 """
 
 from __future__ import annotations
@@ -116,21 +117,6 @@ def _eliminate(int_rows):
     return d, pivots
 
 
-def _solve(rows, ncols):
-    """Pivot columns and kernel vectors of a rational matrix, exactly.
-
-    Kernel vectors are sparse {column: (numerator, denominator)} dicts in
-    free-column order: 1 in the free column f and −row[f] / d in each pivot
-    column.
-    """
-    d, pivots = _eliminate(_integer_rows(rows, ncols))
-    kernel = {f: {f: (1, 1)} for f in range(ncols) if f not in pivots}
-    for c, row in pivots.items():
-        for f, a in row.items():
-            kernel[f][c] = (-a, d)
-    return sorted(pivots), list(kernel.values())
-
-
 def _column_count(rows, ncols):
     if ncols is not None:
         return ncols
@@ -141,7 +127,7 @@ def _column_count(rows, ncols):
 
 def pivot_columns(rows, ncols):
     """The columns of a rational matrix independent of the columns before them."""
-    return _solve(rows, ncols)[0]
+    return sorted(_eliminate(_integer_rows(rows, ncols))[1])
 
 
 def rank(rows, ncols=None):
@@ -153,24 +139,29 @@ def rank(rows, ncols=None):
 
 def kernel_dimension(rows, ncols=None):
     """Nullity of a rational matrix.  An empty matrix has nullity ncols."""
-    ncols = _column_count(rows, ncols) if rows or ncols is None else ncols
+    ncols = _column_count(rows, ncols)
     return ncols - rank(rows, ncols)
 
 
 def kernel_basis(rows, ncols):
     """Deterministic basis of the right kernel of a rational matrix.
 
-    One basis vector per free column, with a 1 in the free column and the
-    pivot columns back-substituted; the empty matrix yields the standard
-    basis.
+    One basis vector per free column f, read off the elimination: 1 in
+    column f and −row[f] / d in the column of each pivot row; the empty
+    matrix yields the standard basis.
     """
-    zero = Fraction(0)
+    d, pivots = _eliminate(_integer_rows(rows, ncols))
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for vec in _solve(rows, ncols)[1]:
-        dense = [zero] * ncols
-        for c, (n, d) in vec.items():
-            dense[c] = Fraction(n, d)
-        basis.append(tuple(dense))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for c, row in pivots.items():  # row[f] is d times the reduced echelon entry
+            if f in row:
+                vec[c] = Fraction(-row[f], d)
+        basis.append(tuple(vec))
     return basis
 
 

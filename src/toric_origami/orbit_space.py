@@ -126,13 +126,15 @@ class FacePoset:
 
     @staticmethod
     def leq(a: OrbitFace, b: OrbitFace) -> bool:
-        """Inclusion order: every piece of `a` sits inside a piece of `b`."""
-        for vid, f in a.members:
-            if not any(
-                vid == wid and f.vertex_set <= g.vertex_set for wid, g in b.members
-            ):
-                return False
-        return True
+        """Inclusion order: every piece of `a` sits inside a piece of `b`.
+
+        Both pieces lie in one polytope, where a face is the polytope cut by
+        the facets that hold it, so f ⊆ g exactly when g.active ⊆ f.active.
+        """
+        return all(
+            any(vid == wid and g.active <= f.active for wid, g in b.members)
+            for vid, f in a.members
+        )
 
 
 def _glue(t: OrigamiTemplate, dims) -> tuple:

@@ -29,7 +29,6 @@ from .exceptions import (
     InvalidTemplate,
     MalformedTemplate,
     NotALeaf,
-    NotSimple,
     Unsupported,
 )
 from .polytope import DelzantPolytope, _is_facet_index, agree_near_facet, facet_as_polytope
@@ -326,10 +325,7 @@ class OrigamiTemplate:
         delzant = {}
         for vid in self._graph.vertices:
             p = self._psi_v[vid]
-            try:
-                ok = p.is_delzant()
-            except NotSimple:
-                ok = False
+            ok = p.is_delzant()
             delzant[vid] = ok
             if not ok:
                 messages.append(f"polytope at {vid} is not Delzant")

@@ -77,11 +77,17 @@ def test_graded_space_dimension_matches_basis():
 
 
 def test_value_vector_formatting():
-    assert str(HilbertFunction((1, 2, 4))) == "h0=1 h1=2 h2=4"
+    h = HilbertFunction((1, 2, 4))
+    assert str(h) == "h0=1 h1=2 h2=4"
+    assert h[1] == 2 and h[-1] == 4 and list(h) == [1, 2, 4] and len(h) == 3
     b = BettiVector((1, 0, 1))
     assert str(b) == "b0=1 b2=0 b4=1"
     assert b.total == 2
     assert list(b) == [1, 0, 1] and b[2] == 1
+    # the two share one base, but each equals and hashes only as itself
+    assert repr(h) == "HilbertFunction(values=(1, 2, 4))" and repr(b) == "BettiVector(values=(1, 0, 1))"
+    assert h == HilbertFunction([1.0, 2, 4]) and hash(h) == hash(HilbertFunction((1, 2, 4)))
+    assert HilbertFunction((1, 0, 1)) != b
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,12 @@ def test_halfspace_breadcrumbs():
         ]
     )
     assert location_of(float_offset) == "polytopes[0].halfspaces[1].offset"
-    bad_string = float_offset.replace("0.5", '"1/0"')
-    assert location_of(bad_string) == "polytopes[0].halfspaces[1].offset"
+    # "p/q" of ASCII digits and nothing else: no trailing newline, no other digits
+    for bad in ("1/0", "1\n", "1/2\n", "\u0663"):
+        bad_string = float_offset.replace("0.5", json.dumps(bad))
+        with pytest.raises(ParseError, match="expected an integer or a 'p/q' string"):
+            parse(bad_string)
+        assert location_of(bad_string) == "polytopes[0].halfspaces[1].offset", bad
 
 
 def test_edge_breadcrumbs():

@@ -58,8 +58,8 @@ def test_rank_and_kernel_match_plain_gauss():
         rows = [
             [Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
         ]
-        assert rank(rows, n) == oracle_rank(rows, n)
-        assert kernel_dimension(rows, n) == oracle_nullity(rows, n)
+        assert rank(rows, n) == rank(rows) == oracle_rank(rows, n)
+        assert kernel_dimension(rows, n) == kernel_dimension(rows) == oracle_nullity(rows, n)
         basis = kernel_basis(rows, n)
         assert len(basis) == oracle_nullity(rows, n)
         for vec in basis:
@@ -214,6 +214,13 @@ def test_row_side_rank_matches_the_oracle_on_every_shape():
         assert rank(rows, n) == expected, rows
         assert kernel_dimension(rows, n) == n - expected, rows
     assert min(shapes.values()) > 30
+
+
+def test_an_empty_matrix_needs_its_column_count_only_for_the_nullity():
+    assert rank([]) == rank([], 3) == 0
+    assert kernel_dimension([], 3) == 3
+    with pytest.raises(DimensionError, match="column count required"):
+        kernel_dimension([])
 
 
 def test_ragged_rows_are_refused_on_either_side():

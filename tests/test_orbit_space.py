@@ -21,7 +21,7 @@ from helpers import (
 )
 from toric_origami import OrigamiTemplate, TemplateGraph, load_corpus, orbit_space
 from toric_origami.exceptions import FaceMismatch, InternalConsistency
-from toric_origami.fileformat import corpus_names, face_poset_dot
+from toric_origami.fileformat import corpus_names, face_poset_dot, parse, serialize
 from toric_origami.orbit_space import (
     FacePoset,
     face_poset,
@@ -180,6 +180,41 @@ def test_covers_are_the_covering_relation():
     for t in _templates(random.Random(23)):
         poset = face_poset(t)
         assert list(poset.covers()) == oracle_covers(poset.faces, FacePoset.leq), t
+
+
+def _point_set_leq(a, b):
+    """Inclusion by definition: each piece's vertices lie among those of a
+    piece of `b` in the same polytope."""
+    return all(
+        any(vid == wid and set(f.vertices) <= set(g.vertices) for wid, g in b.members)
+        for vid, f in a.members
+    )
+
+
+def test_leq_is_point_set_inclusion():
+    rng = random.Random(47)
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [box_path_template(rng) for _ in range(4)]
+    templates += [hexagon_tree_template(rng) for _ in range(4)]
+    seen = set()
+    for t in templates:
+        faces = face_poset(t).faces
+        for a in faces:
+            for b in faces:
+                expected = _point_set_leq(a, b)
+                assert FacePoset.leq(a, b) == expected, (t, a, b)
+                seen.add(expected)
+    assert seen == {False, True}
+
+
+def test_covers_build_no_point_sets():
+    rng = random.Random(53)
+    templates = [box_path_template(rng) for _ in range(3)] + [hexagon_tree_template(rng) for _ in range(3)]
+    for text in map(serialize, templates):
+        t = parse(text)
+        face_poset_dot(t)
+        for vid in t.graph.vertices:
+            assert not [f for f in t.polytope(vid).faces() if "vertex_set" in f.__dict__], vid
 
 
 def _relabelled(rng, t):

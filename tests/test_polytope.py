@@ -465,6 +465,12 @@ def test_agree_near_facet_positive_and_negative():
     # facets that are not even equal as sets
     wide = box_polytope(((0, 2), (0, 1)))
     assert not agree_near_facet(sq, 2, wide, 2)
+    # fold facets with different vertex counts: a cube's bottom square and a simplex's triangle
+    cube = box_polytope(((0, 1),) * 3)
+    corner = [HalfSpace(row, 0) for row in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))]
+    simplex = DelzantPolytope(3, corner + [HalfSpace((1, 1, 1), 1)])
+    assert len(cube.facet_vertex_sets[4]) == 4 and len(simplex.facet_vertex_sets[2]) == 3
+    assert not agree_near_facet(cube, 4, simplex, 2) and not agree_near_facet(simplex, 2, cube, 4)
     with pytest.raises(DimensionError):
         agree_near_facet(sq, 1, box_polytope(((0, 1),)), 0)
 

@@ -303,6 +303,19 @@ def test_radial_blow_up_condition_violations():
         radial_blow_up(chain, sq, "v1", 3, 3)
     with pytest.raises(MalformedTemplate):
         radial_blow_up(chain, sq, "missing", 0, 0)
+    with pytest.raises(MalformedTemplate, match="needs a DelzantPolytope"):
+        radial_blow_up(chain, sq.halfspaces, "v1", 3, 3)
+    with pytest.raises(DimensionError, match="3-dimensional polytope to a 2-dimensional"):
+        radial_blow_up(chain, box_polytope(((0, 1),) * 3), "v1", 3, 3)
+
+
+def test_radial_blow_up_takes_the_first_free_ids():
+    sq = box_polytope(((0, 1), (0, 1)))
+    once = radial_blow_up(build_template(2, {"a": sq}, []), sq, "a", 1, 1)
+    twice = radial_blow_up(once, sq, "a", 0, 0)  # bu0 and be0 are taken now
+    assert once.graph.vertices == ("a", "bu0") and once.graph.edges == ("be0",)
+    assert twice.graph.vertices == ("a", "bu0", "bu1") and twice.graph.edges == ("be0", "be1")
+    assert twice.graph.ends("be1") == ("a", "bu1") and twice.edge_facets("be1") == (0, 0)
 
 
 def test_fold_overlaps_match_the_facet_vertex_sets():
