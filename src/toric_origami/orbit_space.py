@@ -129,12 +129,14 @@ class FacePoset:
         """Inclusion order: every piece of `a` sits inside a piece of `b`.
 
         Both pieces lie in one polytope, where a face is the polytope cut by
-        the facets that hold it, so f ⊆ g exactly when g.active ⊆ f.active.
-        """
-        return all(
-            any(vid == wid and g.active <= f.active for wid, g in b.members)
-            for vid, f in a.members
-        )
+        the facets that hold it, so f ⊆ g exactly when g.active ⊆ f.active."""
+        for vid, f in a.members:
+            for wid, g in b.members:
+                if vid == wid and g.active <= f.active:
+                    break
+            else:
+                return False
+        return True
 
 
 def _glue(t: OrigamiTemplate, dims) -> tuple:

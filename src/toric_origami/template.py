@@ -324,9 +324,7 @@ class OrigamiTemplate:
         messages = []
         delzant = {}
         for vid in self._graph.vertices:
-            p = self._psi_v[vid]
-            ok = p.is_delzant()
-            delzant[vid] = ok
+            delzant[vid] = ok = self._psi_v[vid].is_delzant()
             if not ok:
                 messages.append(f"polytope at {vid} is not Delzant")
         cond1 = {}
