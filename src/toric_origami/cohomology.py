@@ -81,12 +81,17 @@ class GradedPolySpace:
 
 @dataclass(frozen=True)
 class _IntVector:
-    """A tuple of ints, indexed and iterated as one; equal only within a class."""
+    """A tuple of ints, indexed and iterated as one; equal only within a class.
+    A value equal to no int, such as 1.5 or "1", is refused, not truncated."""
 
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        given = tuple(self.values)
+        values = tuple(map(int, given))
+        if values != given:
+            raise TypeError(f"values must be integers, got {given!r}")
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, i):
         return self.values[i]
@@ -303,12 +308,12 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     monomial images are kept in `forest.planes`, so the degrees solved over
     one forest build each weight's B once and share its images.
     """
+    if forest is None:  # built first, so every graph is checked, with unknowns or none
+        forest = _spanning_forest(g)
     n = g.dimension
     basis, lower = _block_bases(n, degree)
-    if not g.fixed_points or not basis:
+    if not basis:
         return [], 0
-    if forest is None:
-        forest = _spanning_forest(g)
     offsets, ncols = _offsets(forest.blocks, len(basis), len(lower))
     rows = []
     if not lower:  # degree 0: f is constant on each component
@@ -347,9 +352,8 @@ def _times_linear(mono, alpha, plane, images, ys):
 
 def _nullities(g: MomentGraph, max_degree: int):
     """The class-space dimension in degrees 0 through max_degree, over one
-    spanning forest, built before degree 0; none without fixed points,
-    where no degree has unknowns."""
-    forest = _spanning_forest(g) if g.fixed_points else None
+    spanning forest, built before degree 0."""
+    forest = _spanning_forest(g)
     for d in range(max_degree + 1):
         rows, ncols = _constraint_rows(g, d, forest)
         yield kernel_dimension(rows, ncols) if ncols else 0
@@ -359,7 +363,7 @@ def gkm_dimension(g: MomentGraph, degree: int) -> int:
     """Dimension of the degree-d class space of a moment graph."""
     if degree < 0:
         raise ShapeError("degree must be nonnegative")
-    rows, ncols = _constraint_rows(g, degree)  # builds its own forest, if any unknowns
+    rows, ncols = _constraint_rows(g, degree)  # builds its own forest
     return kernel_dimension(rows, ncols) if ncols else 0
 
 
@@ -518,7 +522,7 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
         max_degree = n
     if max_degree < 0:
         raise ShapeError("max_degree must be nonnegative")
-    forest = _spanning_forest(g) if g.fixed_points else None
+    forest = _spanning_forest(g)
     lower = []  # the degree d - 1 class basis
     out = []
     for d in range(max_degree + 1):

@@ -357,39 +357,50 @@ class DelzantPolytope:
                 raise DimensionError(
                     f"normal {h.normal} has length {len(h.normal)}, expected {dimension}"
                 )
-        self._halfspace_set = frozenset(h.row for h in hs)
-        if len(self._halfspace_set) != len(hs):
+        rows = frozenset(h.row for h in hs)
+        if len(rows) != len(hs):
             raise NotDelzant("duplicate halfspace in description")
-        self._dim = dimension
-        self._halfspaces = hs
         normals = [h.normal for h in hs]
         offsets = [h.offset for h in hs]
-        incidence = _vertex_incidence(normals, offsets, dimension)
-        self._vertices, self._tights, self._keys, self._step, self._smooth = incidence
-        tights = self._tights  # vertex k is bit k of a vertex mask
+        self._store(dimension, hs, rows, _vertex_incidence(normals, offsets, dimension))
         if not self._vertices and not _is_nonempty_without_vertex(normals, offsets, dimension):
             raise NotDelzant("polytope is empty")
-        self._edge_pairs = _edge_pairs(tights, dimension)
         if self._edge_pairs is None:
             ray = recession_direction(normals, dimension)
             if ray is not None:
                 raise NotDelzant(f"polytope is unbounded in direction {ray}")
-        # per facet: its vertex numbers, ascending, and the same as a mask
-        self._facet_numbers = [
-            tuple(k for k, t in enumerate(tights) if i in t) for i in range(len(hs))
-        ]
-        self._facet_masks = [sum(1 << k for k in ks) for ks in self._facet_numbers]
         if (1 << len(self._vertices)) - 1 in self._facet_masks:
             raise NotDelzant("polytope is not full-dimensional")
-        self._simple_mask = sum(1 << k for k, t in enumerate(tights) if len(t) == dimension)
         for i, mask in enumerate(self._facet_masks):
             if not mask or self._active_and_dimension(mask)[1] != dimension - 1:
                 raise NotDelzant(f"halfspace {hs[i]!r} is redundant (does not support a facet)")
+
+    @classmethod
+    def _from_incidence(cls, dimension, halfspaces, keys, tights, step):
+        """The Delzant polytope whose sorted vertex keys over `step` and tight
+        sets are given; the caller vouches for them, so nothing is checked."""
+        self = cls.__new__(cls)
+        vertices = tuple(tuple(Fraction(x, step) for x in key) for key in keys)
+        rows = frozenset(h.row for h in halfspaces)
+        self._store(dimension, halfspaces, rows, (vertices, tights, keys, step, True))
+        return self
+
+    def _store(self, dimension, halfspaces, rows, incidence):
+        """Keep the vertex–facet incidence and derive every fact read off it."""
+        self._dim = dimension
+        self._halfspaces = halfspaces
+        self._halfspace_set = rows
+        self._vertices, self._tights, self._keys, self._step, self._smooth = incidence
+        tights = self._tights  # vertex k is bit k of a vertex mask
+        self._edge_pairs = _edge_pairs(tights, dimension)
+        # per facet: its vertex numbers, ascending, and the same as a mask
+        self._facet_numbers = [
+            tuple(k for k, t in enumerate(tights) if i in t) for i in range(len(halfspaces))
+        ]
+        self._facet_masks = [sum(1 << k for k in ks) for ks in self._facet_numbers]
+        self._simple_mask = sum(1 << k for k, t in enumerate(tights) if len(t) == dimension)
         self._simple = self._simple_mask == (1 << len(self._vertices)) - 1
-        self._face_map = None
-        self._sorted_faces = None
-        self._one_faces = None
-        self._edges_at = None
+        self._face_map = self._sorted_faces = self._one_faces = self._edges_at = None
 
     # -- construction checks ---------------------------------------------
 
@@ -647,7 +658,13 @@ def facet_as_polytope(p: DelzantPolytope, i: int) -> tuple:
 
     The base is the facet's first vertex number, and each new offset
     b - <a, base> is formed over ints from the base's key and the
-    polytope's common denominator.
+    polytope's common denominator.  A facet of a Delzant p is Delzant, so
+    its chart is read off p's incidence with no vertex walk: key(v) −
+    key(base) lies in a^⊥ ∩ ℤⁿ, which the basis spans over ℤ, so forward
+    substitution along the basis's pivots gives integer chart keys over
+    p's denominator, a walk's keys times one positive factor, which fold
+    agreement, chart offsets, moment-graph weights and edge directions
+    all ignore.  Any other p is charted by building the polytope.
     """
     n = p.dimension
     if n == 0:
@@ -657,7 +674,7 @@ def facet_as_polytope(p: DelzantPolytope, i: int) -> tuple:
     first = p._facet_numbers[i][0]
     base, key, step = p._vertices[first], p._keys[first], p._step
     facet = p._facet_masks[i]
-    cuts = []
+    cuts, index = [], {}  # index: p's facet number -> its cut's number
     for j, (h, mask) in enumerate(zip(p._halfspaces, p._facet_masks)):
         shared = mask & facet
         # keep only the facets meeting facet i in one of facet i's own facets
@@ -665,5 +682,17 @@ def facet_as_polytope(p: DelzantPolytope, i: int) -> tuple:
             continue
         a, (num, den) = h.normal, h.row[n:]
         row = tuple(sum(map(mul, a, b)) for b in basis)
+        index[j] = len(cuts)
         cuts.append(HalfSpace(row, Fraction(num * step - den * sum(map(mul, a, key)), den * step)))
-    return DelzantPolytope(n - 1, cuts), base, basis
+    if not p.is_delzant():
+        return DelzantPolytope(n - 1, cuts), base, basis
+    pivots = [next(c for c, x in enumerate(b) if x) for b in basis]
+    charted = []
+    for k in p._facet_numbers[i]:
+        rest, z = [x - y for x, y in zip(p._keys[k], key)], []
+        for b, c in zip(basis, pivots):  # the rows after b are 0 at c
+            z.append(rest[c] // b[c])
+            rest = [x - z[-1] * y for x, y in zip(rest, b)]
+        charted.append((tuple(z), tuple(index[j] for j in p._tights[k] if j != i)))
+    keys, tights = zip(*sorted(charted))
+    return DelzantPolytope._from_incidence(n - 1, tuple(cuts), keys, tights, step), base, basis

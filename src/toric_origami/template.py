@@ -20,7 +20,7 @@ to coincide.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exceptions import (
     ConditionOneViolation,
@@ -244,15 +244,27 @@ class OrigamiTemplate:
         if len(components) > 1:
             hint = "; ".join("{" + ", ".join(sorted(c)) + "}" for c in components)
             raise MalformedTemplate(f"template graph is disconnected: components {hint}")
+        polytope_ids = dict(polytope_ids) if polytope_ids else {}
+        for vid, pid in polytope_ids.items():
+            if not isinstance(pid, str):
+                raise MalformedTemplate(f"vertex {vid}: polytope id {pid!r} is not a string")
+        self._store(dimension, graph, psi_v, psi_e, polytope_ids, None)
+
+    @classmethod
+    def _derived(cls, dimension, graph, psi_v, psi_e, polytope_ids, report):
+        """A template made from a validated one, with the report `validate()`
+        would give; the caller vouches for it, so nothing is checked."""
+        self = cls.__new__(cls)
+        self._store(dimension, graph, psi_v, psi_e, polytope_ids, report)
+        return self
+
+    def _store(self, dimension, graph, psi_v, psi_e, polytope_ids, report):
         self._dim = dimension
         self._graph = graph
         self._psi_v = psi_v
         self._psi_e = psi_e
-        self._polytope_ids = dict(polytope_ids) if polytope_ids else {}
-        for vid, pid in self._polytope_ids.items():
-            if not isinstance(pid, str):
-                raise MalformedTemplate(f"vertex {vid}: polytope id {pid!r} is not a string")
-        self._report = None
+        self._polytope_ids = polytope_ids
+        self._report = report
         entries = {vid: [] for vid in graph.vertices}  # the fold facets, indexed once
         for eid in graph.edges:
             for end, f in zip(graph.ends(eid), psi_e[eid]):
@@ -424,18 +436,21 @@ class OrigamiTemplate:
         fold_polytope, base, basis = facet_as_polytope(leaf_polytope, leaf_facet)
         rest_vertices = tuple(w for w in self._graph.vertices if w != vid)
         rest_edges = tuple(e for e in self._graph.edges if e != eid)
-        remainder = OrigamiTemplate(
+        # cutting a leaf off a valid forest leaves every other polytope and
+        # fold as it was, and a forest: no loop and a 2-colouring
+        remainder = OrigamiTemplate._derived(
             self._dim,
-            TemplateGraph(
-                rest_vertices,
-                rest_edges,
-                {e: self._graph.ends(e) for e in rest_edges},
-            ),
+            TemplateGraph(rest_vertices, rest_edges, {e: self._graph.ends(e) for e in rest_edges}),
             {w: self._psi_v[w] for w in rest_vertices},
             {e: self._psi_e[e] for e in rest_edges},
-            polytope_ids={
-                w: pid for w, pid in self._polytope_ids.items() if w != vid
-            },
+            {w: pid for w, pid in self._polytope_ids.items() if w != vid},
+            ValidationReport(
+                valid=True,
+                edge_condition1=dict.fromkeys(rest_edges, True),
+                vertex_condition2=dict.fromkeys(rest_vertices, True),
+                polytope_delzant=dict.fromkeys(rest_vertices, True),
+                acyclic=True, coorientable=True, orientable=True,
+            ),
         )
         return CutResult(
             c_minus=leaf_polytope,
@@ -470,8 +485,10 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
     of the polytope at `vid` to facet `f_p` of `p`.  Raises
     ConditionOneViolation when the polytopes do not agree near the shared
     facet and ConditionTwoViolation when the new fold would meet an
-    existing fold facet at `vid`.  The result is validated before it is
-    returned.  Inverse to `cut_leaf` up to isomorphism.
+    existing fold facet at `vid`, and InvalidTemplate when `p` is not
+    Delzant.  Those checks and t's validity are the result's validation
+    report, so nothing is re-checked.  Inverse to `cut_leaf` up to
+    isomorphism.
     """
     t.require_valid()
     host = t.polytope(vid)
@@ -497,6 +514,8 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
             )
     graph = t.graph
     new_vid = _fresh_id("bu", set(graph.vertices))
+    if not p.is_delzant():
+        raise InvalidTemplate(f"polytope at {new_vid} is not Delzant")
     new_eid = _fresh_id("be", set(graph.edges))
     incidence = {e: graph.ends(e) for e in graph.edges}
     incidence[new_eid] = (vid, new_vid)
@@ -504,15 +523,21 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
     psi_v[new_vid] = p
     psi_e = t.psi_e
     psi_e[new_eid] = (f_t, f_p)
-    result = OrigamiTemplate(
+    # a pendant edge adds no cycle or loop and keeps a 2-colouring
+    report = t.validate()
+    return OrigamiTemplate._derived(
         t.dimension,
         TemplateGraph(graph.vertices + (new_vid,), graph.edges + (new_eid,), incidence),
         psi_v,
         psi_e,
-        polytope_ids=t.polytope_ids,
+        t.polytope_ids,
+        replace(
+            report,
+            edge_condition1={**report.edge_condition1, new_eid: True},
+            vertex_condition2={**report.vertex_condition2, new_vid: True},
+            polytope_delzant={**report.polytope_delzant, new_vid: True},
+        ),
     )
-    result.require_valid()
-    return result
 
 
 def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:

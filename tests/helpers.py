@@ -28,7 +28,8 @@ import time
 from fractions import Fraction
 from operator import mul
 
-from toric_origami import DelzantPolytope, HalfSpace, OrigamiTemplate, TemplateGraph
+from toric_origami import DelzantPolytope, HalfSpace, OrigamiTemplate, TemplateGraph, load_corpus
+from toric_origami.fileformat import corpus_names
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph
 
 # ---------------------------------------------------------------------------
@@ -899,6 +900,21 @@ def hexagon_tree_template(rng, size=None):
         facet = HEXAGON_FOLD_CLASSES[color]
         edge_list.append((f"e{i}", parent, vid, facet, facet))
     return build_template(2, vertex_polytopes, edge_list)
+
+
+def surgery_templates():
+    """(label, template): the acyclic corpus templates, box paths for
+    n = 2..4 and hexagon trees of 2 to 12, 120 templates whose leaves can
+    be cut."""
+    out = [(name, load_corpus(name)) for name in corpus_names()]
+    out = [(label, t) for label, t in out if t.graph.is_acyclic()]
+    rng = random.Random(29)
+    for k in range(28):
+        n = 2 + k % 3
+        out.append((f"box:n{n}:{k}", box_path_template(rng, n=n, length=rng.randint(2, 4))))
+    for k in range(len(out), 120):
+        out.append((f"hexagon:{k}", hexagon_tree_template(rng, 2 + k % 11)))
+    return out
 
 
 def rescale_template(t, factor, shift):

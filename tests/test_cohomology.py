@@ -32,7 +32,7 @@ from toric_origami.cohomology import (
     hilbert_function,
     monomial_basis,
 )
-from toric_origami.exceptions import FreenessViolation, ShapeError
+from toric_origami.exceptions import FreenessViolation, InternalConsistency, ShapeError
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph, moment_graph
 from toric_origami.lattice import integer_kernel_basis, kernel_basis
 
@@ -377,6 +377,38 @@ def test_shape_errors():
         class_from_polynomials(g, 2, [{(1, 0): 1}, {}, {}])
     with pytest.raises(ShapeError):  # wrong polynomial count
         class_from_polynomials(g, 1, [{}, {}])
+
+
+def test_every_entry_point_checks_the_graph_with_or_without_unknowns():
+    """An edge to an absent fixed point is refused with no fixed point as
+    with one, and a zero weight in rank 0 at degree 1, which has no
+    monomial, as at degree 0: every entry point builds the forest first."""
+    a, b = FixedPoint("a", (0, 0), "a:0"), FixedPoint("b", (1, 0), "b:0")
+    dangling = GkmEdge(endpoints=(a, b), weight=(1, 0), chain=(), folded=False)
+    queries = (
+        lambda g: gkm_dimension(g, 1),
+        lambda g: hilbert_function(g, 1),
+        betti_numbers,
+        generator_degrees,
+    )
+    for fixed in ((), (a,)):
+        g = MomentGraph(fixed_points=fixed, edges=(dangling,), dimension=2)
+        for query in queries:
+            with pytest.raises(InternalConsistency, match="edge endpoint is not among the fixed points"):
+                query(g)
+    p, q = FixedPoint("p", (), "p:0"), FixedPoint("q", (), "q:0")
+    flat = GkmEdge(endpoints=(p, q), weight=(), chain=(), folded=False)
+    g = MomentGraph(fixed_points=(p, q), edges=(flat,), dimension=0)
+    for query in queries:
+        with pytest.raises(InternalConsistency, match="edge weight is the zero vector"):
+            query(g)
+
+
+@pytest.mark.parametrize("bad", [(1.5, True), ("1",), (Fraction(1, 2), 0)])
+def test_value_vectors_refuse_values_that_are_no_integer(bad):
+    for vector in (HilbertFunction, BettiVector):
+        with pytest.raises(TypeError, match="values must be integers"):
+            vector(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from helpers import (
     random_unimodular,
     rescale_template,
     stopwatch,
+    surgery_templates,
     twisted_box_halfspaces,
 )
 from toric_origami import load_corpus
@@ -547,6 +548,31 @@ def test_agree_near_facet_matches_the_point_set_oracle():
         assert not agree_near_facet(flat, 2, tri, 1) and not agree_near_facet(tri, 1, flat, 2)
 
 
+def test_facet_charts_of_delzant_polytopes_match_a_built_polytope():
+    """A Delzant polytope's facet chart is read off its own incidence; on
+    every facet of the surgery templates' polytopes it is the polytope the
+    vertex walk builds from the chart's halfspaces, with keys scaled by one
+    positive factor."""
+    polys = {p for _, t in surgery_templates() for p in t.distinct_polytopes() if p.dimension}
+    facets = 0
+    for p in polys:
+        for i in range(len(p.halfspaces)):
+            chart = facet_as_polytope(p, i)[0]
+            built = DelzantPolytope(chart.dimension, chart.halfspaces)
+            assert chart.halfspaces == built.halfspaces and chart.vertices == built.vertices, (p, i)
+            assert chart._tights == built._tights and chart._facet_masks == built._facet_masks
+            assert chart._edge_pairs == built._edge_pairs and chart.is_delzant() is built.is_delzant() is True
+            assert chart.faces() == built.faces()
+            assert [f.numbers for f in chart.faces()] == [f.numbers for f in built.faces()]
+            assert all(
+                x * built._step == y * chart._step
+                for a, b in zip(chart._keys, built._keys)
+                for x, y in zip(a, b)
+            )
+            facets += 1
+    assert facets > 300
+
+
 @pytest.mark.parametrize("bad", [True, False, -1, -4, 4, 10**20, 1.0, "1", None])
 def test_facet_indices_that_name_no_halfspace_are_refused(bad):
     """A bool, a negative index (which would wrap to a facet from the end),
@@ -792,10 +818,11 @@ def test_simple_polytopes_make_no_recession_or_rank_call(monkeypatch):
     for seed in range(4):
         for n in (2, 3, 4):  # the box shapes of the ingest benchmark, twisted or not
             polys.extend(box_path_template(random.Random(seed), n=n, length=3).distinct_polytopes())
+    solved = _counting(monkeypatch, "solve_square")  # a Delzant polytope's facets need no walk
     for poly in polys:
         poly.faces()
         facet_as_polytope(poly, 0)[0].faces()
-    assert (rays, ranks) == ([], [])
+    assert (rays, ranks, solved) == ([], [], [])
     DelzantPolytope(3, SQUARE_PYRAMID_HALFSPACES).faces()  # the apex lies on four facets
     assert len(rays) == 1 and ranks == []
     DelzantPolytope(3, OCTAHEDRON_HALFSPACES).faces()  # every vertex lies on four facets

@@ -11,6 +11,7 @@ from helpers import (
     box_path_template,
     box_polytope,
     build_template,
+    hexagon_cycle_template,
     hexagon_polytope,
     hexagon_tree_template,
     oracle_components,
@@ -20,6 +21,7 @@ from helpers import (
     oracle_loops,
     random_multigraph,
     stopwatch,
+    surgery_templates,
 )
 from toric_origami import load_corpus, radial_blow_up
 from toric_origami.exceptions import (
@@ -31,6 +33,7 @@ from toric_origami.exceptions import (
     NotALeaf,
     Unsupported,
 )
+from toric_origami.fileformat import corpus_names
 from toric_origami.polytope import DelzantPolytope, HalfSpace
 from toric_origami.template import OrigamiTemplate, TemplateGraph, isomorphic
 
@@ -383,6 +386,75 @@ def test_every_leaf_round_trip_of_hexagon_trees():
                     cut.c_plus, cut.c_minus, cut.attach_vertex, cut.attach_facet, cut.leaf_facet
                 )
                 assert isomorphic(rebuilt, t), (size, vid)
+
+
+def _fields(t):
+    """Every stored field of a template, with its graph's fields for the graph."""
+    fields = dict(vars(t))
+    fields["_graph"] = vars(fields["_graph"])
+    return fields
+
+
+def _built_afresh(t):
+    """The same template through the public constructors, validated."""
+    g = t.graph
+    graph = TemplateGraph(g.vertices, g.edges, g.incidence)
+    fresh = OrigamiTemplate(t.dimension, graph, t.psi_v, t.psi_e, t.polytope_ids)
+    fresh.validate()
+    return fresh
+
+
+def test_surgery_derives_what_a_fresh_build_proves():
+    """The remainder of every leaf cut and its blow-up back, which carry
+    their reports from the template they came from, equal in every stored
+    field the templates built and validated from the same arguments."""
+    leaves = 0
+    for label, t in surgery_templates():
+        for vid in t.graph.vertices:
+            if t.graph.degree(vid) != 1:
+                continue
+            cut = t.cut_leaf(vid)
+            rebuilt = radial_blow_up(
+                cut.c_plus, cut.c_minus, cut.attach_vertex, cut.attach_facet, cut.leaf_facet
+            )
+            for derived in (cut.c_plus, rebuilt):
+                fresh = _built_afresh(derived)
+                assert _fields(derived) == _fields(fresh), (label, vid)
+                assert derived.validate() == fresh.validate()
+            leaves += 1
+    assert leaves > 300
+
+
+def test_blow_ups_keep_the_flags_of_any_valid_template():
+    """A copy of a polytope attached at each facet where the gluing holds,
+    on the corpus templates (loops and odd cycles included) and an even
+    cycle of hexagons, is the template built and validated from scratch."""
+    flags = set()
+    templates = [(name, load_corpus(name)) for name in corpus_names()]
+    for name, t in templates + [("hexagon 4-cycle", hexagon_cycle_template(4))]:
+        for vid in t.graph.vertices:
+            p = t.polytope(vid)
+            for f in range(len(p.halfspaces)):
+                try:
+                    result = radial_blow_up(t, p, vid, f, f)
+                except ConditionTwoViolation:
+                    continue
+                assert _fields(result) == _fields(_built_afresh(result)), (name, vid, f)
+                report = result.validate()
+                flags.add((report.acyclic, report.coorientable, report.orientable))
+    assert flags == {(True, True, True), (False, True, True), (False, True, False), (False, False, None)}
+
+
+def test_radial_blow_up_refuses_a_polytope_that_is_not_delzant():
+    """A simple polygon that agrees with the square near x = 1 but is not
+    smooth at (-1, 0) is refused as the full validation of the result once
+    was, naming the new vertex."""
+    sq = DelzantPolytope(2, [((1, 0), 1), ((-1, 0), 0), ((0, -1), 0), ((0, 1), 1)])
+    p = DelzantPolytope(2, [((1, 0), 1), ((-2, -1), 2), ((0, -1), 0), ((0, 1), 1)])
+    assert p.is_simple() and not p.is_smooth()
+    with pytest.raises(InvalidTemplate) as info:
+        radial_blow_up(build_template(2, {"a": sq}, []), p, "a", 0, 0)
+    assert str(info.value) == "polytope at bu0 is not Delzant"
 
 
 # ---------------------------------------------------------------------------
