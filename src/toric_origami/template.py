@@ -19,7 +19,6 @@ to coincide.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 from .exceptions import (
@@ -44,7 +43,9 @@ class TemplateGraph:
     ends.  Every vertex, edge and end id must be a str, or the graph is
     refused with MalformedTemplate naming the id.  The graph is indexed
     once, at construction: one walk finds the components and a
-    2-colouring, and the queries read what it stored.
+    2-colouring, and the queries read what it stored.  The graphs that
+    surgery derives take their parent's index with its one change (a leaf
+    removed, a pendant added) and are neither checked nor walked again.
     """
 
     vertices: tuple
@@ -98,14 +99,47 @@ class TemplateGraph:
                     elif color[other] == color[w]:
                         bipartite = False
             components.append(frozenset(comp))
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", eids)
-        object.__setattr__(self, "incidence", inc)
-        object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_degree", degree)
-        object.__setattr__(self, "_loops", tuple(e for e in eids if inc[e][0] == inc[e][1]))
-        object.__setattr__(self, "_components", tuple(components))
-        object.__setattr__(self, "_bipartite", bipartite)
+        loops = tuple(e for e in eids if inc[e][0] == inc[e][1])
+        self._store(verts, eids, inc, incident, degree, loops, tuple(components), bipartite)
+
+    @classmethod
+    def _derived(cls, *index):
+        """A graph made by one change to a checked graph, with its index; its
+        ids come from that graph or from `_fresh_id`, so nothing is checked."""
+        self = cls.__new__(cls)
+        self._store(*index)
+        return self
+
+    def _store(self, *index):
+        names = "vertices edges incidence _incident _degree _loops _components _bipartite"
+        for name, value in zip(names.split(), index):
+            object.__setattr__(self, name, value)
+
+    def _without_leaf(self, vid, eid, neighbor):
+        """This forest's graph less the leaf `vid` and its edge `eid` to
+        `neighbor`: one tree, so no loop and a 2-colouring."""
+        verts = tuple(w for w in self.vertices if w != vid)
+        eids = tuple(e for e in self.edges if e != eid)
+        incident = {w: es for w, es in self._incident.items() if w != vid}
+        incident[neighbor] = tuple(e for e in incident[neighbor] if e != eid)
+        degree = {w: d for w, d in self._degree.items() if w != vid}
+        degree[neighbor] -= 1
+        inc = {e: self.incidence[e] for e in eids}
+        return TemplateGraph._derived(verts, eids, inc, incident, degree, (), (frozenset(verts),), True)
+
+    def _with_pendant(self, vid, new_vid, new_eid):
+        """This graph plus a new vertex joined to `vid` by a new last edge,
+        which adds no loop or cycle and keeps any 2-colouring."""
+        incident = {**self._incident, new_vid: (new_eid,)}
+        incident[vid] += (new_eid,)
+        degree = {**self._degree, new_vid: 1}
+        degree[vid] += 1
+        inc = {**self.incidence, new_eid: (vid, new_vid)}
+        components = tuple(c | {new_vid} if vid in c else c for c in self._components)
+        return TemplateGraph._derived(
+            self.vertices + (new_vid,), self.edges + (new_eid,), inc,
+            incident, degree, self._loops, components, self._bipartite,
+        )
 
     def ends(self, eid: str) -> tuple:
         return self.incidence[eid]
@@ -248,30 +282,32 @@ class OrigamiTemplate:
         for vid, pid in polytope_ids.items():
             if not isinstance(pid, str):
                 raise MalformedTemplate(f"vertex {vid}: polytope id {pid!r} is not a string")
-        self._store(dimension, graph, psi_v, psi_e, polytope_ids, None)
+        entries = {vid: [] for vid in graph.vertices}  # the fold facets, indexed once
+        for eid in graph.edges:
+            for end, f in zip(graph.ends(eid), psi_e[eid]):
+                if (eid, f) not in entries[end]:
+                    entries[end].append((eid, f))
+        entries = {vid: tuple(e) for vid, e in entries.items()}
+        self._store(dimension, graph, psi_v, psi_e, polytope_ids, None, entries)
 
     @classmethod
-    def _derived(cls, dimension, graph, psi_v, psi_e, polytope_ids, report):
+    def _derived(cls, dimension, graph, psi_v, psi_e, polytope_ids, report, fold_entries):
         """A template made from a validated one, with the report `validate()`
-        would give; the caller vouches for it, so nothing is checked."""
+        would give and the fold entries derived from its parent's; the caller
+        vouches for it, so nothing is checked."""
         self = cls.__new__(cls)
-        self._store(dimension, graph, psi_v, psi_e, polytope_ids, report)
+        self._store(dimension, graph, psi_v, psi_e, polytope_ids, report, fold_entries)
         return self
 
-    def _store(self, dimension, graph, psi_v, psi_e, polytope_ids, report):
+    def _store(self, dimension, graph, psi_v, psi_e, polytope_ids, report, fold_entries):
         self._dim = dimension
         self._graph = graph
         self._psi_v = psi_v
         self._psi_e = psi_e
         self._polytope_ids = polytope_ids
         self._report = report
-        entries = {vid: [] for vid in graph.vertices}  # the fold facets, indexed once
-        for eid in graph.edges:
-            for end, f in zip(graph.ends(eid), psi_e[eid]):
-                if (eid, f) not in entries[end]:
-                    entries[end].append((eid, f))
-        self._fold_entries = {vid: tuple(e) for vid, e in entries.items()}
-        self._fold_facets = {vid: frozenset(f for _, f in e) for vid, e in entries.items()}
+        self._fold_entries = fold_entries
+        self._fold_facets = {vid: frozenset(f for _, f in e) for vid, e in fold_entries.items()}
 
     # -- accessors -----------------------------------------------------------
 
@@ -415,7 +451,8 @@ class OrigamiTemplate:
         """Split off a degree-1 vertex, returning the two pieces and the fold.
 
         Needs a valid acyclic template; the remainder keeps all other
-        vertices and edges unchanged.
+        vertices and edges unchanged, and takes this template's graph index
+        and fold entries less the leaf and its edge.
         """
         self.require_valid()
         if vid not in self._psi_v:
@@ -434,23 +471,25 @@ class OrigamiTemplate:
             neighbor, leaf_facet, attach_facet = u, fv, fu
         leaf_polytope = self._psi_v[vid]
         fold_polytope, base, basis = facet_as_polytope(leaf_polytope, leaf_facet)
-        rest_vertices = tuple(w for w in self._graph.vertices if w != vid)
-        rest_edges = tuple(e for e in self._graph.edges if e != eid)
+        graph = self._graph._without_leaf(vid, eid, neighbor)
+        entries = {w: e for w, e in self._fold_entries.items() if w != vid}
+        entries[neighbor] = tuple(x for x in entries[neighbor] if x[0] != eid)
         # cutting a leaf off a valid forest leaves every other polytope and
         # fold as it was, and a forest: no loop and a 2-colouring
         remainder = OrigamiTemplate._derived(
             self._dim,
-            TemplateGraph(rest_vertices, rest_edges, {e: self._graph.ends(e) for e in rest_edges}),
-            {w: self._psi_v[w] for w in rest_vertices},
-            {e: self._psi_e[e] for e in rest_edges},
+            graph,
+            {w: self._psi_v[w] for w in graph.vertices},
+            {e: self._psi_e[e] for e in graph.edges},
             {w: pid for w, pid in self._polytope_ids.items() if w != vid},
             ValidationReport(
                 valid=True,
-                edge_condition1=dict.fromkeys(rest_edges, True),
-                vertex_condition2=dict.fromkeys(rest_vertices, True),
-                polytope_delzant=dict.fromkeys(rest_vertices, True),
+                edge_condition1=dict.fromkeys(graph.edges, True),
+                vertex_condition2=dict.fromkeys(graph.vertices, True),
+                polytope_delzant=dict.fromkeys(graph.vertices, True),
                 acyclic=True, coorientable=True, orientable=True,
             ),
+            entries,
         )
         return CutResult(
             c_minus=leaf_polytope,
@@ -487,7 +526,8 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
     facet and ConditionTwoViolation when the new fold would meet an
     existing fold facet at `vid`, and InvalidTemplate when `p` is not
     Delzant.  Those checks and t's validity are the result's validation
-    report, so nothing is re-checked.  Inverse to `cut_leaf` up to
+    report, so nothing is re-checked, and the result takes t's graph index
+    and fold entries with the pendant added.  Inverse to `cut_leaf` up to
     isomorphism.
     """
     t.require_valid()
@@ -517,8 +557,8 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
     if not p.is_delzant():
         raise InvalidTemplate(f"polytope at {new_vid} is not Delzant")
     new_eid = _fresh_id("be", set(graph.edges))
-    incidence = {e: graph.ends(e) for e in graph.edges}
-    incidence[new_eid] = (vid, new_vid)
+    entries = {**t._fold_entries, new_vid: ((new_eid, f_p),)}
+    entries[vid] += ((new_eid, f_t),)
     psi_v = t.psi_v
     psi_v[new_vid] = p
     psi_e = t.psi_e
@@ -527,7 +567,7 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
     report = t.validate()
     return OrigamiTemplate._derived(
         t.dimension,
-        TemplateGraph(graph.vertices + (new_vid,), graph.edges + (new_eid,), incidence),
+        graph._with_pendant(vid, new_vid, new_eid),
         psi_v,
         psi_e,
         t.polytope_ids,
@@ -537,6 +577,7 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
             vertex_condition2={**report.vertex_condition2, new_vid: True},
             polytope_delzant={**report.polytope_delzant, new_vid: True},
         ),
+        entries,
     )
 
 
@@ -593,8 +634,9 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
                 continue
             mapping[v1] = v2
             placed.add(v2)
-            mine = Counter((mapping[n], a, b) for n, a, b in ends1[v1] if n in mapping)
-            if mine == Counter(end for end in ends2[v2] if end[0] in placed) and place(i + 1):
+            # equal sorted lists are equal multisets; (str, row, row) always compare
+            mine = sorted((mapping[n], a, b) for n, a, b in ends1[v1] if n in mapping)
+            if mine == sorted(end for end in ends2[v2] if end[0] in placed) and place(i + 1):
                 return True
             del mapping[v1]
             placed.discard(v2)

@@ -13,7 +13,8 @@ local union-find; facet vertex sets are read off direct dot products,
 and so are fold agreement (point sets and halfspaces normalized here)
 and facet charts (offsets in `Fraction`s);
 template-graph components come from a union-find, bipartiteness from a
-breadth-first parity colouring and acyclicity from E = V - c; file text
+breadth-first parity colouring and acyclicity from E = V - c; template
+isomorphism comes from trying every vertex bijection; file text
 comes from `json.dumps` over plain data read off template accessors.
 Agreement between these and the package is the point of the dual-route
 tests.
@@ -538,6 +539,39 @@ def oracle_degrees(vertices, incidence):
         for w in ends:
             degree[w] += 1
     return degree
+
+
+def oracle_isomorphic(t1, t2):
+    """Is there a vertex bijection that carries every polytope to an equal
+    one and the edges onto the other template's edges?  Tries every
+    bijection.  A polytope is the set of its (normal, offset) pairs, and an
+    edge the sorted pair of its ends, each (vertex, fold normal, fold
+    offset), so the edges compare as multisets whatever their ids and end
+    order."""
+    if t1.dimension != t2.dimension or len(t1.graph.vertices) != len(t2.graph.vertices):
+        return False
+
+    def shapes(t):
+        return {v: {(h.normal, h.offset) for h in t.polytope(v).halfspaces} for v in t.graph.vertices}
+
+    def edges(t, rename):
+        out = []
+        for eid in t.graph.edges:
+            ends = []
+            for w, f in zip(t.graph.ends(eid), t.edge_facets(eid)):
+                h = t.polytope(w).halfspaces[f]
+                ends.append((rename[w], h.normal, h.offset))
+            out.append(tuple(sorted(ends)))
+        return sorted(out)
+
+    vertices1, vertices2 = t1.graph.vertices, t2.graph.vertices
+    shapes1, shapes2 = shapes(t1), shapes(t2)
+    target = edges(t2, {v: v for v in vertices2})
+    for image in itertools.permutations(vertices2):
+        rename = dict(zip(vertices1, image))
+        if all(shapes1[v] == shapes2[rename[v]] for v in vertices1) and edges(t1, rename) == target:
+            return True
+    return False
 
 
 def random_multigraph(rng):

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import re
+from operator import mul
 
 import pytest
 
@@ -18,6 +19,7 @@ from helpers import (
     oracle_degrees,
     oracle_has_odd_cycle,
     oracle_is_forest,
+    oracle_isomorphic,
     oracle_loops,
     random_multigraph,
     stopwatch,
@@ -457,6 +459,30 @@ def test_radial_blow_up_refuses_a_polytope_that_is_not_delzant():
     assert str(info.value) == "polytope at bu0 is not Delzant"
 
 
+def test_surgery_builds_and_walks_no_template_graph(monkeypatch):
+    """A leaf cut and the blow-up back take the graph index of the template
+    they came from, with its one change: no TemplateGraph is checked or
+    walked on the way."""
+    templates = [t for label, t in surgery_templates() if label.startswith(("box", "hexagon"))]
+    walk, calls = TemplateGraph.__post_init__, []
+
+    def counted(graph):
+        calls.append(graph.vertices)
+        walk(graph)
+
+    monkeypatch.setattr(TemplateGraph, "__post_init__", counted)
+    rounds = 0
+    for t in templates:
+        for vid in t.graph.vertices:
+            if t.graph.degree(vid) != 1:
+                continue
+            cut = t.cut_leaf(vid)
+            radial_blow_up(cut.c_plus, cut.c_minus, cut.attach_vertex, cut.attach_facet, cut.leaf_facet)
+            rounds += 1
+    assert calls == []
+    assert rounds > 300
+
+
 # ---------------------------------------------------------------------------
 # isomorphism
 
@@ -513,6 +539,84 @@ def test_isomorphic_respects_polytope_geometry():
         ],
     )
     assert not isomorphic(t, shifted)
+
+
+def _relabelled(rng, t):
+    """The template under new vertex and edge ids, in shuffled vertex and
+    edge orders, each edge's ends in a random order and each polytope's
+    halfspaces permuted (the fold indices follow them)."""
+    graph = t.graph
+    vertex_ids = {v: f"w{k}" for k, v in enumerate(rng.sample(graph.vertices, len(graph.vertices)))}
+    edge_ids = {e: f"d{k}" for k, e in enumerate(rng.sample(graph.edges, len(graph.edges)))}
+    permuted = {}  # polytope -> (its copy, old facet index -> new)
+    for v in graph.vertices:
+        p = t.polytope(v)
+        if p not in permuted:
+            order = rng.sample(range(len(p.halfspaces)), len(p.halfspaces))
+            copy = DelzantPolytope(p.dimension, [p.halfspaces[i] for i in order])
+            permuted[p] = (copy, {i: k for k, i in enumerate(order)})
+    rows = []
+    for e in graph.edges:
+        ends = [
+            (vertex_ids[w], permuted[t.polytope(w)][1][f])
+            for w, f in zip(graph.ends(e), t.edge_facets(e))
+        ]
+        rng.shuffle(ends)
+        rows.append((edge_ids[e], ends[0][0], ends[1][0], ends[0][1], ends[1][1]))
+    rng.shuffle(rows)
+    vertices = rng.sample(graph.vertices, len(graph.vertices))
+    return build_template(
+        t.dimension, {vertex_ids[v]: permuted[t.polytope(v)][0] for v in vertices}, rows
+    )
+
+
+def _one_change(rng, t):
+    """Copies of the template with one fold moved to another facet at one
+    end of one edge, and with the polytope at one vertex translated."""
+    graph, changed = t.graph, []
+    if graph.edges:
+        eid = rng.choice(graph.edges)
+        end = rng.randrange(2)
+        facets = list(t.edge_facets(eid))
+        others = range(len(t.polytope(graph.ends(eid)[end]).halfspaces))
+        facets[end] = rng.choice([f for f in others if f != facets[end]])
+        changed.append(OrigamiTemplate(t.dimension, graph, t.psi_v, {**t.psi_e, eid: tuple(facets)}))
+    vid = rng.choice(graph.vertices)
+    shift = [0] * t.dimension
+    shift[rng.randrange(t.dimension)] = rng.choice((-1, 1))
+    moved = DelzantPolytope(
+        t.dimension,
+        [HalfSpace(h.normal, h.offset + sum(map(mul, h.normal, shift))) for h in t.polytope(vid).halfspaces],
+    )
+    changed.append(OrigamiTemplate(t.dimension, graph, {**t.psi_v, vid: moved}, t.psi_e))
+    return changed
+
+
+def test_isomorphic_agrees_with_trying_every_bijection():
+    """The placement search against every vertex bijection: each corpus
+    template (parallel edges, a loop, an odd cycle) and box paths and
+    hexagon trees of at most 6 polytopes against a relabelled copy and
+    against copies with one fold moved or one polytope translated, the
+    corpus templates against each other, and `torus` against itself with
+    the folds of its parallel edges swapped."""
+    rng = random.Random(30)
+    corpus = [load_corpus(name) for name in corpus_names()]
+    generated = [box_path_template(rng, n=2 + k % 2, length=rng.randint(2, 6)) for k in range(8)]
+    generated += [hexagon_tree_template(rng, rng.randint(2, 6)) for _ in range(8)]
+    torus = load_corpus("torus")
+    swapped = {"e1": torus.edge_facets("e2"), "e2": torus.edge_facets("e1")}
+    same = [(torus, OrigamiTemplate(1, torus.graph, torus.psi_v, swapped))]
+    different = []
+    for t in corpus + generated:
+        same.append((t, _relabelled(rng, t)))
+        different += [(t, changed) for changed in _one_change(rng, t)]
+    others = list(itertools.combinations(corpus, 2))
+    for pairs, expected in ((same, True), (different, False), (others, False)):
+        for t1, t2 in pairs:
+            assert oracle_isomorphic(t1, t2) is expected
+            assert isomorphic(t1, t2) is expected
+            assert isomorphic(t2, t1) is expected
+    assert len(same) == 26 and len(different) == 49
 
 
 def test_isomorphic_leaves_no_reference_cycle():
