@@ -65,9 +65,8 @@ def _cmd_gkm(args) -> int:
     print(f"edges: {len(g.edges)}")
     for e in g.edges:
         a, b = e.endpoints
-        weight = "(" + ", ".join(str(c) for c in e.weight) + ")"
         kind = "folded" if e.folded else "straight"
-        print(f"  {a.key} -- {b.key}  weight {weight}  {kind}")
+        print(f"  {a.key} -- {b.key}  weight {format_point(e.weight)}  {kind}")
     if args.dot:
         Path(args.dot).write_text(export_dot(g), encoding="utf-8")
         print(f"wrote {args.dot}")

@@ -87,6 +87,7 @@ class MomentGraph:
 
 
 def format_point(point) -> str:
+    """A point or a lattice vector as text, "(a, b, ...)"."""
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
@@ -226,7 +227,6 @@ def export_dot(g: MomentGraph) -> str:
     for e in g.edges:
         a, b = e.endpoints
         style = ', style=dashed' if e.folded else ""
-        weight = "(" + ", ".join(str(c) for c in e.weight) + ")"
-        lines.append(f'  "{a.key}" -- "{b.key}" [label="{weight}"{style}];')
+        lines.append(f'  "{a.key}" -- "{b.key}" [label="{format_point(e.weight)}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -259,10 +259,10 @@ def solve_square(echelon, n) -> tuple:
 
 
 def _vertex_incidence(normals, offsets, n) -> tuple:
-    """(the vertices, sorted; the indices of the halfspaces tight at each; each
-    vertex's integer key; the keys' common denominator; whether every
-    subset solved to a vertex has |det| = 1), the first three indexed
-    alike, by vertex number.
+    """(each vertex's integer key, sorted; the indices of the halfspaces
+    tight at each; the keys' common denominator; whether every subset
+    solved to a vertex has |det| = 1), the first two indexed alike, by
+    vertex number.
 
     Only the n-subsets with independent normals (`_independent_subsets`)
     are solved; every other subset is singular.  Offsets are scaled to
@@ -288,10 +288,7 @@ def _vertex_incidence(normals, offsets, n) -> tuple:
             smooth = smooth and abs(det) == 1
     D = math.lcm(*(d for _, d in incidence))
     keyed = sorted((tuple(x * (D // d) for x in X), t) for (X, d), t in incidence.items())
-    keys = tuple(key for key, _ in keyed)
-    step = D * scale
-    vertices = tuple(tuple(Fraction(x, step) for x in key) for key in keys)
-    return vertices, tuple(t for _, t in keyed), keys, step, smooth
+    return tuple(key for key, _ in keyed), tuple(t for _, t in keyed), D * scale, smooth
 
 
 def _edge_pairs(tight_sets, n) -> tuple | None:
@@ -380,9 +377,8 @@ class DelzantPolytope:
         """The Delzant polytope whose sorted vertex keys over `step` and tight
         sets are given; the caller vouches for them, so nothing is checked."""
         self = cls.__new__(cls)
-        vertices = tuple(tuple(Fraction(x, step) for x in key) for key in keys)
         rows = frozenset(h.row for h in halfspaces)
-        self._store(dimension, halfspaces, rows, (vertices, tights, keys, step, True))
+        self._store(dimension, halfspaces, rows, (keys, tights, step, True))
         return self
 
     def _store(self, dimension, halfspaces, rows, incidence):
@@ -390,7 +386,8 @@ class DelzantPolytope:
         self._dim = dimension
         self._halfspaces = halfspaces
         self._halfspace_set = rows
-        self._vertices, self._tights, self._keys, self._step, self._smooth = incidence
+        self._keys, self._tights, self._step, self._smooth = incidence
+        self._vertices = tuple(tuple(Fraction(x, self._step) for x in key) for key in self._keys)
         tights = self._tights  # vertex k is bit k of a vertex mask
         self._edge_pairs = _edge_pairs(tights, dimension)
         # per facet: its vertex numbers, ascending, and the same as a mask

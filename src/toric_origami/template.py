@@ -33,6 +33,14 @@ from .exceptions import (
 from .polytope import DelzantPolytope, _is_facet_index, agree_near_facet, facet_as_polytope
 
 
+def _pair(entry) -> tuple:
+    """An entry as a tuple, () when it is not iterable: the length check refuses it."""
+    try:
+        return tuple(entry)
+    except TypeError:
+        return ()
+
+
 @dataclass(frozen=True, eq=False)
 class TemplateGraph:
     """A finite multigraph with string-identified vertices and edges.
@@ -68,7 +76,7 @@ class TemplateGraph:
         incident = {v: () for v in verts}  # incident edges in edge order, a loop once
         degree = dict.fromkeys(verts, 0)  # edge ends, a loop twice
         for e in eids:
-            ends = tuple(self.incidence[e])
+            ends = _pair(self.incidence[e])
             if len(ends) != 2:
                 raise MalformedTemplate(f"edge {e}: incidence needs exactly two ends")
             for w in ends:
@@ -262,7 +270,7 @@ class OrigamiTemplate:
                 raise DimensionError(
                     f"vertex {vid}: polytope dimension {p.dimension} != template dimension {dimension}"
                 )
-        psi_e = {e: tuple(fs) for e, fs in dict(psi_e).items()}
+        psi_e = {e: _pair(fs) for e, fs in dict(psi_e).items()}
         if set(psi_e) != set(graph.edges):
             raise MalformedTemplate("psi_e must assign exactly one facet pair per edge")
         for eid, facets in psi_e.items():
@@ -282,32 +290,35 @@ class OrigamiTemplate:
         for vid, pid in polytope_ids.items():
             if not isinstance(pid, str):
                 raise MalformedTemplate(f"vertex {vid}: polytope id {pid!r} is not a string")
-        entries = {vid: [] for vid in graph.vertices}  # the fold facets, indexed once
+        # the fold ends, indexed once: per vertex, in edge order, (edge id,
+        # own facet, neighbour, own halfspace row, other halfspace row); a
+        # loop has both its ends at one vertex
+        ends = {vid: () for vid in graph.vertices}
         for eid in graph.edges:
-            for end, f in zip(graph.ends(eid), psi_e[eid]):
-                if (eid, f) not in entries[end]:
-                    entries[end].append((eid, f))
-        entries = {vid: tuple(e) for vid, e in entries.items()}
-        self._store(dimension, graph, psi_v, psi_e, polytope_ids, None, entries)
+            (u, v), (fu, fv) = graph.ends(eid), psi_e[eid]
+            hu, hv = psi_v[u].halfspaces[fu].row, psi_v[v].halfspaces[fv].row
+            ends[u] += ((eid, fu, v, hu, hv),)
+            ends[v] += ((eid, fv, u, hv, hu),)
+        self._store(dimension, graph, psi_v, psi_e, polytope_ids, None, ends)
 
     @classmethod
-    def _derived(cls, dimension, graph, psi_v, psi_e, polytope_ids, report, fold_entries):
-        """A template made from a validated one, with the report `validate()`
-        would give and the fold entries derived from its parent's; the caller
-        vouches for it, so nothing is checked."""
+    def _derived(cls, dimension, graph, psi_v, psi_e, polytope_ids, report, fold_ends):
+        """A template made from a validated one by one change, with the report
+        `validate()` would give and its parent's fold ends with that change;
+        the caller vouches for it, so nothing is checked."""
         self = cls.__new__(cls)
-        self._store(dimension, graph, psi_v, psi_e, polytope_ids, report, fold_entries)
+        self._store(dimension, graph, psi_v, psi_e, polytope_ids, report, fold_ends)
         return self
 
-    def _store(self, dimension, graph, psi_v, psi_e, polytope_ids, report, fold_entries):
+    def _store(self, dimension, graph, psi_v, psi_e, polytope_ids, report, fold_ends):
         self._dim = dimension
         self._graph = graph
         self._psi_v = psi_v
         self._psi_e = psi_e
         self._polytope_ids = polytope_ids
         self._report = report
-        self._fold_entries = fold_entries
-        self._fold_facets = {vid: frozenset(f for _, f in e) for vid, e in fold_entries.items()}
+        self._fold_ends = fold_ends
+        self._fold_facets = {vid: frozenset(end[1] for end in e) for vid, e in fold_ends.items()}
 
     # -- accessors -----------------------------------------------------------
 
@@ -345,11 +356,12 @@ class OrigamiTemplate:
             raise MalformedTemplate(f"unknown template edge {eid!r}") from None
 
     def fold_entries(self, vid: str) -> tuple:
-        """All (edge id, facet index) pairs of fold facets at a vertex, in edge order.
+        """All (edge id, facet index) pairs of fold facets at a vertex, in edge
+        order, read off its fold ends.
 
         A loop edge contributes each distinct facet reference once.
         """
-        return self._fold_entries.get(vid, ())
+        return tuple(dict.fromkeys(end[:2] for end in self._fold_ends.get(vid, ())))
 
     def fold_facet_indices(self, vid: str) -> frozenset:
         return self._fold_facets.get(vid, frozenset())
@@ -389,7 +401,7 @@ class OrigamiTemplate:
         for vid in self._graph.vertices:
             masks = self._psi_v[vid]._facet_masks
             by_edge = {}
-            for eid, f in self.fold_entries(vid):
+            for eid, f, *_ in self._fold_ends[vid]:
                 by_edge.setdefault(eid, set()).add(f)
             ok = True
             eids = sorted(by_edge)
@@ -452,7 +464,7 @@ class OrigamiTemplate:
 
         Needs a valid acyclic template; the remainder keeps all other
         vertices and edges unchanged, and takes this template's graph index
-        and fold entries less the leaf and its edge.
+        and fold ends less the leaf and its edge.
         """
         self.require_valid()
         if vid not in self._psi_v:
@@ -472,35 +484,20 @@ class OrigamiTemplate:
         leaf_polytope = self._psi_v[vid]
         fold_polytope, base, basis = facet_as_polytope(leaf_polytope, leaf_facet)
         graph = self._graph._without_leaf(vid, eid, neighbor)
-        entries = {w: e for w, e in self._fold_entries.items() if w != vid}
-        entries[neighbor] = tuple(x for x in entries[neighbor] if x[0] != eid)
+        ends = {w: e for w, e in self._fold_ends.items() if w != vid}
+        ends[neighbor] = tuple(end for end in ends[neighbor] if end[0] != eid)
         # cutting a leaf off a valid forest leaves every other polytope and
         # fold as it was, and a forest: no loop and a 2-colouring
         remainder = OrigamiTemplate._derived(
-            self._dim,
-            graph,
-            {w: self._psi_v[w] for w in graph.vertices},
+            self._dim, graph, {w: self._psi_v[w] for w in graph.vertices},
             {e: self._psi_e[e] for e in graph.edges},
             {w: pid for w, pid in self._polytope_ids.items() if w != vid},
-            ValidationReport(
-                valid=True,
-                edge_condition1=dict.fromkeys(graph.edges, True),
-                vertex_condition2=dict.fromkeys(graph.vertices, True),
-                polytope_delzant=dict.fromkeys(graph.vertices, True),
-                acyclic=True, coorientable=True, orientable=True,
-            ),
-            entries,
+            _passed(self._report, graph), ends,
         )
         return CutResult(
-            c_minus=leaf_polytope,
-            c_plus=remainder,
-            b=fold_polytope,
-            leaf_vertex=vid,
-            leaf_facet=leaf_facet,
-            attach_vertex=neighbor,
-            attach_facet=attach_facet,
-            fold_base=base,
-            fold_basis=basis,
+            c_minus=leaf_polytope, c_plus=remainder, b=fold_polytope, leaf_vertex=vid,
+            leaf_facet=leaf_facet, attach_vertex=neighbor, attach_facet=attach_facet,
+            fold_base=base, fold_basis=basis,
         )
 
     def __repr__(self):
@@ -508,6 +505,16 @@ class OrigamiTemplate:
             f"OrigamiTemplate(dim={self._dim}, vertices={len(self._graph.vertices)}, "
             f"edges={len(self._graph.edges)})"
         )
+
+
+def _passed(report, graph) -> ValidationReport:
+    """The report of a valid template, for a graph made from its graph by a
+    cut or a blow-up: every check passes, and the flags stay the same."""
+    checks = dict.fromkeys(graph.vertices, True)
+    return replace(
+        report, edge_condition1=dict.fromkeys(graph.edges, True),
+        vertex_condition2=checks, polytope_delzant=dict(checks),
+    )
 
 
 def _fresh_id(prefix: str, taken) -> str:
@@ -527,7 +534,7 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
     existing fold facet at `vid`, and InvalidTemplate when `p` is not
     Delzant.  Those checks and t's validity are the result's validation
     report, so nothing is re-checked, and the result takes t's graph index
-    and fold entries with the pendant added.  Inverse to `cut_leaf` up to
+    and fold ends with the pendant added.  Inverse to `cut_leaf` up to
     isomorphism.
     """
     t.require_valid()
@@ -547,37 +554,23 @@ def radial_blow_up(t: OrigamiTemplate, p: DelzantPolytope, vid: str, f_t: int, f
             f"attached polytope does not agree with the polytope at {vid} near facet {f_t}"
         )
     new_fold = host._facet_masks[f_t]
-    for eid, f in t.fold_entries(vid):
+    for eid, f, *_ in t._fold_ends[vid]:
         if host._facet_masks[f] & new_fold:
             raise ConditionTwoViolation(
                 f"new fold facet at {vid} intersects the fold facet of edge {eid}"
             )
-    graph = t.graph
-    new_vid = _fresh_id("bu", set(graph.vertices))
+    new_vid = _fresh_id("bu", set(t.graph.vertices))
     if not p.is_delzant():
         raise InvalidTemplate(f"polytope at {new_vid} is not Delzant")
-    new_eid = _fresh_id("be", set(graph.edges))
-    entries = {**t._fold_entries, new_vid: ((new_eid, f_p),)}
-    entries[vid] += ((new_eid, f_t),)
-    psi_v = t.psi_v
-    psi_v[new_vid] = p
-    psi_e = t.psi_e
-    psi_e[new_eid] = (f_t, f_p)
+    new_eid = _fresh_id("be", set(t.graph.edges))
+    hu, hp = host.halfspaces[f_t].row, p.halfspaces[f_p].row
+    ends = {**t._fold_ends, new_vid: ((new_eid, f_p, vid, hp, hu),)}
+    ends[vid] += ((new_eid, f_t, new_vid, hu, hp),)
+    psi_v, psi_e = {**t._psi_v, new_vid: p}, {**t._psi_e, new_eid: (f_t, f_p)}
     # a pendant edge adds no cycle or loop and keeps a 2-colouring
-    report = t.validate()
+    graph = t.graph._with_pendant(vid, new_vid, new_eid)
     return OrigamiTemplate._derived(
-        t.dimension,
-        graph._with_pendant(vid, new_vid, new_eid),
-        psi_v,
-        psi_e,
-        t.polytope_ids,
-        replace(
-            report,
-            edge_condition1={**report.edge_condition1, new_eid: True},
-            vertex_condition2={**report.vertex_condition2, new_vid: True},
-            polytope_delzant={**report.polytope_delzant, new_vid: True},
-        ),
-        entries,
+        t.dimension, graph, psi_v, psi_e, t.polytope_ids, _passed(t.validate(), graph), ends
     )
 
 
@@ -585,31 +578,21 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
     """Are two templates the same up to renaming vertices and edges?
 
     A graph isomorphism must match polytopes exactly (equal halfspace
-    sets) and fold facet references end-by-end.  Vertices are placed
-    breadth-first from the one with the fewest candidates, each checked at
-    once against those already placed; in a valid template each fold facet
-    carries at most one edge, so every placement after the first is forced.
+    sets) and fold facets end by end, as each template stored its fold
+    ends.  Vertices are placed breadth-first from the one with the fewest
+    candidates, each checked at once against those already placed; in a
+    valid template each fold facet carries at most one edge, so every
+    placement after the first is forced.
     """
     if t1.dimension != t2.dimension:
         return False
     g1, g2 = t1.graph, t2.graph
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
-
-    def fold_ends(t):
-        # (neighbour, own halfspace row, other halfspace row) per edge end; a
-        # fold is named by its halfspace, not its index, so that reordering
-        # a polytope's halfspace list does not break matching
-        ends = {w: [] for w in t.graph.vertices}
-        for eid in t.graph.edges:
-            u, v = t.graph.ends(eid)
-            fu, fv = t.edge_facets(eid)
-            hu, hv = t.polytope(u).halfspaces[fu].row, t.polytope(v).halfspaces[fv].row
-            ends[u].append((v, hu, hv))
-            ends[v].append((u, hv, hu))
-        return ends
-
-    ends1, ends2 = fold_ends(t1), fold_ends(t2)
+    # an end is compared by its fields 2-4, (neighbour, own halfspace row,
+    # other halfspace row): a fold is named by its halfspace, not its index,
+    # so that reordering a polytope's halfspace list does not break matching
+    ends1, ends2 = t1._fold_ends, t2._fold_ends
     kinds = {}
     for v2 in g2.vertices:
         kinds.setdefault((t2.polytope(v2), g2.degree(v2)), {})[v2] = None
@@ -617,7 +600,7 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
     root = min(g1.vertices, key=lambda v: len(candidates[v]))
     order, parent = [root], {root: None}
     for v1 in order:
-        for n, _, _ in ends1[v1]:
+        for _, _, n, _, _ in ends1[v1]:
             if n not in parent:
                 parent[n] = v1
                 order.append(n)
@@ -628,15 +611,15 @@ def isomorphic(t1: OrigamiTemplate, t2: OrigamiTemplate) -> bool:
             return True
         v1 = order[i]
         # every image after the root's sits next to its parent's image
-        pool = dict.fromkeys(n for n, _, _ in ends2[mapping[parent[v1]]]) if i else candidates[v1]
+        pool = dict.fromkeys(end[2] for end in ends2[mapping[parent[v1]]]) if i else candidates[v1]
         for v2 in pool:
             if v2 in placed or v2 not in candidates[v1]:
                 continue
             mapping[v1] = v2
             placed.add(v2)
             # equal sorted lists are equal multisets; (str, row, row) always compare
-            mine = sorted((mapping[n], a, b) for n, a, b in ends1[v1] if n in mapping)
-            if mine == sorted(end for end in ends2[v2] if end[0] in placed) and place(i + 1):
+            mine = sorted((mapping[n], a, b) for _, _, n, a, b in ends1[v1] if n in mapping)
+            if mine == sorted(end[2:] for end in ends2[v2] if end[2] in placed) and place(i + 1):
                 return True
             del mapping[v1]
             placed.discard(v2)

@@ -166,6 +166,69 @@ def test_template_structural_errors():
         OrigamiTemplate(2, chain.graph, chain.psi_v, {"e1": (2, 2), "e2": (False, False)})
 
 
+def test_refusals_only_the_python_api_reaches():
+    """`parse` refuses these shapes before a graph or template is built, so
+    only the Python API reaches them: each is a MalformedTemplate with this
+    text."""
+    chain = load_corpus("chain3")
+    g, psi_v, psi_e, sq = chain.graph, chain.psi_v, chain.psi_e, chain.polytope("v1")
+    one_pair = "incidence must give exactly one end pair per edge"
+    two_ends = "edge e: incidence needs exactly two ends"
+    one_polytope = "psi_v must assign exactly one polytope per graph vertex"
+    cases = [
+        (lambda: TemplateGraph(("a", "b"), ("e", "e"), {"e": ("a", "b")}), "duplicate edge identifiers"),
+        (lambda: TemplateGraph(("a",), ("e",), {}), one_pair),
+        (lambda: TemplateGraph(("a",), (), {"e": ("a", "a")}), one_pair),
+        (lambda: TemplateGraph(("a", "b"), ("e",), {"e": ("a", "b", "a")}), two_ends),
+        (lambda: TemplateGraph(("a", "b"), ("e",), {"e": ("a",)}), two_ends),
+        (lambda: OrigamiTemplate(2, g, {"v1": sq, "v2": sq}, psi_e), one_polytope),
+        (lambda: OrigamiTemplate(2, g, {**psi_v, "v4": sq}, psi_e), one_polytope),
+        (lambda: OrigamiTemplate(2, g, {**psi_v, "v2": sq.halfspaces}, psi_e), "vertex v2: not a DelzantPolytope"),
+        (lambda: OrigamiTemplate(2, g, psi_v, {"e1": (2, 2)}), "psi_e must assign exactly one facet pair per edge"),
+        (lambda: OrigamiTemplate(2, g, psi_v, {**psi_e, "e2": (0, 0, 0)}), "edge e2: needs one facet index per end"),
+        (lambda: OrigamiTemplate(2, g, psi_v, {**psi_e, "e2": (0,)}), "edge e2: needs one facet index per end"),
+        (lambda: chain.edge_facets("e9"), "unknown template edge 'e9'"),
+    ]
+    for build, text in cases:
+        with pytest.raises(MalformedTemplate) as info:
+            build()
+        assert type(info.value) is MalformedTemplate and str(info.value) == text
+
+
+@pytest.mark.parametrize("bad", [3, None, 2.5])
+def test_an_entry_that_is_no_pair_is_refused_by_name(bad):
+    """An end pair or facet pair that is not iterable once escaped as a bare
+    TypeError; it is refused as a pair of the wrong length is."""
+    chain = load_corpus("chain3")
+    with pytest.raises(MalformedTemplate) as info:
+        OrigamiTemplate(2, chain.graph, chain.psi_v, {**chain.psi_e, "e1": bad})
+    assert str(info.value) == "edge e1: needs one facet index per end"
+    with pytest.raises(MalformedTemplate) as info:
+        TemplateGraph(("a", "b"), ("e",), {"e": bad})
+    assert str(info.value) == "edge e: incidence needs exactly two ends"
+
+
+def test_fold_entries_match_a_scan_of_the_edges():
+    """`fold_entries` and `fold_facet_indices` against a scan of the edges in
+    order that keeps each (edge, facet) pair once, on the corpus (a loop,
+    parallel edges, an odd cycle), the surgery templates, hexagon cycles and
+    a square with a loop on two facets."""
+    templates = [load_corpus(name) for name in corpus_names()]
+    templates += [t for _, t in surgery_templates()]
+    templates += [hexagon_cycle_template(k) for k in (3, 4, 5)]
+    templates.append(build_template(2, {"a": square()}, [("l", "a", "a", 0, 2)]))
+    for t in templates:
+        for vid in t.graph.vertices:
+            expected = []
+            for eid in t.graph.edges:
+                for w, f in zip(t.graph.ends(eid), t.edge_facets(eid)):
+                    if w == vid and (eid, f) not in expected:
+                        expected.append((eid, f))
+            assert t.fold_entries(vid) == tuple(expected), vid
+            assert t.fold_facet_indices(vid) == {f for _, f in expected}, vid
+    assert templates[-1].fold_entries("a") == (("l", 0), ("l", 2))
+
+
 @pytest.mark.parametrize("bad", [True, False, 2.0, -1, "2"])
 def test_a_dimension_that_is_no_int_is_refused(bad):
     """A bool dimension once built and was written as `"dimension": true`,
@@ -487,6 +550,27 @@ def test_surgery_builds_and_walks_no_template_graph(monkeypatch):
 # isomorphism
 
 
+def test_isomorphic_rebuilds_no_fold_index(monkeypatch):
+    """`isomorphic` reads the fold ends each template stored at construction:
+    over every leaf round trip of the surgery templates it asks no edge for
+    its ends or its facets."""
+    pairs = []
+    for _, t in surgery_templates():
+        for vid in t.graph.vertices:
+            if t.graph.degree(vid) == 1:
+                cut = t.cut_leaf(vid)
+                back = radial_blow_up(cut.c_plus, cut.c_minus, cut.attach_vertex, cut.attach_facet, cut.leaf_facet)
+                pairs.append((t, back))
+    calls = []
+    for cls, name in ((OrigamiTemplate, "edge_facets"), (TemplateGraph, "ends")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, eid, m=method: calls.append(eid) or m(self, eid))
+    for t, back in pairs:
+        assert isomorphic(back, t) and isomorphic(t, back)
+    assert calls == []
+    assert len(pairs) > 300
+
+
 def test_isomorphic_on_relabeled_template():
     t = load_corpus("chain3")
     relabeled = build_template(
@@ -496,6 +580,19 @@ def test_isomorphic_on_relabeled_template():
     )
     assert isomorphic(t, relabeled)
     assert isomorphic(relabeled, t)
+
+
+def test_isomorphic_reads_an_edge_either_way_round():
+    """An edge written with its ends the other way round names the same
+    fold, also where the two facets' halfspaces differ (an invalid fold), so
+    each end's own and other rows must be kept apart."""
+    polytopes = {"a": square(), "b": square(), "c": triangle()}
+    t = build_template(2, polytopes, [("e", "a", "b", 0, 2), ("f", "b", "c", 3, 0)])
+    flipped = build_template(2, polytopes, [("e", "b", "a", 2, 0), ("f", "c", "b", 0, 3)])
+    assert not t.validate().valid
+    assert oracle_isomorphic(t, flipped) and isomorphic(t, flipped) and isomorphic(flipped, t)
+    moved = build_template(2, polytopes, [("e", "b", "a", 0, 2), ("f", "c", "b", 0, 3)])
+    assert not oracle_isomorphic(t, moved) and not isomorphic(t, moved)
 
 
 def test_isomorphic_distinguishes_fold_patterns():
