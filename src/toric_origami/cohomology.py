@@ -17,16 +17,18 @@ by the class and this map onto the class space is an isomorphism.  Forest
 edges hold by construction, so only the E - V + c edges off the forest
 (E edges, V fixed points, c components) add constraint rows.  The rows
 are ints: divisibility by an edge weight is read as vanishing on its
-hyperplane, through an integer basis of it and the images of monomials
-there.  A request over several degrees builds the forest once, and every
-degree (one loop, for Hilbert and Betti numbers) shares each off-forest
-weight's hyperplane basis and monomial images, held by the forest, so
-degree d + 1 extends the images of degree d; nothing outlives the
-request.  Multiplying by a variable commutes with the map, so products
-are taken block by block.  Class vectors are exact `fractions.Fraction`
-values.  Ranks and kernels come from `lattice`, which eliminates over the
-integers without fractions, so every answer is exact by construction.
-Membership tests are exact polynomial division, never numerical.
+hyperplane, through an integer basis of it.  Restriction there is a ring
+homomorphism, so the image of alpha_e x^m is that of the linear form
+alpha_e times that of the monomial x^m, of degree d - 1.  A request over
+several degrees builds the forest once, and every degree (one loop, for
+Hilbert and Betti numbers) shares each off-forest weight's hyperplane
+basis and monomial images, held by the forest, so degree d + 1 extends
+the images of degree d - 1; nothing outlives the request.  Multiplying
+by a variable commutes with the map, so products are taken block by
+block.  Class vectors are exact `fractions.Fraction` values.  Ranks and
+kernels come from `lattice`, which eliminates over the integers without
+fractions, so every answer is exact by construction.  Membership tests
+are exact polynomial division, never numerical.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 from .exceptions import FreenessViolation, InternalConsistency, ShapeError
 from .gkm import MomentGraph
-from .lattice import integer_kernel_basis, kernel_basis, kernel_dimension, rank
+from .lattice import dot, integer_kernel_basis, kernel_basis, kernel_dimension, rank
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +183,17 @@ def _pivot_index(alpha):
     raise InternalConsistency("edge weight is the zero vector")
 
 
+def _times(poly, ell):
+    """A polynomial in y, as a {y exponent: int} dict, times sum_k ell[k] y_k."""
+    out = {}
+    for k, a in enumerate(ell):
+        if a:
+            for y, c in poly.items():
+                z = y[:k] + (y[k] + 1,) + y[k + 1 :]
+                out[z] = out.get(z, 0) + a * c
+    return out
+
+
 def _restriction(mono, plane, images):
     """x^mono at x = sum_k y_k plane[k], as a {y exponent: int} dict memoised in images.
 
@@ -191,12 +204,7 @@ def _restriction(mono, plane, images):
     if mono not in images:
         i = next(i for i, e in enumerate(mono) if e)
         lower = _restriction(mono[:i] + (mono[i] - 1,) + mono[i + 1 :], plane, images)
-        image = images[mono] = {}
-        for k, b in enumerate(plane):
-            if b[i]:
-                for y, c in lower.items():
-                    z = y[:k] + (y[k] + 1,) + y[k + 1 :]
-                    image[z] = image.get(z, 0) + b[i] * c
+        images[mono] = _times(lower, [b[i] for b in plane])
     return images[mono]
 
 
@@ -225,9 +233,10 @@ class _Forest(NamedTuple):
     alpha_e g_e.  `cycles` holds, per other edge (p, q), its weight and the
     (block, sign) pairs of the forest edges on exactly one of the root
     paths of p and q, + on p's side: f_p - f_q = sum sign * alpha_e g_e.
-    `planes` maps each cycle weight to its hyperplane basis and monomial
-    images (the `_restriction` memo), filled by `_constraint_rows` as
-    degrees are solved over the forest and shared by them.
+    `planes` maps each cycle weight to its hyperplane basis and the images
+    there of monomials of degree below d (the `_restriction` memo), filled
+    by `_constraint_rows` as degrees are solved over the forest and shared
+    by them.
     """
 
     blocks: tuple
@@ -301,12 +310,15 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     A forest edge holds by construction, so only each other edge (p, q)
     adds rows: f_p - f_q = sum sign * alpha_e g_e is divisible by its
     weight alpha exactly when it vanishes at x = B y, where the n - 1 rows
-    of B = `integer_kernel_basis(alpha)` span alpha^perp.  The coefficient
-    of g_e[m] there is sum_i alpha_e[i] times the image of x^(m + e_i).
-    Each row, a list of ints, is one y-coefficient of that.  `forest` is
-    `_spanning_forest(g)`, built here when it is not passed in; B and the
-    monomial images are kept in `forest.planes`, so the degrees solved over
-    one forest build each weight's B once and share its images.
+    of B = `integer_kernel_basis(alpha)` span alpha^perp.  Restriction is
+    a ring homomorphism, so the coefficient of g_e[m] there is l_e(y) times
+    the image of x^m, where l_e = (<alpha_e, B_k>)_k is worked out once per
+    (alpha, alpha_e) and is 0, with nothing to add, when alpha_e is
+    parallel to alpha.  Each row, a list of ints, is one y-coefficient.
+    `forest` is `_spanning_forest(g)`, built here when it is not passed
+    in; B and the monomial images are kept in `forest.planes`, so the
+    degrees solved over one forest build each weight's B once and share
+    its images.
     """
     if forest is None:  # built first, so every graph is checked, with unknowns or none
         forest = _spanning_forest(g)
@@ -319,7 +331,7 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     if not lower:  # degree 0: f is constant on each component
         return rows, ncols
     ys = {y: i for i, y in enumerate(monomial_basis(n - 1, degree))}
-    terms = {}  # (cycle weight, forest weight) -> per m in lower, {row: coefficient}
+    terms = {}  # (cycle weight, forest weight) -> per m in lower, the image of alpha_e x^m
     for weight, path in forest.cycles:
         if weight not in forest.planes:
             forest.planes[weight] = (integer_kernel_basis(weight), {})
@@ -328,26 +340,16 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
         for b, sign in path:
             alpha = forest.blocks[b]
             if (weight, alpha) not in terms:
+                ell = [dot(alpha, row) for row in plane]
                 terms[weight, alpha] = [
-                    _times_linear(m, alpha, plane, images, ys) for m in lower
-                ]
+                    _times(_restriction(m, plane, images), ell) for m in lower
+                ] if any(ell) else ()
             for j, image in enumerate(terms[weight, alpha]):
                 col = offsets[b] + j
                 for y, c in image.items():
-                    cycle_rows[y][col] += sign * c
+                    cycle_rows[ys[y]][col] += sign * c
         rows.extend(cycle_rows)
     return rows, ncols
-
-
-def _times_linear(mono, alpha, plane, images, ys):
-    """alpha . x times x^mono, restricted to the plane, as {row index: int}."""
-    out = {}
-    for i, a in enumerate(alpha):
-        if a:
-            shifted = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-            for y, c in _restriction(shifted, plane, images).items():
-                out[ys[y]] = out.get(ys[y], 0) + a * c
-    return {y: c for y, c in out.items() if c}
 
 
 def _nullities(g: MomentGraph, max_degree: int):

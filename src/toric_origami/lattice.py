@@ -8,11 +8,13 @@ deterministic (pivots are always the first nonzero entry in column order).
 
 `rank`, `kernel_dimension`, `kernel_basis` and `pivot_columns` read one
 elimination, exact over ℤ.  Each row is scaled to integers (a row of ints
-is taken as it is, with no per-entry work in Python) and the matrix is
-brought to reduced row echelon form by fraction-free Gauss–Jordan
-elimination: every pivot row is kept as an integer multiple of its reduced
-echelon row, and every division in the update is exact, because every
-entry held is a minor of the matrix (Bareiss).  The reduced echelon form
+is taken as it is, with no per-entry work in Python) and brought to
+echelon form by forward elimination alone: a row is cleared in its
+leading column by an integer combination with the pivot row there, and
+each new pivot row is divided by the gcd of its entries.  The rank and
+the pivot columns are read off the echelon as it stands; only
+`kernel_basis` brings it to reduced row echelon form, from the last
+pivot row up, with the same combination step.  The reduced echelon form
 is unique, so the kernel basis read off its free columns does not depend
 on the row order.
 """
@@ -73,48 +75,41 @@ def _integer_rows(rows, ncols):
     return out
 
 
-def _eliminate(int_rows):
-    """Fraction-free Gauss–Jordan elimination of sparse integer rows.
+def _combine(r, R, col):
+    """r with its entry in column col cleared by R: (b/g)·r − (a/g)·R, where
+    a = r[col], b = R[col] and g = gcd(a, b), so every entry stays an int."""
+    a, b = r[col], R[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: b * x for j, x in r.items()} if b != 1 else dict(r)
+    for j, x in R.items():
+        v = out.get(j, 0) - a * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return out
 
-    Returns (d, {pivot column: row}).  d is the last pivot, and each stored
-    row is d times its reduced echelon row, without the pivot entry d
-    itself, so it holds only free columns.  A new row r is reduced as
-    d·r − Σ r[c]·(pivot row c) over its pivot columns; its leading entry e
-    becomes the new d, and every earlier pivot row R with entry g in the
-    new leading column becomes (e·R − g·r) / d.  Each such division is
-    exact (Bareiss, Math. Comp. 1968), and every stored entry is a minor
-    of the matrix.  A pivot row with no entry in the new leading column is
-    kept as it is when e == d.
+
+def _eliminate(int_rows):
+    """Forward elimination of sparse integer rows: {leading column: row}.
+
+    Each incoming row is combined with the pivot row of its least column
+    for as long as there is one; what is left, divided by the gcd of its
+    entries, becomes the pivot row of its least column.  Earlier pivot rows
+    are never revisited, so this is an echelon form, not a reduced one.
     """
-    d = 1
     pivots = {}
-    for row in int_rows:
-        r = {c: d * a for c, a in row.items() if c not in pivots}
-        # pivot rows vanish on each other's pivot columns: one pass clears them
-        for c in pivots.keys() & row.keys():
-            f = row[c]
-            for j, a in pivots[c].items():
-                v = r.get(j, 0) - f * a
-                if v:
-                    r[j] = v
-                else:
-                    del r[j]
-        if not r:
-            continue
-        lead = min(r)
-        e = r.pop(lead)
-        for c, prow in pivots.items():
-            g = prow.pop(lead, 0)
-            if g:
-                new = {j: e * a for j, a in prow.items()}
-                for j, a in r.items():
-                    new[j] = new.get(j, 0) - g * a
-                pivots[c] = {j: v // d for j, v in new.items() if v}
-            elif e != d:
-                pivots[c] = {j: e * a // d for j, a in prow.items()}
-        pivots[lead] = r
-        d = e
-    return d, pivots
+    for r in int_rows:
+        while r:
+            lead = min(r)
+            R = pivots.get(lead)
+            if R is None:
+                g = math.gcd(*r.values())
+                pivots[lead] = {j: x // g for j, x in r.items()} if g != 1 else r
+                break
+            r = _combine(r, R, lead)
+    return pivots
 
 
 def _column_count(rows, ncols):
@@ -127,14 +122,14 @@ def _column_count(rows, ncols):
 
 def pivot_columns(rows, ncols):
     """The columns of a rational matrix independent of the columns before them."""
-    return sorted(_eliminate(_integer_rows(rows, ncols))[1])
+    return sorted(_eliminate(_integer_rows(rows, ncols)))
 
 
 def rank(rows, ncols=None):
     """Rank of a rational matrix (exact)."""
     if not rows:
         return 0
-    return len(_eliminate(_integer_rows(rows, _column_count(rows, ncols)))[1])
+    return len(_eliminate(_integer_rows(rows, _column_count(rows, ncols))))
 
 
 def kernel_dimension(rows, ncols=None):
@@ -146,23 +141,29 @@ def kernel_dimension(rows, ncols=None):
 def kernel_basis(rows, ncols):
     """Deterministic basis of the right kernel of a rational matrix.
 
-    One basis vector per free column f, read off the elimination: 1 in
-    column f and −row[f] / d in the column of each pivot row; the empty
-    matrix yields the standard basis.
+    The echelon is brought to reduced form, from the last pivot row up:
+    each pivot row is cleared, by `_combine`, in the pivot columns after
+    its own.  One basis vector per free column f: 1 in column f and
+    −R[f] / R[c] in the column c of each pivot row R; the empty matrix
+    yields the standard basis.
     """
-    d, pivots = _eliminate(_integer_rows(rows, ncols))
+    pivots = _eliminate(_integer_rows(rows, ncols))
+    for c in sorted(pivots, reverse=True):
+        R = pivots[c]
+        for p in [j for j in R if j != c and j in pivots]:
+            R = _combine(R, pivots[p], p)
+        pivots[c] = R
     zero, one = Fraction(0), Fraction(1)
-    basis = []
+    basis = {}
     for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for c, row in pivots.items():  # row[f] is d times the reduced echelon entry
-            if f in row:
-                vec[c] = Fraction(-row[f], d)
-        basis.append(tuple(vec))
-    return basis
+        if f not in pivots:
+            basis[f] = [zero] * ncols
+            basis[f][f] = one
+    for c, R in pivots.items():  # in reduced form R holds only c and free columns
+        for f, x in R.items():
+            if f != c:
+                basis[f][c] = Fraction(-x, R[c])
+    return [tuple(vec) for vec in basis.values()]
 
 
 def rational_to_primitive(vec):

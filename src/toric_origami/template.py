@@ -34,7 +34,9 @@ from .polytope import DelzantPolytope, _is_facet_index, agree_near_facet, facet_
 
 
 def _pair(entry) -> tuple:
-    """An entry as a tuple, () when it is not iterable: the length check refuses it."""
+    """An entry as a tuple, () when it is a str or not iterable: the length check refuses it."""
+    if isinstance(entry, str):
+        return ()
     try:
         return tuple(entry)
     except TypeError:

@@ -85,6 +85,11 @@ def oracle_rank(rows, ncols):
     return len(_oracle_rref(rows, ncols)[1])
 
 
+def oracle_pivot_columns(rows, ncols):
+    """The pivot columns of the reduced row echelon form, in column order."""
+    return _oracle_rref(rows, ncols)[1]
+
+
 def oracle_kernel_basis(rows, ncols):
     """The reduced-echelon kernel basis: one vector per free column, with a 1
     there, 0 on the other free columns and the pivot columns solved for."""

@@ -1,5 +1,6 @@
 """Class spaces over moment graphs: dimensions, Betti numbers, membership."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -257,6 +258,34 @@ def test_each_request_builds_each_weight_plane_once(monkeypatch):
             built.clear()
             query(g)
             assert sorted(built) == weights
+
+
+# sha256 of repr([_constraint_rows(g, d) for d in range(5)]), recorded from
+# the code that built each row as a sum over the weight's entries of shifted
+# monomial images, before the image of alpha_e x^m became l_e(y) times that
+# of x^m; box:5 has the weight (0, 1, 1), so l_e has two nonzero entries
+ROWS_FROZEN = {
+    "corpus:s2": "7cf7aed527daa2f2800497622f14bc1a6fd4191e258cf55470b5e293ab9a5df8",
+    "corpus:s4": "73bbddfe816fc359139da3cfd88e3cd72891f73dd222f2f9296266ec1c34a66b",
+    "corpus:s6": "08539bdddbd2c081a4996ebc5ba38ee18ba7eb2d5e90649f9693c5df13070ef5",
+    "corpus:cp2": "28b9bd13f32cb3fa1128d1b6c3661dc45f4e2b32ac974e8ca2f886e124d0daac",
+    "corpus:hirzebruch": "062af8354d3786a674ee391d71078352a18dca9907393bc2bd0a932a0362758b",
+    "corpus:chain3": "062af8354d3786a674ee391d71078352a18dca9907393bc2bd0a932a0362758b",
+    "box:5": "76b6fed3ad87fab484b743a6ee363fc26985a5037ffbc365b993491ecb0be21f",
+    "box:6": "97ce92a511a50df96a965fe17a263f8565e8c8a2779a2d6e23414bb74ecaf3bc",
+}
+
+
+@pytest.mark.parametrize("name", ROWS_FROZEN)
+def test_constraint_rows_are_frozen(name):
+    kind, _, key = name.partition(":")
+    if kind == "corpus":
+        t = load_corpus(key)
+    else:
+        t = box_path_template(random.Random(int(key)), 3, 3)
+    g = moment_graph(t)
+    text = repr([_constraint_rows(g, d) for d in range(5)])
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_FROZEN[name]
 
 
 def test_degree_zero_counts_graph_components():

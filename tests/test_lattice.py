@@ -12,9 +12,9 @@ from helpers import (
     oracle_det,
     oracle_kernel_basis,
     oracle_nullity,
+    oracle_pivot_columns,
     oracle_rank,
 )
-from toric_origami import lattice
 from toric_origami.exceptions import DegenerateInput, DimensionError
 from toric_origami.lattice import (
     dot,
@@ -22,6 +22,7 @@ from toric_origami.lattice import (
     integer_kernel_basis,
     kernel_basis,
     kernel_dimension,
+    pivot_columns,
     primitive,
     rank,
     rational_to_primitive,
@@ -164,8 +165,8 @@ def test_certified_kernel_on_wider_integer_matrices():
         right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)] for lr in left]
         cases.append((rows, n))
-    # products with pivots other than ±1 exercise the exact division by the
-    # previous pivot, at full rank and below it
+    # products with pivots other than ±1 make the elimination scale rows by
+    # factors other than ±1, at full rank and below it
     deficient = 0
     for _ in range(30):
         m = rng.randint(2, 9)
@@ -174,13 +175,13 @@ def test_certified_kernel_on_wider_integer_matrices():
         deficient += k < min(m, n)
         cases.append((_lu_product(rng, m, n, k), n))
     assert deficient > 10
-    last_pivots = []
+    denominators = [1]
     for rows, n in cases:
         assert rank(rows, n) == oracle_rank(rows, n), rows
         assert kernel_dimension(rows, n) == oracle_nullity(rows, n), rows
         assert kernel_basis(rows, n) == oracle_kernel_basis(rows, n), rows
-        last_pivots.append(abs(lattice._eliminate(lattice._integer_rows(rows, n))[0]))
-    assert max(last_pivots) > 1
+        denominators.extend(x.denominator for vec in oracle_kernel_basis(rows, n) for x in vec)
+    assert max(denominators) > 1  # some case is not unimodular
 
 
 def test_multiple_of_a_large_value_keeps_its_rank():
@@ -214,6 +215,51 @@ def test_row_side_rank_matches_the_oracle_on_every_shape():
         assert rank(rows, n) == expected, rows
         assert kernel_dimension(rows, n) == n - expected, rows
     assert min(shapes.values()) > 30
+
+
+def _sparse_deficient(rng):
+    """A wide integer matrix of about two nonzeros per row, its rows drawn on
+    fewer columns than there are rows, and a few sums of two rows."""
+    ncols = rng.randint(40, 300)
+    m = rng.randint(10, 40)
+    support = rng.sample(range(ncols), rng.randint(m // 3, m - 1))
+    rows = []
+    for _ in range(m):
+        row = [0] * ncols
+        for c in rng.sample(support, min(2, len(support))):
+            row[c] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        rows.append(row)
+    for _ in range(3):
+        i, j = rng.sample(range(m), 2)
+        rows.append([a + b for a, b in zip(rows[i], rows[j])])
+    return rows, ncols
+
+
+def test_answers_do_not_depend_on_row_order_or_scale():
+    # the echelon found depends on the order and scale of the rows; the rank,
+    # the pivot columns and the reduced echelon form, and so the kernel
+    # basis, do not
+    rng = random.Random(83)
+    for _ in range(6):
+        rows, ncols = _sparse_deficient(rng)
+        pivots = oracle_pivot_columns(rows, ncols)
+        expected = (len(pivots), ncols - len(pivots), pivots, oracle_kernel_basis(rows, ncols))
+        assert len(pivots) < min(len(rows), ncols)
+        scalings = (
+            lambda: rng.choice((-3, -2, -1, 2, 7)),  # integer rows
+            lambda: Fraction(rng.choice((-5, -1, 1, 3)), rng.choice((2, 9))),  # Fraction rows
+            lambda: 1,  # the order alone
+        )
+        for scaling in scalings:
+            order = [[x * scale for x in row] for row, scale in ((row, scaling()) for row in rows)]
+            rng.shuffle(order)
+            got = (
+                rank(order, ncols),
+                kernel_dimension(order, ncols),
+                pivot_columns(order, ncols),
+                kernel_basis(order, ncols),
+            )
+            assert got == expected, ncols
 
 
 def test_an_empty_matrix_needs_its_column_count_only_for_the_nullity():

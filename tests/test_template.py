@@ -195,10 +195,11 @@ def test_refusals_only_the_python_api_reaches():
         assert type(info.value) is MalformedTemplate and str(info.value) == text
 
 
-@pytest.mark.parametrize("bad", [3, None, 2.5])
+@pytest.mark.parametrize("bad", [3, None, 2.5, "ab", "01"])
 def test_an_entry_that_is_no_pair_is_refused_by_name(bad):
     """An end pair or facet pair that is not iterable once escaped as a bare
-    TypeError; it is refused as a pair of the wrong length is."""
+    TypeError, and a str of two characters was read as the pair of them;
+    each is refused as a pair of the wrong length is."""
     chain = load_corpus("chain3")
     with pytest.raises(MalformedTemplate) as info:
         OrigamiTemplate(2, chain.graph, chain.psi_v, {**chain.psi_e, "e1": bad})
