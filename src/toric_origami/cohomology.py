@@ -250,26 +250,23 @@ def _spanning_forest(g: MomentGraph) -> _Forest:
     ends = _endpoint_indices(g)
     if any(not any(e.weight) for _, _, e in ends):
         raise InternalConsistency("edge weight is the zero vector")
-    incident = [[] for _ in g.fixed_points]
+    at = [[] for _ in g.fixed_points]  # (edge index, other end) per edge end, a loop twice
     for k, (pi, qi, _) in enumerate(ends):
-        incident[pi].append(k)
-        if qi != pi:
-            incident[qi].append(k)
-    blocks, up, depth = [], [None] * len(incident), [0] * len(incident)
+        at[pi].append((k, qi))
+        at[qi].append((k, pi))
+    blocks, up, depth = [], [None] * len(at), [0] * len(at)
     in_forest = set()
-    for root in range(len(incident)):
+    for root in range(len(at)):
         if up[root] is not None:
             continue
         up[root] = (None, len(blocks))
         blocks.append(None)
         queue = [root]
         for u in queue:
-            for k in incident[u]:
-                pi, qi, e = ends[k]
-                w = qi if pi == u else pi
+            for k, w in at[u]:
                 if up[w] is None:
                     up[w] = (u, len(blocks))
-                    blocks.append(e.weight)
+                    blocks.append(ends[k][2].weight)
                     depth[w] = depth[u] + 1
                     in_forest.add(k)
                     queue.append(w)

@@ -292,8 +292,7 @@ def face_poset_dot(t: OrigamiTemplate) -> str:
     faces = list(poset)
     lines = ["digraph face_poset {", "  rankdir=BT;"]
     for i, f in enumerate(faces):
-        vids = sorted({vid for vid, _ in f.members})
-        label = f"dim {f.dimension}: {','.join(vids)} ({len(f.members)} piece(s))"
+        label = f"dim {f.dimension}: {','.join(f.member_vertices())} ({len(f.members)} piece(s))"
         lines.append(f'  f{i} [label="{label}"];')
     for i, j in poset.covers():
         lines.append(f"  f{i} -> f{j};")

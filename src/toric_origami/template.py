@@ -20,6 +20,7 @@ to coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .exceptions import (
     ConditionOneViolation,
@@ -50,12 +51,14 @@ class TemplateGraph:
     `incidence` maps each edge id to its ordered pair of end vertex ids;
     the pair order only matters for aligning per-end data (fold facet
     references), not for the graph structure.  Loops are pairs with equal
-    ends.  Every vertex, edge and end id must be a str, or the graph is
-    refused with MalformedTemplate naming the id.  The graph is indexed
-    once, at construction: one walk finds the components and a
-    2-colouring, and the queries read what it stored.  The graphs that
-    surgery derives take their parent's index with its one change (a leaf
-    removed, a pendant added) and are neither checked nor walked again.
+    ends.  Every vertex, edge and end id must be a str, and neither
+    `vertices` nor `edges` a str itself, or MalformedTemplate names the id
+    or the argument.  The graph is indexed once, at construction: each
+    vertex lists an (edge id, other end) entry per edge end in edge order,
+    a loop twice; degrees and incident edges are read off these lists, and
+    one walk over them stores the components and whether a 2-colouring
+    exists.  A graph that surgery derives takes its parent's index with
+    the one change (a leaf removed, a pendant added), neither checked nor walked.
     """
 
     vertices: tuple
@@ -63,6 +66,9 @@ class TemplateGraph:
     incidence: dict
 
     def __post_init__(self):
+        for name in ("vertices", "edges"):
+            if isinstance(getattr(self, name), str):
+                raise MalformedTemplate(f"{name} must be a sequence of ids, not a str")
         verts, eids = tuple(self.vertices), tuple(self.edges)
         for kind, ids in (("vertex", verts), ("edge", eids)):
             for i in ids:
@@ -75,8 +81,7 @@ class TemplateGraph:
         if set(self.incidence) != set(eids):
             raise MalformedTemplate("incidence must give exactly one end pair per edge")
         inc = {}
-        incident = {v: () for v in verts}  # incident edges in edge order, a loop once
-        degree = dict.fromkeys(verts, 0)  # edge ends, a loop twice
+        at = {v: () for v in verts}  # (edge id, other end) per edge end in edge order, a loop twice
         for e in eids:
             ends = _pair(self.incidence[e])
             if len(ends) != 2:
@@ -84,13 +89,11 @@ class TemplateGraph:
             for w in ends:
                 if not isinstance(w, str):
                     raise MalformedTemplate(f"edge {e}: end vertex id {w!r} is not a string")
-                if w not in incident:
+                if w not in at:
                     raise MalformedTemplate(f"edge {e}: unknown end vertex {w!r}")
-            inc[e] = ends
-            for w in set(ends):
-                incident[w] += (e,)
-            for w in ends:
-                degree[w] += 1
+            u, v = inc[e] = ends
+            at[u] += ((e, v),)
+            at[v] += ((e, u),)
         # seeds in sorted order, so components come out ordered by least id;
         # the colouring fails on a loop (other == w) or an odd cycle
         color, components, bipartite = {}, [], True
@@ -100,9 +103,7 @@ class TemplateGraph:
             color[seed] = 0
             comp = [seed]
             for w in comp:  # grows as the walk reaches new vertices
-                for e in incident[w]:
-                    u, v = inc[e]
-                    other = v if w == u else u
+                for _, other in at[w]:
                     if other not in color:
                         color[other] = 1 - color[w]
                         comp.append(other)
@@ -110,7 +111,7 @@ class TemplateGraph:
                         bipartite = False
             components.append(frozenset(comp))
         loops = tuple(e for e in eids if inc[e][0] == inc[e][1])
-        self._store(verts, eids, inc, incident, degree, loops, tuple(components), bipartite)
+        self._store(verts, eids, inc, at, loops, tuple(components), bipartite)
 
     @classmethod
     def _derived(cls, *index):
@@ -121,7 +122,7 @@ class TemplateGraph:
         return self
 
     def _store(self, *index):
-        names = "vertices edges incidence _incident _degree _loops _components _bipartite"
+        names = "vertices edges incidence _at _loops _components _bipartite"
         for name, value in zip(names.split(), index):
             object.__setattr__(self, name, value)
 
@@ -130,36 +131,33 @@ class TemplateGraph:
         `neighbor`: one tree, so no loop and a 2-colouring."""
         verts = tuple(w for w in self.vertices if w != vid)
         eids = tuple(e for e in self.edges if e != eid)
-        incident = {w: es for w, es in self._incident.items() if w != vid}
-        incident[neighbor] = tuple(e for e in incident[neighbor] if e != eid)
-        degree = {w: d for w, d in self._degree.items() if w != vid}
-        degree[neighbor] -= 1
+        at = {w: ends for w, ends in self._at.items() if w != vid}
+        at[neighbor] = tuple(end for end in at[neighbor] if end[0] != eid)
         inc = {e: self.incidence[e] for e in eids}
-        return TemplateGraph._derived(verts, eids, inc, incident, degree, (), (frozenset(verts),), True)
+        return TemplateGraph._derived(verts, eids, inc, at, (), (frozenset(verts),), True)
 
     def _with_pendant(self, vid, new_vid, new_eid):
         """This graph plus a new vertex joined to `vid` by a new last edge,
         which adds no loop or cycle and keeps any 2-colouring."""
-        incident = {**self._incident, new_vid: (new_eid,)}
-        incident[vid] += (new_eid,)
-        degree = {**self._degree, new_vid: 1}
-        degree[vid] += 1
+        at = {**self._at, new_vid: ((new_eid, vid),)}
+        at[vid] += ((new_eid, new_vid),)
         inc = {**self.incidence, new_eid: (vid, new_vid)}
         components = tuple(c | {new_vid} if vid in c else c for c in self._components)
         return TemplateGraph._derived(
             self.vertices + (new_vid,), self.edges + (new_eid,), inc,
-            incident, degree, self._loops, components, self._bipartite,
+            at, self._loops, components, self._bipartite,
         )
 
     def ends(self, eid: str) -> tuple:
         return self.incidence[eid]
 
     def incident_edges(self, vid: str) -> tuple:
-        return self._incident.get(vid, ())
+        """The edges with an end at the vertex, in edge order; a loop once."""
+        return tuple(dict.fromkeys(e for e, _ in self._at.get(vid, ())))
 
     def degree(self, vid: str) -> int:
         """Number of edge ends at the vertex; a loop counts twice."""
-        return self._degree.get(vid, 0)
+        return len(self._at.get(vid, ()))
 
     def loops(self) -> tuple:
         return self._loops
@@ -402,21 +400,14 @@ class OrigamiTemplate:
         cond2 = {}
         for vid in self._graph.vertices:
             masks = self._psi_v[vid]._facet_masks
-            by_edge = {}
-            for eid, f, *_ in self._fold_ends[vid]:
-                by_edge.setdefault(eid, set()).add(f)
-            ok = True
-            eids = sorted(by_edge)
-            for i, e1 in enumerate(eids):
-                for e2 in eids[i + 1 :]:
-                    for f1 in by_edge[e1]:
-                        for f2 in by_edge[e2]:
-                            if masks[f1] & masks[f2]:
-                                ok = False
-                                messages.append(
-                                    f"vertex {vid}: fold facets of edges {e1} and {e2} intersect"
-                                )
-            cond2[vid] = ok
+            folds = sorted({end[:2] for end in self._fold_ends[vid]})  # (edge id, facet) pairs
+            meets = sorted(
+                (e1, e2) for (e1, f1), (e2, f2) in combinations(folds, 2)
+                if e1 != e2 and masks[f1] & masks[f2]
+            )
+            for e1, e2 in meets:
+                messages.append(f"vertex {vid}: fold facets of edges {e1} and {e2} intersect")
+            cond2[vid] = not meets
         coorientable = not self._graph.loops()
         report = ValidationReport(
             valid=all(delzant.values()) and all(cond1.values()) and all(cond2.values()),
@@ -476,13 +467,8 @@ class OrigamiTemplate:
         degree = self._graph.degree(vid)
         if degree != 1:
             raise NotALeaf(f"vertex {vid} has degree {degree}, expected 1")
-        (eid,) = self._graph.incident_edges(vid)
-        u, v = self._graph.ends(eid)
-        fu, fv = self._psi_e[eid]
-        if u == vid:
-            neighbor, leaf_facet, attach_facet = v, fu, fv
-        else:
-            neighbor, leaf_facet, attach_facet = u, fv, fu
+        ((eid, leaf_facet, neighbor, *_),) = self._fold_ends[vid]
+        (attach_facet,) = (f for e, f, *_ in self._fold_ends[neighbor] if e == eid)
         leaf_polytope = self._psi_v[vid]
         fold_polytope, base, basis = facet_as_polytope(leaf_polytope, leaf_facet)
         graph = self._graph._without_leaf(vid, eid, neighbor)

@@ -603,6 +603,32 @@ def random_multigraph(rng):
     return tuple(vertices), tuple(edges), incidence
 
 
+def random_fold_template(rng):
+    """A connected template on up to 12 squares and hexagons, with loops
+    and parallel edges, whose fold facets are drawn at random end by end:
+    a loop often names two facets, and folds at one vertex often meet, so
+    conditions (1) and (2) fail often.  Ids are shuffled as in
+    `random_multigraph`."""
+    count = rng.randint(1, 12)
+    vertices = [f"v{k}" for k in range(count)]
+    rng.shuffle(vertices)
+    shapes = (box_polytope(((0, 1), (0, 1))), box_polytope(((0, 2), (0, 1))), hexagon_polytope())
+    psi_v = {v: rng.choice(shapes) for v in vertices}
+    pairs = [(v, rng.choice(vertices[:k])) for k, v in enumerate(vertices) if k]  # a spanning tree
+    for _ in range(rng.randint(0, count)):
+        u = rng.choice(vertices)
+        kind = rng.random()
+        pairs.append((u, u) if kind < 0.3 else (u, rng.choice(vertices)))
+        if kind > 0.8:
+            pairs.append(pairs[-1][::-1])  # a parallel edge, ends reversed
+    rows = [
+        (f"e{j}", u, v, rng.randrange(len(psi_v[u].halfspaces)), rng.randrange(len(psi_v[v].halfspaces)))
+        for j, (u, v) in enumerate(pairs)
+    ]
+    rng.shuffle(rows)
+    return build_template(2, psi_v, rows)
+
+
 # ---------------------------------------------------------------------------
 # independent polygon machinery
 

@@ -288,6 +288,35 @@ def test_constraint_rows_are_frozen(name):
     assert hashlib.sha256(text.encode()).hexdigest() == ROWS_FROZEN[name]
 
 
+# sha256 of repr([(blocks, up, cycles) of _spanning_forest(g)]) over 90
+# `random_moment_graph` graphs (seed 61, n = 1, 2, 3 in turn), which have
+# parallel edges, recorded from the walk over incident-edge lists that
+# listed a loop once
+FOREST_FROZEN = "ff7fc302566b7539725d54ed57e88e17ec0a23ce3528116167d50b46ed0399bc"
+
+
+def test_spanning_forests_are_frozen():
+    rng = random.Random(61)
+    forests = []
+    for k in range(90):
+        forest = _spanning_forest(random_moment_graph(rng, 1 + k % 3))
+        forests.append((forest.blocks, forest.up, forest.cycles))
+    assert hashlib.sha256(repr(forests).encode()).hexdigest() == FOREST_FROZEN
+
+
+def test_spanning_forest_of_a_graph_with_loops_and_a_parallel_pair():
+    # a loop joins no new fixed point and constrains nothing; of the
+    # parallel pair p1-p2, the first edge is in the forest and the second,
+    # reversed, closes a cycle
+    fps = tuple(FixedPoint(f"p{i}", (Fraction(i), Fraction(0)), f"p{i}:0") for i in range(4))
+    pairs = ((1, 2, (1, 0)), (2, 2, (0, 1)), (0, 1, (1, 1)), (2, 1, (1, -1)), (3, 0, (2, 1)), (3, 3, (1, 2)), (2, 3, (0, 1)))
+    edges = tuple(GkmEdge((fps[a], fps[b]), weight, (), False) for a, b, weight in pairs)
+    forest = _spanning_forest(MomentGraph(fps, edges, 2))
+    assert forest.blocks == (None, (1, 1), (2, 1), (1, 0))
+    assert forest.up == ((None, 0), (0, 1), (1, 3), (0, 2))
+    assert forest.cycles == (((1, -1), ((3, 1),)), ((0, 1), ((3, 1), (1, 1), (2, -1))))
+
+
 def test_degree_zero_counts_graph_components():
     assert gkm_dimension(two_point_graph([(1, 0)], 2), 0) == 1
     assert gkm_dimension(two_point_graph([], 2), 0) == 2  # no edges: two components

@@ -1,6 +1,7 @@
 """Template graphs, validation, classification flags, cut and blow-up."""
 
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -21,6 +22,7 @@ from helpers import (
     oracle_is_forest,
     oracle_isomorphic,
     oracle_loops,
+    random_fold_template,
     random_multigraph,
     stopwatch,
     surgery_templates,
@@ -132,6 +134,8 @@ def test_graph_queries_match_independent_oracles():
         assert g.loops() == oracle_loops(edges, incidence)
         degrees = oracle_degrees(vertices, incidence)
         assert {v: g.degree(v) for v in vertices} == degrees
+        for v in vertices:  # in edge order, a loop once
+            assert g.incident_edges(v) == tuple(e for e in edges if v in incidence[e])
         seen.update(
             name
             for name, present in (
@@ -181,6 +185,9 @@ def test_refusals_only_the_python_api_reaches():
         (lambda: TemplateGraph(("a",), (), {"e": ("a", "a")}), one_pair),
         (lambda: TemplateGraph(("a", "b"), ("e",), {"e": ("a", "b", "a")}), two_ends),
         (lambda: TemplateGraph(("a", "b"), ("e",), {"e": ("a",)}), two_ends),
+        # a str of ids was once read one character at a time
+        (lambda: TemplateGraph("ab", (), {}), "vertices must be a sequence of ids, not a str"),
+        (lambda: TemplateGraph(("a", "b"), "e", {"e": ("a", "b")}), "edges must be a sequence of ids, not a str"),
         (lambda: OrigamiTemplate(2, g, {"v1": sq, "v2": sq}, psi_e), one_polytope),
         (lambda: OrigamiTemplate(2, g, {**psi_v, "v4": sq}, psi_e), one_polytope),
         (lambda: OrigamiTemplate(2, g, {**psi_v, "v2": sq.halfspaces}, psi_e), "vertex v2: not a DelzantPolytope"),
@@ -248,6 +255,26 @@ def test_a_polytope_id_that_is_no_string_is_refused(bad):
     message = rf"^vertex v2: polytope id {re.escape(repr(bad))} is not a string$"
     with pytest.raises(MalformedTemplate, match=message):
         OrigamiTemplate(2, chain.graph, chain.psi_v, chain.psi_e, {"v1": "sq", "v2": bad})
+
+
+# sha256 of the `validate().summary()` texts of 400 `random_fold_template`
+# templates (seed 67) joined by blank lines, recorded from the code that
+# grouped each vertex's fold facets by edge and compared them edge pair by
+# edge pair in nested loops
+FOLD_SUMMARIES_FROZEN = "2d4047c663b7eb575a94737cc75d18012ff94c53de7aee4309ac5c70ce620c4e"
+
+
+def test_validation_summaries_of_random_fold_templates_are_frozen():
+    """Condition (2) fails at most of these templates, with several edge
+    pairs meeting at one vertex and loops that name two facets, so its
+    messages and their order are pinned."""
+    rng = random.Random(67)
+    templates = [random_fold_template(rng) for _ in range(400)]
+    reports = [t.validate() for t in templates]
+    text = "\n\n".join(r.summary() for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == FOLD_SUMMARIES_FROZEN
+    assert 300 < sum(not all(r.vertex_condition2.values()) for r in reports) < 400
+    assert sum(len(set(t.edge_facets(e))) == 2 for t in templates for e in t.graph.loops()) > 100
 
 
 def test_validation_report_on_good_template():
