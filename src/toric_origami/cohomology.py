@@ -16,14 +16,16 @@ A nonzero linear form alpha_e is not a zero divisor, so each g_e is fixed
 by the class and this map onto the class space is an isomorphism.  Forest
 edges hold by construction, so only the E - V + c edges off the forest
 (E edges, V fixed points, c components) add constraint rows.  The rows
-are ints: divisibility by an edge weight is read as vanishing on its
+are sparse {column: int} dicts with no zero entry, handed to `lattice`
+as they are: divisibility by an edge weight is read as vanishing on its
 hyperplane, through an integer basis of it.  Restriction there is a ring
 homomorphism, so the image of alpha_e x^m is that of the linear form
-alpha_e times that of the monomial x^m, of degree d - 1.  A request over
-several degrees builds the forest once, and every degree (one loop, for
-Hilbert and Betti numbers) shares each off-forest weight's hyperplane
-basis and monomial images, held by the forest, so degree d + 1 extends
-the images of degree d - 1; nothing outlives the request.  Multiplying
+alpha_e, l_e, times that of the monomial x^m, of degree d - 1.  A
+request over several degrees builds the forest once, and every degree
+(one loop, for Hilbert and Betti numbers) shares each off-forest
+weight's hyperplane basis, monomial images and l_e per forest weight,
+held by the forest, so degree d + 1 extends the images of degree d - 1;
+nothing outlives the request.  Multiplying
 by a variable commutes with the map, so products are taken block by
 block.  Class vectors are exact `fractions.Fraction` values.  Ranks and
 kernels come from `lattice`, which eliminates over the integers without
@@ -233,9 +235,10 @@ class _Forest(NamedTuple):
     alpha_e g_e.  `cycles` holds, per other edge (p, q), its weight and the
     (block, sign) pairs of the forest edges on exactly one of the root
     paths of p and q, + on p's side: f_p - f_q = sum sign * alpha_e g_e.
-    `planes` maps each cycle weight to its hyperplane basis and the images
-    there of monomials of degree below d (the `_restriction` memo), filled
-    by `_constraint_rows` as degrees are solved over the forest and shared
+    `planes` maps each cycle weight to its hyperplane basis B, the images
+    there of monomials of degree below d (the `_restriction` memo) and,
+    per forest weight alpha_e, l_e = (<alpha_e, B_k>)_k, filled by
+    `_constraint_rows` as degrees are solved over the forest and shared
     by them.
     """
 
@@ -309,13 +312,13 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     weight alpha exactly when it vanishes at x = B y, where the n - 1 rows
     of B = `integer_kernel_basis(alpha)` span alpha^perp.  Restriction is
     a ring homomorphism, so the coefficient of g_e[m] there is l_e(y) times
-    the image of x^m, where l_e = (<alpha_e, B_k>)_k is worked out once per
-    (alpha, alpha_e) and is 0, with nothing to add, when alpha_e is
-    parallel to alpha.  Each row, a list of ints, is one y-coefficient.
-    `forest` is `_spanning_forest(g)`, built here when it is not passed
-    in; B and the monomial images are kept in `forest.planes`, so the
-    degrees solved over one forest build each weight's B once and share
-    its images.
+    the image of x^m, where l_e = (<alpha_e, B_k>)_k is 0, with nothing to
+    add, when alpha_e is parallel to alpha.  Each row is one y-coefficient,
+    a {column: int} dict holding no 0; a root block never appears in one,
+    as f_r cancels in f_p - f_q.  `forest` is `_spanning_forest(g)`, built
+    here when it is not passed in; B, the monomial images and each l_e are
+    kept in `forest.planes`, so the degrees solved over one forest work
+    each out once.
     """
     if forest is None:  # built first, so every graph is checked, with unknowns or none
         forest = _spanning_forest(g)
@@ -328,23 +331,26 @@ def _constraint_rows(g: MomentGraph, degree: int, forest: _Forest | None = None)
     if not lower:  # degree 0: f is constant on each component
         return rows, ncols
     ys = {y: i for i, y in enumerate(monomial_basis(n - 1, degree))}
-    terms = {}  # (cycle weight, forest weight) -> per m in lower, the image of alpha_e x^m
+    terms = {}  # (cycle weight, forest weight) -> per m in lower, alpha_e x^m as (row, int) pairs
     for weight, path in forest.cycles:
         if weight not in forest.planes:
-            forest.planes[weight] = (integer_kernel_basis(weight), {})
-        plane, images = forest.planes[weight]
-        cycle_rows = [[0] * ncols for _ in ys]
+            forest.planes[weight] = (integer_kernel_basis(weight), {}, {})
+        plane, images, ells = forest.planes[weight]
+        cycle_rows = [{} for _ in ys]
         for b, sign in path:
             alpha = forest.blocks[b]
             if (weight, alpha) not in terms:
-                ell = [dot(alpha, row) for row in plane]
+                if alpha not in ells:
+                    ells[alpha] = [dot(alpha, row) for row in plane]
+                ell = ells[alpha]
                 terms[weight, alpha] = [
-                    _times(_restriction(m, plane, images), ell) for m in lower
+                    [(ys[y], c) for y, c in _times(_restriction(m, plane, images), ell).items() if c]
+                    for m in lower
                 ] if any(ell) else ()
-            for j, image in enumerate(terms[weight, alpha]):
-                col = offsets[b] + j
-                for y, c in image.items():
-                    cycle_rows[ys[y]][col] += sign * c
+            # a root path holds each forest edge once, so no entry is written twice
+            for col, image in enumerate(terms[weight, alpha], offsets[b]):
+                for i, c in image:
+                    cycle_rows[i][col] = sign * c
         rows.extend(cycle_rows)
     return rows, ncols
 

@@ -3,25 +3,29 @@
 Everything here is computed over Python ints and `fractions.Fraction`; no
 floating point is used anywhere in the package core.  Lattice vectors are
 tuples of ints, rational points are tuples of Fractions, and matrices are
-sequences of row tuples.  All functions are pure and their outputs are
+sequences of rows.  All functions are pure and their outputs are
 deterministic (pivots are always the first nonzero entry in column order).
 
 `rank`, `kernel_dimension`, `kernel_basis` and `pivot_columns` read one
-elimination, exact over ℤ.  Each row is scaled to integers (a row of ints
-is taken as it is, with no per-entry work in Python) and brought to
-echelon form by forward elimination alone: a row is cleared in its
-leading column by an integer combination with the pivot row there, and
-each new pivot row is divided by the gcd of its entries.  The rank and
-the pivot columns are read off the echelon as it stands; only
-`kernel_basis` brings it to reduced row echelon form, from the last
-pivot row up, with the same combination step.  The reduced echelon form
-is unique, so the kernel basis read off its free columns does not depend
-on the row order.
+elimination, exact over ℤ.  A row is a sequence of ncols entries or a
+sparse {column: value} mapping, whose absent columns are 0; the two
+forms may be mixed, and a matrix of mappings needs its column count
+given.  Each row is scaled to integers (a dense row of ints is taken as
+it is, with no per-entry work in Python, and a mapping of nonzero ints
+is passed on as it is) and brought to echelon form by forward
+elimination alone: a row is cleared in its leading column by an integer
+combination with the pivot row there, and each new pivot row is divided
+by the gcd of its entries.  The rank and the pivot columns are read off
+the echelon as it stands; only `kernel_basis` brings it to reduced row
+echelon form, from the last pivot row up, with the same combination
+step.  The reduced echelon form is unique, so the kernel basis read off
+its free columns does not depend on the row order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, compress
 
@@ -53,15 +57,23 @@ def primitive(v):
 def _integer_rows(rows, ncols):
     """Each row scaled by the lcm of its denominators, as a sparse {column: int} dict.
 
-    int and Fraction entries are read as they are; any other entry goes
-    through Fraction(), so "1/2", 0.5 and Decimal("0.5") are all 1/2, and an
-    entry that is zero only once converted ("0/1") is dropped.
+    A {column: value} row is read by its items, with its zero values
+    dropped; one of nonzero ints is returned as it is, not copied.  int
+    and Fraction entries are read as they are; any other entry goes
+    through Fraction(), so "1/2", 0.5 and Decimal("0.5") are all 1/2, and
+    an entry that is zero only once converted ("0/1") is dropped.
     """
     out = []
     for row in rows:
-        if len(row) != ncols:
+        if isinstance(row, (dict, Mapping)):  # dict first: its check is the cheap one
+            if row and (min(row) < 0 or max(row) >= ncols):
+                bad = next(c for c in row if not 0 <= c < ncols)
+                raise DimensionError(f"column {bad} in a {ncols}-column matrix")
+            entries = row if all(row.values()) else {c: x for c, x in row.items() if x}
+        elif len(row) != ncols:
             raise DimensionError(f"row of length {len(row)} in a {ncols}-column matrix")
-        entries = dict(compress(enumerate(row), row))
+        else:
+            entries = dict(compress(enumerate(row), row))
         if not {int}.issuperset(map(type, entries.values())):  # a row of ints needs no scaling
             entries = {
                 c: x if isinstance(x, (int, Fraction)) else Fraction(x)
@@ -117,6 +129,8 @@ def _column_count(rows, ncols):
         return ncols
     if not rows:
         raise DimensionError("column count required for an empty matrix")
+    if isinstance(rows[0], Mapping):
+        raise DimensionError("column count required for a matrix of mapping rows")
     return len(rows[0])
 
 

@@ -19,6 +19,7 @@ to coincide.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -51,14 +52,15 @@ class TemplateGraph:
     `incidence` maps each edge id to its ordered pair of end vertex ids;
     the pair order only matters for aligning per-end data (fold facet
     references), not for the graph structure.  Loops are pairs with equal
-    ends.  Every vertex, edge and end id must be a str, and neither
-    `vertices` nor `edges` a str itself, or MalformedTemplate names the id
-    or the argument.  The graph is indexed once, at construction: each
-    vertex lists an (edge id, other end) entry per edge end in edge order,
-    a loop twice; degrees and incident edges are read off these lists, and
-    one walk over them stores the components and whether a 2-colouring
-    exists.  A graph that surgery derives takes its parent's index with
-    the one change (a leaf removed, a pendant added), neither checked nor walked.
+    ends.  Every vertex, edge and end id must be a str, `vertices` and
+    `edges` iterables of ids but not a str themselves, and `incidence` a
+    mapping, or MalformedTemplate names the id or the argument.  The graph
+    is indexed once, at construction: each vertex lists an (edge id, other
+    end) entry per edge end in edge order, a loop twice; degrees and
+    incident edges are read off these lists, and one walk over them stores
+    the components and whether a 2-colouring exists.  A graph that surgery
+    derives takes its parent's index with the one change (a leaf removed,
+    a pendant added), neither checked nor walked.
     """
 
     vertices: tuple
@@ -66,10 +68,22 @@ class TemplateGraph:
     incidence: dict
 
     def __post_init__(self):
+        ids = []
         for name in ("vertices", "edges"):
-            if isinstance(getattr(self, name), str):
+            value = getattr(self, name)
+            if isinstance(value, str):
                 raise MalformedTemplate(f"{name} must be a sequence of ids, not a str")
-        verts, eids = tuple(self.vertices), tuple(self.edges)
+            try:
+                ids.append(tuple(value))
+            except TypeError:
+                raise MalformedTemplate(
+                    f"{name} must be a sequence of ids, not {type(value).__name__}"
+                ) from None
+        verts, eids = ids
+        if not isinstance(self.incidence, Mapping):
+            raise MalformedTemplate(
+                f"incidence must map edge ids to end pairs, not {type(self.incidence).__name__}"
+            )
         for kind, ids in (("vertex", verts), ("edge", eids)):
             for i in ids:
                 if not isinstance(i, str):

@@ -31,7 +31,7 @@ from operator import mul
 
 from toric_origami import DelzantPolytope, HalfSpace, OrigamiTemplate, TemplateGraph, load_corpus
 from toric_origami.fileformat import corpus_names
-from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph
+from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph, moment_graph
 
 # ---------------------------------------------------------------------------
 # runtime budgets
@@ -1101,6 +1101,23 @@ def random_moment_graph(rng, n=None):
             )
         )
     return MomentGraph(fixed_points=fps, edges=tuple(edges), dimension=n)
+
+
+def constraint_row_graphs(seed=97):
+    """Moment graphs of every shape the class-space solver meets: random
+    graphs (n = 1..3), box paths (n = 2..4) and hexagon trees."""
+    rng = random.Random(seed)
+    graphs = [random_moment_graph(rng, n) for n in (1, 2, 3) for _ in range(6)]
+    graphs += [
+        moment_graph(box_path_template(rng, n, rng.randint(1, 5 - n))) for n in (2, 3, 4) for _ in range(3)
+    ]
+    graphs += [moment_graph(hexagon_tree_template(rng, rng.randint(2, 8))) for _ in range(4)]
+    # x_3 restricts to (1, 1, 1)^perp as -(y_1 + y_2), and l_e of the forest
+    # weight (1, -1, 0) there is y_1 - y_2: the y_1 y_2 terms of their product cancel
+    a, b = (FixedPoint(f"p{i}", (Fraction(i),) * 3, f"p{i}:0") for i in range(2))
+    edges = tuple(GkmEdge((a, b), w, (), False) for w in ((1, -1, 0), (1, 1, 1)))
+    graphs.append(MomentGraph(fixed_points=(a, b), edges=edges, dimension=3))
+    return graphs
 
 
 def _oracle_joint_system(g, degree):

@@ -277,6 +277,52 @@ def test_ragged_rows_are_refused_on_either_side():
             kernel_dimension(rows, ncols)
 
 
+def _sparse_entry(rng):
+    """An int, a Fraction or a "p/q" string, zero about half the time."""
+    q = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) if rng.random() < 0.5 else Fraction(0)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return math.floor(q)
+    if kind == 1:
+        return q
+    k = rng.randint(1, 3)  # "0/3" is a zero that only its conversion shows
+    return f"{q.numerator * k}/{q.denominator * k}"
+
+
+def test_mapping_rows_read_as_their_dense_rows():
+    # a {column: value} row is the dense row with those entries and 0
+    # elsewhere, whatever its key order and whether its zeros are given
+    rng = random.Random(89)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 8)
+        dense = [[_sparse_entry(rng) for _ in range(n)] for _ in range(m)]
+        sparse = []
+        for row in dense:
+            items = [(c, x) for c, x in enumerate(row) if x != 0 or rng.random() < 0.5]
+            rng.shuffle(items)
+            sparse.append(dict(items))
+        mixed = [rng.choice(pair) for pair in zip(dense, sparse)]
+        expected = (oracle_rank(dense, n), oracle_nullity(dense, n),
+                    oracle_pivot_columns(dense, n), oracle_kernel_basis(dense, n))
+        for rows in (dense, sparse, mixed):
+            got = (rank(rows, n), kernel_dimension(rows, n), pivot_columns(rows, n), kernel_basis(rows, n))
+            assert got == expected, rows
+
+
+def test_a_mapping_column_outside_the_matrix_is_refused():
+    for bad in (-1, 3, 10):
+        for query in (rank, kernel_dimension, pivot_columns, kernel_basis):
+            with pytest.raises(DimensionError) as info:
+                query([{0: 1}, {1: 2, bad: 1}], 3)
+            assert str(info.value) == f"column {bad} in a 3-column matrix"
+    assert (rank([{}], 3), kernel_dimension([{}, {2: 0}], 3)) == (0, 3)
+    for query in (rank, kernel_dimension):
+        with pytest.raises(DimensionError) as info:
+            query([{0: 1}])
+        assert str(info.value) == "column count required for a matrix of mapping rows"
+
+
 def test_hermite_basis_normal_form_shape():
     rows = [(2, 4, 4), (-6, 6, 12), (10, 4, 16)]
     basis = hermite_basis(rows, 3)

@@ -188,6 +188,11 @@ def test_refusals_only_the_python_api_reaches():
         # a str of ids was once read one character at a time
         (lambda: TemplateGraph("ab", (), {}), "vertices must be a sequence of ids, not a str"),
         (lambda: TemplateGraph(("a", "b"), "e", {"e": ("a", "b")}), "edges must be a sequence of ids, not a str"),
+        # an argument that is no iterable, or no mapping, once escaped as a bare TypeError
+        (lambda: TemplateGraph(None, (), {}), "vertices must be a sequence of ids, not NoneType"),
+        (lambda: TemplateGraph(("a",), 5, {}), "edges must be a sequence of ids, not int"),
+        (lambda: TemplateGraph(("a",), (), None), "incidence must map edge ids to end pairs, not NoneType"),
+        (lambda: TemplateGraph(("a",), ("e",), ["e"]), "incidence must map edge ids to end pairs, not list"),
         (lambda: OrigamiTemplate(2, g, {"v1": sq, "v2": sq}, psi_e), one_polytope),
         (lambda: OrigamiTemplate(2, g, {**psi_v, "v4": sq}, psi_e), one_polytope),
         (lambda: OrigamiTemplate(2, g, {**psi_v, "v2": sq.halfspaces}, psi_e), "vertex v2: not a DelzantPolytope"),
