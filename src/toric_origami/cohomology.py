@@ -25,12 +25,13 @@ request over several degrees builds the forest once, and every degree
 (one loop, for Hilbert and Betti numbers) shares each off-forest
 weight's hyperplane basis, monomial images and l_e per forest weight,
 held by the forest, so degree d + 1 extends the images of degree d - 1;
-nothing outlives the request.  Multiplying
-by a variable commutes with the map, so products are taken block by
-block.  Class vectors are exact `fractions.Fraction` values.  Ranks and
-kernels come from `lattice`, which eliminates over the integers without
-fractions, so every answer is exact by construction.  Membership tests
-are exact polynomial division, never numerical.
+nothing outlives the request.  No row holds a root-block column, so
+generator counts need only the classes on the forest-edge blocks, read
+as integer {column: int} kernel vectors; multiplying by a variable
+commutes with the map, so their products are taken block by block.
+Ranks and kernels come from `lattice`, which eliminates over the
+integers without fractions, so every answer is exact by construction.
+Membership tests are exact polynomial division, never numerical.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ from typing import NamedTuple
 
 from .exceptions import FreenessViolation, InternalConsistency, ShapeError
 from .gkm import MomentGraph
-from .lattice import dot, integer_kernel_basis, kernel_basis, kernel_dimension, rank
+from .lattice import _kernel_vectors, dot, integer_kernel_basis, kernel_dimension, rank
+
+# bound here though unused: the benchmark's tracer (perfbench/tracing.py)
+# wraps `cohomology.kernel_basis` by name and reports it missing otherwise
+from .lattice import kernel_basis  # noqa: F401
 
 
 @lru_cache(maxsize=None)
@@ -364,18 +369,25 @@ def _nullities(g: MomentGraph, max_degree: int):
         yield kernel_dimension(rows, ncols) if ncols else 0
 
 
+def _check_count(value, name):
+    """Refuse, naming it, a degree or rank that is not a nonnegative int;
+    a bool or 1.0 is refused too, before any cached basis can match it."""
+    if type(value) is not int:
+        raise ShapeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 0:
+        raise ShapeError(f"{name} must be nonnegative")
+
+
 def gkm_dimension(g: MomentGraph, degree: int) -> int:
     """Dimension of the degree-d class space of a moment graph."""
-    if degree < 0:
-        raise ShapeError("degree must be nonnegative")
+    _check_count(degree, "degree")
     rows, ncols = _constraint_rows(g, degree)  # builds its own forest
     return kernel_dimension(rows, ncols) if ncols else 0
 
 
 def hilbert_function(g: MomentGraph, max_degree: int) -> HilbertFunction:
     """Class-space dimensions in degrees 0 through max_degree."""
-    if max_degree < 0:
-        raise ShapeError("max_degree must be nonnegative")
+    _check_count(max_degree, "max_degree")
     return HilbertFunction(tuple(_nullities(g, max_degree)))
 
 
@@ -389,8 +401,7 @@ def betti_numbers(g: MomentGraph, n: int | None = None) -> BettiVector:
     """
     if n is None:
         n = g.dimension
-    if n < 0:
-        raise ShapeError("ambient rank must be nonnegative")
+    _check_count(n, "ambient rank")
     h = list(_nullities(g, n))
     b = []
     for d in range(n + 1):
@@ -493,23 +504,24 @@ def check_membership(g: MomentGraph, c: ClassTuple) -> MembershipResult:
 
 
 def _shift_targets(blocks, n, degree):
-    """Per variable x_i, the degree-d column of x_i times each degree-(d - 1) column.
+    """Per variable x_i, {degree-(d - 1) column: degree-d column} of x_i
+    times each forest-edge block column.
 
     Multiplying by x_i commutes with the forest coordinates, as
-    x_i f_v = x_i f_r + sum alpha_e (x_i g_e): root blocks shift from
-    degree d - 1 to d and forest-edge blocks from d - 2 to d - 1.
+    x_i f_v = x_i f_r + sum alpha_e (x_i g_e), so it takes each g_e from
+    degree d - 2 to d - 1.  The root blocks are left out: the classes
+    `generator_degrees` multiplies hold none of their columns.
     """
     src = _block_bases(n, degree - 1)
     dst = _block_bases(n, degree)
-    offsets, _ = _offsets(blocks, *map(len, dst))
-    indices = [{m: j for j, m in enumerate(basis)} for basis in dst]
+    src_offsets, _ = _offsets(blocks, *map(len, src))
+    dst_offsets, _ = _offsets(blocks, *map(len, dst))
+    edges = [(s, t) for b, s, t in zip(blocks, src_offsets, dst_offsets) if b is not None]
+    index = {m: j for j, m in enumerate(dst[1])}
     targets = []
     for i in range(n):
-        shifted = [
-            [index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in basis]
-            for basis, index in zip(src, indices)
-        ]
-        targets.append([t + j for b, t in zip(blocks, offsets) for j in shifted[b is not None]])
+        shifted = list(enumerate(index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in src[1]))
+        targets.append({s + j: t + k for s, t in edges for j, k in shifted})
     return targets
 
 
@@ -519,41 +531,50 @@ def generator_degrees(g: MomentGraph, max_degree: int | None = None) -> tuple:
     In each degree d the count is h_d minus the dimension spanned inside
     the degree-d class space by monomial multiples of lower-degree
     classes; as x^m * c = x_i * (x^(m - e_i) * c), the products of the
-    variables with the degree d - 1 basis span it.  Only nonzero counts
-    are reported, as (degree, count) pairs in increasing degree.
+    variables with the degree d - 1 classes span it.  No constraint row
+    holds a root-block column, so the class space is the whole of each
+    root block (c of them, one per component) plus the classes on the
+    forest-edge blocks alone, and for d >= 1 the variables times the root
+    blocks fill every root column.  So the count is h_d - c dim S_d minus
+    the rank of the variables times the degree-(d - 1) classes off the
+    root blocks, read as integer kernel vectors; degree 0 has the c
+    constants.  The last degree needs only h_d.  Only nonzero counts are
+    reported, as (degree, count) pairs in increasing degree.
     """
     n = g.dimension
     if max_degree is None:
         max_degree = n
-    if max_degree < 0:
-        raise ShapeError("max_degree must be nonnegative")
+    _check_count(max_degree, "max_degree")
     forest = _spanning_forest(g)
-    lower = []  # the degree d - 1 class basis
+    roots = forest.blocks.count(None)
+    lower = []  # the degree d - 1 classes off the root blocks, as {column: int} vectors
     out = []
     for d in range(max_degree + 1):
         rows, ncols = _constraint_rows(g, d, forest)
-        basis = kernel_basis(rows, ncols) if ncols else []
         products = []
-        if lower:
-            targets = _shift_targets(forest.blocks, n, d)
-            entries = []
-            for vec in lower:  # scaled to ints once: scaling a row keeps the rank
-                nonzero = [(c, x) for c, x in enumerate(vec) if x]
-                scale = math.lcm(*(x.denominator for _, x in nonzero))
-                entries.append([(c, x.numerator * (scale // x.denominator)) for c, x in nonzero])
-            for target in targets:
-                for nonzero in entries:
-                    product = [0] * ncols
-                    for c, x in nonzero:
-                        product[target[c]] = x
-                    products.append(product)
+        if lower:  # latest free column first: far fewer elimination steps than column order
+            for target in _shift_targets(forest.blocks, n, d):
+                products += [{target[c]: x for c, x in vec.items()} for vec in reversed(lower)]
         spanned = rank(products, ncols) if products else 0
-        count = len(basis) - spanned
+        basis, edge_basis = _block_bases(n, d)
+        if d < max_degree:
+            offsets, _ = _offsets(forest.blocks, len(basis), len(edge_basis))
+            root_columns = {
+                t + j
+                for b, t in zip(forest.blocks, offsets)
+                if b is None
+                for j in range(len(basis))
+            }
+            vectors = _kernel_vectors(rows, ncols) if ncols else {}
+            lower = [vec for f, vec in vectors.items() if f not in root_columns]
+            dimension = len(lower)
+        else:
+            dimension = (kernel_dimension(rows, ncols) if ncols else 0) - roots * len(basis)
+        count = dimension - spanned if d else roots
         if count < 0:
             raise InternalConsistency(
                 f"degree-{d} products exceed the class space they live in"
             )
         if count:
             out.append((d, count))
-        lower = basis
     return tuple(out)

@@ -16,10 +16,13 @@ is passed on as it is) and brought to echelon form by forward
 elimination alone: a row is cleared in its leading column by an integer
 combination with the pivot row there, and each new pivot row is divided
 by the gcd of its entries.  The rank and the pivot columns are read off
-the echelon as it stands; only `kernel_basis` brings it to reduced row
-echelon form, from the last pivot row up, with the same combination
-step.  The reduced echelon form is unique, so the kernel basis read off
-its free columns does not depend on the row order.
+the echelon as it stands; only a kernel basis needs the reduced row
+echelon form, reached from the last pivot row up with the same
+combination step.  One private reader, `_kernel_vectors`, reads the
+kernel off it as one sparse {column: int} vector per free column;
+`kernel_basis` writes those as `Fraction` tuples.  The reduced echelon
+form is unique, so the kernel basis read off its free columns does not
+depend on the row order.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def _integer_rows(rows, ncols):
     """Each row scaled by the lcm of its denominators, as a sparse {column: int} dict.
 
     A {column: value} row is read by its items, with its zero values
-    dropped; one of nonzero ints is returned as it is, not copied.  int
+    dropped; one of nonzero ints is returned as it is, not copied.  Its
+    columns must be ints (a bool is not one) in range(ncols).  int
     and Fraction entries are read as they are; any other entry goes
     through Fraction(), so "1/2", 0.5 and Decimal("0.5") are all 1/2, and
     an entry that is zero only once converted ("0/1") is dropped.
@@ -66,6 +70,9 @@ def _integer_rows(rows, ncols):
     out = []
     for row in rows:
         if isinstance(row, (dict, Mapping)):  # dict first: its check is the cheap one
+            if not {int}.issuperset(map(type, row)):  # one pass at C speed
+                bad = next(c for c in row if type(c) is not int)
+                raise DimensionError(f"column {bad!r} is not an int")
             if row and (min(row) < 0 or max(row) >= ncols):
                 bad = next(c for c in row if not 0 <= c < ncols)
                 raise DimensionError(f"column {bad} in a {ncols}-column matrix")
@@ -136,7 +143,9 @@ def _column_count(rows, ncols):
 
 def pivot_columns(rows, ncols):
     """The columns of a rational matrix independent of the columns before them."""
-    return sorted(_eliminate(_integer_rows(rows, ncols)))
+    if not rows:
+        return []
+    return sorted(_eliminate(_integer_rows(rows, _column_count(rows, ncols))))
 
 
 def rank(rows, ncols=None):
@@ -152,14 +161,15 @@ def kernel_dimension(rows, ncols=None):
     return ncols - rank(rows, ncols)
 
 
-def kernel_basis(rows, ncols):
-    """Deterministic basis of the right kernel of a rational matrix.
+def _kernel_vectors(rows, ncols):
+    """The right kernel as {free column f: sparse {column: int} vector}, f ascending.
 
     The echelon is brought to reduced form, from the last pivot row up:
     each pivot row is cleared, by `_combine`, in the pivot columns after
-    its own.  One basis vector per free column f: 1 in column f and
-    −R[f] / R[c] in the column c of each pivot row R; the empty matrix
-    yields the standard basis.
+    its own, so it then holds its pivot column c and free columns only.
+    The vector of f is −R[f] / R[c] in the column c of each pivot row R
+    holding f and 1 in column f, times the lcm L of those R[c]: L in
+    column f and −R[f]·(L / R[c]) in column c, no zero stored.
     """
     pivots = _eliminate(_integer_rows(rows, ncols))
     for c in sorted(pivots, reverse=True):
@@ -167,17 +177,36 @@ def kernel_basis(rows, ncols):
         for p in [j for j in R if j != c and j in pivots]:
             R = _combine(R, pivots[p], p)
         pivots[c] = R
-    zero, one = Fraction(0), Fraction(1)
-    basis = {}
-    for f in range(ncols):
-        if f not in pivots:
-            basis[f] = [zero] * ncols
-            basis[f][f] = one
-    for c, R in pivots.items():  # in reduced form R holds only c and free columns
+    terms = {f: [] for f in range(ncols) if f not in pivots}
+    for c, R in pivots.items():
         for f, x in R.items():
             if f != c:
-                basis[f][c] = Fraction(-x, R[c])
-    return [tuple(vec) for vec in basis.values()]
+                terms[f].append((c, x, R[c]))
+    vectors = {}
+    for f, entries in terms.items():
+        scale = math.lcm(*(p for _, _, p in entries))
+        vectors[f] = {f: scale, **{c: -x * (scale // p) for c, x, p in entries}}
+    return vectors
+
+
+def kernel_basis(rows, ncols):
+    """Deterministic basis of the right kernel of a rational matrix.
+
+    One tuple per free column f, in column order, read off the reduced
+    echelon (`_kernel_vectors`): 1 in column f and −R[f] / R[c] in the
+    column c of each pivot row R; the empty matrix yields the standard
+    basis.
+    """
+    ncols = _column_count(rows, ncols)
+    zero = Fraction(0)
+    basis = []
+    for f, vec in _kernel_vectors(rows, ncols).items():
+        scale = vec[f]
+        row = [zero] * ncols
+        for c, x in vec.items():
+            row[c] = Fraction(x, scale)
+        basis.append(tuple(row))
+    return basis
 
 
 def rational_to_primitive(vec):

@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from helpers import constraint_row_graphs
-from toric_origami.cohomology import _constraint_rows, _spanning_forest
+from toric_origami import cohomology
+from toric_origami.cohomology import (
+    _block_bases,
+    _constraint_rows,
+    _offsets,
+    _spanning_forest,
+    generator_degrees,
+)
 from toric_origami.lattice import kernel_basis, kernel_dimension, rank
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -33,25 +40,59 @@ def test_every_benchmark_boundary_resolves(monkeypatch):
 
 def test_matrix_counts_of_sparse_rows_match_their_dense_expansion(monkeypatch):
     # the tracer iterates a row: over a {column: int} row that is its keys,
-    # and it counts the truthy ones as the row's nonzeros
+    # and it counts the truthy ones as the row's nonzeros; the constraint
+    # rows and the product rows generator_degrees hands `cohomology.rank`
+    # hold no root-block column, so not column 0 either
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
+    products, degrees = [], []
+
+    def rows_of_degree(g, degree, forest=None):
+        degrees.append(degree)
+        return _constraint_rows(g, degree, forest)
+
+    def captured(rows, ncols=None):
+        products.append((rows, ncols, degrees[-1]))
+        return rank(rows, ncols)
+
+    def check(rows, ncols, queries, roots):
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        for name, query in queries:
+            count = tracing._matrix_counts(name)
+            sparse_counts = count((rows, ncols), {}, query(rows, ncols))
+            assert sparse_counts == count((dense, ncols), {}, query(dense, ncols))
+            assert sparse_counts["lattice.nonzeros"] == sum(map(len, rows))
+        for row in rows:
+            assert type(row) is dict and all(type(x) is int and x for x in row.values())
+            assert all(0 <= c < ncols for c in row) and not roots & row.keys()
+
+    def root_columns(forest, n, d):
+        basis, lower = _block_bases(n, d)
+        offsets, _ = _offsets(forest.blocks, len(basis), len(lower))
+        return {t + j for b, t in zip(forest.blocks, offsets) if b is None for j in range(len(basis))}
+
+    monkeypatch.setattr(cohomology, "_constraint_rows", rows_of_degree)
+    monkeypatch.setattr(cohomology, "rank", captured)
+    product_rows = 0
     try:
         for g in constraint_row_graphs():
             forest = _spanning_forest(g)
             for d in range(g.dimension + 2):
                 rows, ncols = _constraint_rows(g, d, forest)
-                if not ncols:
-                    continue
-                dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-                for name, query in (("rank", rank), ("kernel_dimension", kernel_dimension),
-                                    ("kernel_basis", kernel_basis)):
-                    count = tracing._matrix_counts(name)
-                    sparse_counts = count((rows, ncols), {}, query(rows, ncols))
-                    assert sparse_counts == count((dense, ncols), {}, query(dense, ncols)), (g, d)
-                    assert sparse_counts["lattice.nonzeros"] == sum(map(len, rows))
+                if ncols:
+                    queries = (("rank", rank), ("kernel_dimension", kernel_dimension),
+                               ("kernel_basis", kernel_basis))
+                    check(rows, ncols, queries, root_columns(forest, g.dimension, d))
+            products.clear()
+            generator_degrees(g, g.dimension + 1)
+            for rows, ncols, d in products:
+                roots = root_columns(forest, g.dimension, d)
+                assert 0 in roots and ncols == _constraint_rows(g, d, forest)[1], (g, d)
+                check(rows, ncols, (("rank", rank),), roots)
+                product_rows += len(rows)
     finally:
         sys.modules.pop("tracing", None)
+    assert product_rows > 1000
 
 
 def test_the_size_script_runs():

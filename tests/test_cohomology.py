@@ -1,9 +1,12 @@
 """Class spaces over moment graphs: dimensions, Betti numbers, membership."""
 
 import hashlib
+import importlib
 import random
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from helpers import (
     poly_sub,
     random_moment_graph,
 )
-from toric_origami import cohomology, load_corpus
+from toric_origami import cohomology, lattice, load_corpus
 from toric_origami.cohomology import (
     BettiVector,
     _block_bases,
@@ -36,7 +39,8 @@ from toric_origami.cohomology import (
     hilbert_function,
     monomial_basis,
 )
-from toric_origami.exceptions import FreenessViolation, InternalConsistency, ShapeError
+from toric_origami.exceptions import FreenessViolation, InternalConsistency, OrigamiError, ShapeError
+from toric_origami.fileformat import corpus_names
 from toric_origami.gkm import FixedPoint, GkmEdge, MomentGraph, moment_graph
 from toric_origami.lattice import dot, integer_kernel_basis, kernel_basis
 
@@ -50,6 +54,9 @@ def two_point_graph(weights, n):
         for w in weights
     )
     return MomentGraph(fixed_points=(a, b), edges=edges, dimension=n)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +367,34 @@ def test_degree_zero_counts_graph_components():
         gkm_dimension(two_point_graph([(1, 0)], 2), -1)
 
 
+def test_a_degree_that_is_no_int_is_refused_by_name():
+    # 1.0 == 1 and hashes alike, so once monomial_basis had cached degree 1
+    # gkm_dimension(g, 1.0) answered 3, and in a fresh process it raised a
+    # bare TypeError; the refusal must not depend on what the cache holds
+    g = cp2_graph()
+    queries = (
+        ("degree", lambda d: gkm_dimension(g, d)),
+        ("max_degree", lambda d: hilbert_function(g, d)),
+        ("max_degree", lambda d: generator_degrees(g, d)),
+        ("ambient rank", lambda d: betti_numbers(g, d)),
+    )
+    for warm in (False, True):
+        monomial_basis.cache_clear()
+        for name, query in queries:
+            if warm:
+                query(2)
+            for bad in (1.0, 2.0, 1.5, True, "1"):
+                with pytest.raises(ShapeError) as info:
+                    query(bad)
+                assert str(info.value) == f"{name} must be an int, not {type(bad).__name__}"
+            with pytest.raises(ShapeError) as info:
+                query(-1)
+            assert str(info.value) == f"{name} must be nonnegative"
+    for query in (gkm_dimension, hilbert_function):  # None is a default only for the other two
+        with pytest.raises(ShapeError, match="must be an int, not NoneType"):
+            query(g, None)
+
+
 # ---------------------------------------------------------------------------
 # Betti numbers
 
@@ -516,6 +551,16 @@ def test_generator_degrees_match_nonzero_betti_layers():
         assert generator_degrees(g) == expected, name
 
 
+def _disjoint_union(*graphs):
+    """One moment graph with each given graph (all of one rank) as its own components."""
+    fps, edges = [], []
+    for k, g in enumerate(graphs):
+        rename = {fp: FixedPoint(f"{k}.{fp.vertex_id}", fp.point, f"{k}.{fp.key}") for fp in g.fixed_points}
+        fps += rename.values()
+        edges += [GkmEdge(tuple(map(rename.get, e.endpoints)), e.weight, e.chain, e.folded) for e in g.edges]
+    return MomentGraph(fixed_points=tuple(fps), edges=tuple(edges), dimension=graphs[0].dimension)
+
+
 def test_generator_degrees_match_the_definition_off_the_free_case():
     graphs = [
         two_point_graph([(1, 0), (0, 1), (1, 1)], 2),
@@ -524,16 +569,77 @@ def test_generator_degrees_match_the_definition_off_the_free_case():
     ]
     rng = random.Random(47)
     graphs += [random_moment_graph(rng, n) for n in (1, 2, 3) for _ in range(6)]
-    free = 0
+    # disconnected graphs: c root blocks, with a non-free piece or a lone point among them
+    graphs += [
+        _disjoint_union(graphs[0], two_point_graph([(1, 2)], 2)),
+        _disjoint_union(graphs[1], graphs[0], two_point_graph([], 2)),
+        _disjoint_union(graphs[2], two_point_graph([(0, 1, 1)], 3)),
+        two_point_graph([], 3),
+    ]
+    graphs += [_disjoint_union(random_moment_graph(rng, n), random_moment_graph(rng, n)) for n in (1, 2, 2, 3)]
+    free = disconnected = 0
     for i, g in enumerate(graphs):
         top = min(g.dimension + 1, 3)
         assert generator_degrees(g, top) == oracle_generator_degrees(g, top), i
+        disconnected += _spanning_forest(g).blocks.count(None) > 1
         try:
             betti_numbers(g)
             free += 1
         except FreenessViolation:
             pass
     assert len(graphs) - free >= 6  # the sample reaches past the free case
+    assert disconnected >= 8
+
+
+# sha256 of repr([(label, generator_degrees(g, g.dimension + 1))]) over the
+# corpus graphs, `constraint_row_graphs()`, 300 `random_moment_graph` graphs
+# (seed 73, n = 1, 2, 3 in turn) and the `classes` benchmark graphs of seed
+# 7, recorded from the code that multiplied a Fraction kernel basis of every
+# block, root blocks included, as dense product rows
+GENERATORS_FROZEN = "6b163cb0817fa00c9baa8df110de29805b40e11c695605f9e86aab5949a42714"
+
+
+def _benchmark_class_graphs(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads").class_graphs(seed)
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("inputs", None)
+
+
+def test_generator_degrees_are_frozen(monkeypatch):
+    graphs = []
+    for name in corpus_names():
+        try:
+            graphs.append((f"corpus:{name}", moment_graph(load_corpus(name))))
+        except OrigamiError:  # a cyclic template has no moment graph
+            pass
+    graphs += [(f"rows:{i}", g) for i, g in enumerate(constraint_row_graphs())]
+    rng = random.Random(73)
+    graphs += [(f"random:{k}", random_moment_graph(rng, 1 + k % 3)) for k in range(300)]
+    graphs += [(f"classes:{i}", g) for i, (_, g) in enumerate(_benchmark_class_graphs(monkeypatch, 7))]
+    assert len(graphs) == 372
+    text = repr([(label, generator_degrees(g, g.dimension + 1)) for label, g in graphs])
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATORS_FROZEN
+
+
+def test_generator_requests_take_a_fixed_number_of_elimination_steps(monkeypatch):
+    # every `_combine` of the generator requests of one `classes` pass
+    # (seed 7): 4 971 with Fraction bases of every block, 4 566 off the root
+    # blocks with the product rows in column order, 1 212 latest free column first
+    steps = []
+
+    def counted(r, R, col):
+        steps.append(col)
+        return combine(r, R, col)
+
+    combine = lattice._combine
+    graphs = _benchmark_class_graphs(monkeypatch, 7)
+    monkeypatch.setattr(lattice, "_combine", counted)
+    for _, g in graphs[1:]:  # the 4-cube path has no generator request
+        generator_degrees(g)
+    assert len(steps) == 1212
 
 
 def test_generator_degrees_respect_max_degree():

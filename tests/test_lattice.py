@@ -17,6 +17,7 @@ from helpers import (
 )
 from toric_origami.exceptions import DegenerateInput, DimensionError
 from toric_origami.lattice import (
+    _kernel_vectors,
     dot,
     hermite_basis,
     integer_kernel_basis,
@@ -264,9 +265,40 @@ def test_answers_do_not_depend_on_row_order_or_scale():
 
 def test_an_empty_matrix_needs_its_column_count_only_for_the_nullity():
     assert rank([]) == rank([], 3) == 0
+    assert pivot_columns([], None) == pivot_columns([], 3) == []
     assert kernel_dimension([], 3) == 3
-    with pytest.raises(DimensionError, match="column count required"):
-        kernel_dimension([])
+    for query in (kernel_dimension, kernel_basis):
+        with pytest.raises(DimensionError, match="column count required"):
+            query([], None)
+
+
+def test_every_query_reads_the_column_count_off_a_dense_row():
+    rows = [[1, 2], [2, 4]]
+    assert pivot_columns(rows, None) == pivot_columns(rows, 2) == [0]
+    assert kernel_basis(rows, None) == kernel_basis(rows, 2) == [(Fraction(-2), Fraction(1))]
+    for query in (pivot_columns, kernel_basis):
+        with pytest.raises(DimensionError, match="column count required for a matrix of mapping rows"):
+            query([{0: 1}], None)
+
+
+def test_kernel_vectors_are_the_kernel_basis_scaled_to_ints():
+    # one sparse {column: int} vector per free column, in column order:
+    # no 0 stored, a positive entry in its free column, and the kernel_basis
+    # tuple once divided by that entry
+    rng = random.Random(71)
+    cases = [_sparse_deficient(rng) for _ in range(6)]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        cases.append(([[_random_entry(rng) for _ in range(n)] for _ in range(rng.randint(1, 6))], n))
+    cases += [([[0, 0, 0]], 3), ([[0, 5]], 2)]
+    for rows, ncols in cases:
+        vectors = _kernel_vectors(rows, ncols)
+        assert list(vectors) == sorted(vectors)
+        scaled = []
+        for f, vec in vectors.items():
+            assert vec[f] > 0 and all(type(x) is int and x for x in vec.values()), (rows, f)
+            scaled.append(tuple(Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)))
+        assert scaled == kernel_basis(rows, ncols) == oracle_kernel_basis(rows, ncols), rows
 
 
 def test_ragged_rows_are_refused_on_either_side():
@@ -317,6 +349,13 @@ def test_a_mapping_column_outside_the_matrix_is_refused():
                 query([{0: 1}, {1: 2, bad: 1}], 3)
             assert str(info.value) == f"column {bad} in a 3-column matrix"
     assert (rank([{}], 3), kernel_dimension([{}, {2: 0}], 3)) == (0, 3)
+    # a key equal to an int is not one: 1.0 and True once passed the range
+    # test and were read as a column of their own
+    for bad in (1.5, 1.0, True, None, "1"):
+        for query in (rank, kernel_dimension, pivot_columns, kernel_basis):
+            with pytest.raises(DimensionError) as info:
+                query([{0: 1}, {bad: 1}], 2)
+            assert str(info.value) == f"column {bad!r} is not an int"
     for query in (rank, kernel_dimension):
         with pytest.raises(DimensionError) as info:
             query([{0: 1}])
